@@ -13,7 +13,7 @@ from .netlist import (DualRailPort, Gate, GateKind, Netlist, NetlistBuilder,
 from .sim import (DelayModel, HazardRecord, InitializationError,
                   NonQuiescenceError, PerGateDelay, PerKindDelay,
                   RandomUniformDelay, SimState, SimulationError, StimulusError,
-                  UnitDelay, initialize, transitions_count)
+                  UnitDelay, initialize)
 from .handshake import (HandshakeHarness, TransactionError, TransactionMetrics,
                         TransactionResult, build_completion_detector)
 from .components import (COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS, cube,

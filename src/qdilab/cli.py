@@ -137,6 +137,8 @@ def delay_model(config: CliConfig):
     if config.delay_table is None:
         raise ValueError(f"delay model {config.delay!r} needs --delay-table")
     table = json.loads(Path(config.delay_table).read_text())
+    if not isinstance(table, dict):
+        raise ValueError(f"{config.delay_table}: delay table must be a JSON object")
     default = int(table.pop("*", 1))
     if config.delay == "perkind":
         return PerKindDelay({str(k): int(v) for k, v in table.items()}, default)

@@ -102,7 +102,14 @@ class HandshakeHarness:
                        if p.direction == "input" and not p.is_const]
         self.consts = [p for p in self.netlist.ports if p.is_const]
         self.outputs = [p for p in self.netlist.ports if p.direction == "output"]
-        self._out_rails = {rail: p for p in self.outputs for rail in p.rails}
+        # the monitor: flags of the nets it watches, and the output ports
+        # (by index into self.outputs) that each of those nets belongs to
+        self._watched = bytearray(self.netlist.net_count)
+        self._ports_of: list[tuple[int, ...]] = [()] * self.netlist.net_count
+        for i, p in enumerate(self.outputs):
+            for rail in p.rails:
+                self._watched[rail] = 1
+                self._ports_of[rail] += (i,)
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
         return initialize(self.netlist, self.protocol, delay_model)
@@ -175,50 +182,55 @@ class HandshakeHarness:
         datapath hazard, or a wrong acknowledge level at the end.
         """
         if phase == "data":
-            target = lambda s: s.is_data
+            targets = (PairState.DATA0, PairState.DATA1)
             ack_expect = 1 if self.protocol is Protocol.RTZ else 0
         elif phase == "return":
-            target = lambda s: s is PairState.SPACER
+            targets = (PairState.SPACER,)
             ack_expect = 0 if self.protocol is Protocol.RTZ else 1
         else:
             raise ValueError(f"unknown phase {phase!r}")
 
         t0 = state.now
-        start_vals = {rail: state.values[rail] for rail in self._out_rails}
         out_ports = self.outputs
-        out_rails = self._out_rails
+        ports_of = self._ports_of
         protocol = self.protocol
         values_arr = state.values
         datapath = self.datapath_nets
 
+        # running count of output ports at the phase target; an event on an
+        # output rail re-decodes only the ports that rail belongs to
+        at_target = [decode(protocol, values_arr[p.rail1], values_arr[p.rail0]) in targets
+                     for p in out_ports]
+        done = sum(at_target)
+        complete = len(out_ports)
         completed_at = None
-        last_datapath = t0
         illegal: list[tuple[int, str]] = []
 
         def watch(t: int, net: int, val: int) -> None:
-            nonlocal completed_at, last_datapath
-            if net < datapath:
-                last_datapath = t
-            port = out_rails.get(net)
-            if port is None:
-                return
-            ps = decode(protocol, values_arr[port.rail1], values_arr[port.rail0])
+            nonlocal completed_at, done
+            for i in ports_of[net]:
+                p = out_ports[i]
+                ps = decode(protocol, values_arr[p.rail1], values_arr[p.rail0])
+                hit = ps in targets
+                if hit != at_target[i]:
+                    at_target[i] = hit
+                    done += 1 if hit else -1
             if ps is PairState.ILLEGAL:
-                illegal.append((t, port.name))
+                illegal.append((t, p.name))
                 return
-            if all(target(decode(protocol, values_arr[p.rail1], values_arr[p.rail0]))
-                   for p in out_ports):
+            if done == complete:
                 if completed_at is None:
                     completed_at = t
             else:
                 completed_at = None
 
         groups = self._groups(phase, values, order)
+        start_vals = list(values_arr)
         h0 = len(state.hazards)
         tr0 = state.transitions
         early: list[EarlyRecord] = []
-        prev_watch = state.watch
-        state.watch = watch
+        prev = state.watch, state.watched
+        state.watch, state.watched = watch, self._watched
         try:
             for gi, group in enumerate(groups):
                 state.apply_and_settle(group, limit=limit)
@@ -228,7 +240,8 @@ class HandshakeHarness:
                     if moved:
                         early.append(EarlyRecord(gi, moved, completed_at is not None))
         finally:
-            state.watch = prev_watch
+            state.watch, state.watched = prev
+        last_datapath = max(t0, max(state.last_commit[:datapath]))
 
         hazards = list(state.hazards[h0:])
         if illegal:
@@ -239,7 +252,7 @@ class HandshakeHarness:
                 raise TransactionError(f"datapath hazard: {h.description}")
         if completed_at is None:
             bad = [p.name for p in out_ports
-                   if not target(self.port_state(state, p))]
+                   if self.port_state(state, p) not in targets]
             raise TransactionError(f"{phase} phase left outputs incomplete: {bad}")
         ack = values_arr[self.ackout]
         if ack != ack_expect or values_arr[self.ackin] != ack_expect ^ 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 NetId = int
@@ -54,15 +55,24 @@ class GateKind(str, Enum):
         return self is not GateKind.C2
 
 
+# Every gate kind's Boolean function, written once: the next output value of
+# a gate, indexed by ``KIND_CODE[kind] << 3 | a << 2 | b << 1 | cur`` where
+# ``a``/``b`` are its input values (an inverter reads ``a`` only) and ``cur``
+# its present output (only the C-element, which holds on disagreement, uses it).
+KIND_CODE = {GateKind.AND2: 0, GateKind.OR2: 1, GateKind.INV: 2, GateKind.C2: 3}
+NEXT_STATE = (
+    0, 0, 0, 0, 0, 0, 1, 1,  # AND2: a & b
+    0, 0, 1, 1, 1, 1, 1, 1,  # OR2:  a | b
+    1, 1, 1, 1, 0, 0, 0, 0,  # INV:  not a
+    0, 0, 0, 1, 0, 1, 1, 1,  # C2:   a if a == b else cur
+)
+
+
 def eval_combinational(kind: GateKind, values: Sequence[int]) -> int:
     """Boolean function of a combinational kind; C2 has no combinational value."""
-    if kind is GateKind.AND2:
-        return values[0] & values[1]
-    if kind is GateKind.OR2:
-        return values[0] | values[1]
-    if kind is GateKind.INV:
-        return values[0] ^ 1
-    raise ValueError(f"{kind.value} is not combinational")
+    if kind is GateKind.C2:
+        raise ValueError(f"{kind.value} is not combinational")
+    return NEXT_STATE[KIND_CODE[kind] << 3 | values[0] << 2 | values[-1] << 1]
 
 
 @dataclass(frozen=True)
@@ -149,6 +159,41 @@ class Netlist:
                 return p
         raise KeyError(name)
 
+    @cached_property
+    def compiled(self) -> "CompiledNetlist":
+        """The flat form the simulator runs on, built on first use."""
+        return CompiledNetlist(self)
+
+
+class CompiledNetlist:
+    """A netlist flattened into per-gate and per-net arrays.
+
+    Gate ``g`` computes ``NEXT_STATE[kind[g] | v[in0[g]] << 2 | v[in1[g]] << 1
+    | v[out[g]]]`` over net values ``v``; ``kind`` already holds the shifted
+    kind code, and an inverter's ``in1`` repeats its ``in0``.  ``consumers[n]``
+    lists the gates reading net ``n`` in gate order; ``env[n]`` is true for
+    the rails of input ports.  Gates are indexed by position, which
+    validation requires to equal ``Gate.id``.
+    """
+
+    __slots__ = ("kind", "in0", "in1", "out", "consumers", "env")
+
+    def __init__(self, netlist: Netlist):
+        gates = netlist.gates
+        self.kind = [KIND_CODE[g.kind] << 3 for g in gates]
+        self.in0 = [g.inputs[0] for g in gates]
+        self.in1 = [g.inputs[-1] for g in gates]
+        self.out = [g.output for g in gates]
+        consumers: list[list[int]] = [[] for _ in range(netlist.net_count)]
+        for i, g in enumerate(gates):
+            for net in set(g.inputs):
+                consumers[net].append(i)
+        self.consumers = [tuple(c) for c in consumers]
+        self.env = [False] * netlist.net_count
+        for p in netlist.ports:
+            if p.direction == "input":
+                self.env[p.rail1] = self.env[p.rail0] = True
+
 
 def _drivers(netlist: Netlist) -> dict[NetId, list[str]]:
     """Map each net to the labels of everything driving it."""
@@ -165,13 +210,16 @@ def _drivers(netlist: Netlist) -> dict[NetId, list[str]]:
 
 
 def validate(netlist: Netlist) -> ValidationReport:
-    """Structural checks: arity, net ranges, single drivers, init consistency,
-    and acyclicity of the combinational subgraph (every feedback loop must
-    pass through a C2)."""
+    """Structural checks: gate ids equal to positions, arity, net ranges,
+    single drivers, init consistency, and acyclicity of the combinational
+    subgraph (every feedback loop must pass through a C2)."""
     findings: list[Finding] = []
     n = netlist.net_count
 
-    for g in netlist.gates:
+    for i, g in enumerate(netlist.gates):
+        if g.id != i:
+            # delay tables key gates by id, the simulator by position
+            findings.append(Finding("gate-id", f"gate at position {i} has id {g.id}"))
         if len(g.inputs) != g.kind.arity:
             findings.append(Finding("arity", f"gate {g.id} ({g.kind.value}) has {len(g.inputs)} inputs"))
         for net in (*g.inputs, g.output):
@@ -414,6 +462,37 @@ def _port_doc(p: DualRailPort) -> dict:
     return doc
 
 
+def _gate_from_doc(i: int, g: dict) -> Gate:
+    return Gate(int(g.get("id", i)), GateKind(g["kind"]), tuple(int(x) for x in g["inputs"]),
+                int(g["output"]), int(g["init"]))
+
+
+def _port_from_doc(_i: int, p: dict) -> DualRailPort:
+    return DualRailPort(
+        name=str(p["name"]), direction=str(p["dir"]),
+        rail1=int(p["rail1"]), rail0=int(p["rail0"]),
+        const_value=(int(p["const_value"]) if "const_value" in p else None),
+        init=int(p.get("init", 0)),
+    )
+
+
+def _entries(docs, what: str, load: Callable[[int, dict], object]) -> list:
+    """Load a list of gate or port objects, naming the entry that is malformed."""
+    if not isinstance(docs, list):
+        raise FormatError(f"{what}s must be a list")
+    out = []
+    for i, d in enumerate(docs):
+        if not isinstance(d, dict):
+            raise FormatError(f"{what} entry {i} is not an object")
+        try:
+            out.append(load(i, d))
+        except KeyError as e:
+            raise FormatError(f"{what} entry {i} lacks key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"{what} entry {i}: {e}") from None
+    return out
+
+
 def from_json(text: str) -> Netlist:
     try:
         doc = json.loads(text)
@@ -424,27 +503,15 @@ def from_json(text: str) -> Netlist:
     try:
         net_count = int(doc["net_count"])
         name = str(doc.get("name", ""))
+        meta = dict(doc.get("meta", {}))
         gate_docs = doc["gates"]
         port_docs = doc["ports"]
     except KeyError as e:
         raise FormatError(f"missing key {e}") from e
-
-    gates = []
-    for i, g in enumerate(gate_docs):
-        try:
-            kind = GateKind(g["kind"])
-        except ValueError:
-            raise FormatError(f"unknown gate kind {g.get('kind')!r}") from None
-        gates.append(Gate(int(g.get("id", i)), kind, tuple(int(x) for x in g["inputs"]),
-                          int(g["output"]), int(g["init"])))
-    ports = []
-    for p in port_docs:
-        ports.append(DualRailPort(
-            name=str(p["name"]), direction=str(p["dir"]),
-            rail1=int(p["rail1"]), rail0=int(p["rail0"]),
-            const_value=(int(p["const_value"]) if "const_value" in p else None),
-            init=int(p.get("init", 0)),
-        ))
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"bad top-level value: {e}") from e
+    gates = _entries(gate_docs, "gate", _gate_from_doc)
+    ports = _entries(port_docs, "port", _port_from_doc)
 
     net_init = [0] * net_count
     for p in ports:
@@ -459,8 +526,7 @@ def from_json(text: str) -> Netlist:
                 raise FormatError(f"gate {g.id} references dangling net {net}")
         net_init[g.output] = g.init
 
-    netlist = Netlist(name, net_count, tuple(gates), tuple(ports), tuple(net_init),
-                      dict(doc.get("meta", {})))
+    netlist = Netlist(name, net_count, tuple(gates), tuple(ports), tuple(net_init), meta)
     report = validate(netlist)
     if not report.ok:
         raise ValidationError(report.findings)

@@ -7,20 +7,36 @@ Scheduling is inertial: a gate output carries at most one pending event, and
 an input change that disagrees with a pending event cancels it and records a
 hazard (a disabled excitation), which is how indication violations become
 observable.
+
+The kernel runs on the netlist's compiled form (``Netlist.compiled``: flat
+per-gate input/output/kind arrays, per-net consumer tuples and the one
+``NEXT_STATE`` table of gate functions).  It is built the first time a state
+is initialized over a netlist, not when the netlist is built or validated,
+and is shared by every later state over the same netlist.
+
+Each queued event is one int heap key ``t << shift | net << 1 | value``,
+with ``shift`` wide enough for any ``net << 1 | value``, so keys pop in
+``(time, net id, value)`` order: events due at one time commit in ascending
+net id.  ``_pending[net]`` holds the key of the net's pending event, or -1;
+a popped key that no longer matches it was superseded and is skipped.
+Stimuli enter the same queue at the current time, ahead of every gate event.
+
+Observers: ``trace(t, net, value)`` sees every committed event.  ``watch``
+is called the same way, but only for nets whose ``watched`` flag is set (the
+handshake monitor flags the output rails).  ``last_commit[net]`` is the time
+of the net's latest commit, so a monitor can ask when a group of nets last
+moved without seeing their events.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .encoding import Protocol
-from .netlist import GateKind, Netlist
-
-_AND, _OR, _INV, _C2 = 0, 1, 2, 3
-_KIND_CODE = {GateKind.AND2: _AND, GateKind.OR2: _OR, GateKind.INV: _INV, GateKind.C2: _C2}
+from .netlist import KIND_CODE, NEXT_STATE, GateKind, Netlist
 
 
 class SimulationError(Exception):
@@ -53,6 +69,12 @@ class PerKindDelay:
     table: Mapping[str, int]
     default: int = 1
 
+    def __post_init__(self) -> None:
+        kinds = {kind.value for kind in GateKind}
+        unknown = [key for key in self.table if key not in kinds]
+        if unknown:
+            raise ValueError(f"unknown gate kinds in delay table: {unknown}")
+
     def resolve(self, netlist: Netlist) -> list[int]:
         delays = [int(self.table.get(g.kind.value, self.default)) for g in netlist.gates]
         _check_delays(delays)
@@ -65,6 +87,10 @@ class PerGateDelay:
     default: int = 1
 
     def resolve(self, netlist: Netlist) -> list[int]:
+        unknown = [k for k in self.table if k not in range(len(netlist.gates))]
+        if unknown:
+            raise ValueError(f"delay table names gates {unknown}, outside "
+                             f"0..{len(netlist.gates) - 1}")
         delays = [int(self.table.get(g.id, self.default)) for g in netlist.gates]
         _check_delays(delays)
         return delays
@@ -122,55 +148,35 @@ class SettleReport:
 # --------------------------------------------------------------------------
 # state
 
-def _tables(netlist: Netlist):
-    # cached on the netlist instance; the netlist is immutable after build
-    cached = netlist.__dict__.get("_sim_tables")
-    if cached is not None:
-        return cached
-    kind = [_KIND_CODE[g.kind] for g in netlist.gates]
-    ins = [g.inputs for g in netlist.gates]
-    out = [g.output for g in netlist.gates]
-    consumers: list[list[int]] = [[] for _ in range(netlist.net_count)]
-    for i, g in enumerate(netlist.gates):
-        for net in g.inputs:
-            consumers[net].append(i)
-    env = [False] * netlist.net_count
-    for p in netlist.ports:
-        if p.direction == "input":
-            env[p.rail1] = True
-            env[p.rail0] = True
-    tables = (kind, ins, out, [tuple(c) for c in consumers], env)
-    netlist.__dict__["_sim_tables"] = tables
-    return tables
-
-
 class SimState:
     """Mutable simulation state over one immutable netlist."""
 
     __slots__ = ("netlist", "protocol", "values", "now", "transitions",
-                 "net_transitions", "hazards", "watch", "trace",
-                 "_kind", "_ins", "_out", "_consumers", "_env", "_delays",
+                 "net_transitions", "last_commit", "hazards", "watch", "watched",
+                 "trace", "_compiled", "_env", "_sched", "_shift",
                  "_heap", "_pending", "default_limit")
 
     def __init__(self, netlist: Netlist, protocol: Protocol, delays: list[int]):
         self.netlist = netlist
         self.protocol = protocol
-        kind, ins, out, consumers, env = _tables(netlist)
-        self._kind = kind
-        self._ins = ins
-        self._out = out
-        self._consumers = consumers
-        self._env = env
-        self._delays = delays
+        compiled = netlist.compiled
+        self._compiled = compiled
+        self._env = compiled.env
+        # heap keys are t << shift | net << 1 | value; gate g excited at time
+        # t schedules (t << shift) + _sched[g] + value
+        self._shift = shift = netlist.net_count.bit_length() + 1
+        self._sched = [d << shift | o << 1 for d, o in zip(delays, compiled.out)]
         self.values = [0] * netlist.net_count
         self.now = 0
         self.transitions = 0
         self.net_transitions = [0] * netlist.net_count
+        self.last_commit = [0] * netlist.net_count
         self.hazards: list[HazardRecord] = []
         self.watch: Callable[[int, int, int], None] | None = None
+        self.watched = bytearray(netlist.net_count)
         self.trace: Callable[[int, int, int], None] | None = None
-        self._heap: list[tuple[int, int, int]] = []
-        self._pending: dict[int, tuple[int, int]] = {}
+        self._heap: list[int] = []
+        self._pending = [-1] * netlist.net_count
         self.default_limit = 10_000 + 200 * max(1, len(netlist.gates))
 
     # -- initialization -----------------------------------------------------
@@ -184,21 +190,17 @@ class SimState:
         for g in self.netlist.gates:
             values[g.output] = g.init
 
-        comb = [i for i, k in enumerate(self._kind) if k != _C2]
-        limit = 4 * max(1, len(self.netlist.gates))
+        c = self._compiled
+        kind, in0, in1, out = c.kind, c.in0, c.in1, c.out
+        c2 = KIND_CODE[GateKind.C2] << 3
+        comb = [i for i, k in enumerate(kind) if k != c2]
+        limit = 4 * max(1, len(kind))
         for _ in range(limit):
             changed = False
             for i in comb:
-                ins = self._ins[i]
-                k = self._kind[i]
-                if k == _AND:
-                    v = values[ins[0]] & values[ins[1]]
-                elif k == _OR:
-                    v = values[ins[0]] | values[ins[1]]
-                else:
-                    v = values[ins[0]] ^ 1
-                if values[self._out[i]] != v:
-                    values[self._out[i]] = v
+                v = NEXT_STATE[kind[i] | values[in0[i]] << 2 | values[in1[i]] << 1]
+                if values[out[i]] != v:
+                    values[out[i]] = v
                     changed = True
             if not changed:
                 break
@@ -206,86 +208,87 @@ class SimState:
             raise InitializationError(
                 f"reset relaxation did not converge within {limit} sweeps")
 
+        gates = self.netlist.gates
         for i in comb:
-            g = self.netlist.gates[i]
+            g = gates[i]
             if values[g.output] != g.init:
                 raise InitializationError(
                     f"init inconsistency: gate {g.id} ({g.kind.value}) stores init "
                     f"{g.init} but relaxes to {values[g.output]}")
-        for i, k in enumerate(self._kind):
-            if k == _C2:
-                a, b = self._ins[i]
-                if values[a] == values[b] != values[self._out[i]]:
-                    raise InitializationError(
-                        f"init inconsistency: C2 gate {i} excited at reset")
+        for i, k in enumerate(kind):
+            if k == c2 and self._target(i) != values[out[i]]:
+                raise InitializationError(
+                    f"init inconsistency: C2 gate {i} excited at reset")
 
     # -- event machinery ----------------------------------------------------
 
-    def _excite(self, g: int) -> None:
+    def _target(self, g: int) -> int:
+        """Gate ``g``'s next output value under the present net values."""
+        c = self._compiled
         values = self.values
-        ins = self._ins[g]
-        k = self._kind[g]
-        out = self._out[g]
-        cur = values[out]
-        if k == _AND:
-            tgt = values[ins[0]] & values[ins[1]]
-        elif k == _OR:
-            tgt = values[ins[0]] | values[ins[1]]
-        elif k == _C2:
-            a = values[ins[0]]
-            tgt = a if a == values[ins[1]] else cur
-        else:
-            tgt = values[ins[0]] ^ 1
-        pending = self._pending.get(out)
-        if pending is not None:
-            if pending[1] == tgt:
-                return
-            self.hazards.append(HazardRecord(self.now, g, out, pending[1], tgt))
-            del self._pending[out]
-            if tgt == cur:
-                return
-        elif tgt == cur:
-            return
-        t = self.now + self._delays[g]
-        self._pending[out] = (t, tgt)
-        heapq.heappush(self._heap, (t, out, tgt))
+        return NEXT_STATE[c.kind[g] | values[c.in0[g]] << 2 | values[c.in1[g]] << 1
+                          | values[c.out[g]]]
 
-    def _commit_env(self, net: int, value: int) -> None:
-        self.values[net] = value
-        self.transitions += 1
-        self.net_transitions[net] += 1
-        if self.watch is not None:
-            self.watch(self.now, net, value)
-        if self.trace is not None:
-            self.trace(self.now, net, value)
-        for g in self._consumers[net]:
-            self._excite(g)
-
-    def _settle(self, limit: int) -> int:
+    def _settle(self, limit: int, env_commits: int) -> int:
+        """Commit queued events in key order until the queue is empty; the
+        first ``env_commits`` are stimuli, which ``limit`` does not count."""
         heap = self._heap
         pending = self._pending
         values = self.values
-        steps = 0
-        while heap:
-            t, net, val = heapq.heappop(heap)
-            p = pending.get(net)
-            if p is None or p[0] != t or p[1] != val:
-                continue  # superseded entry
-            steps += 1
-            if steps > limit:
-                raise NonQuiescenceError(f"no quiescence within {limit} events")
-            del pending[net]
+        net_transitions = self.net_transitions
+        last_commit = self.last_commit
+        hazards = self.hazards
+        watched, watch, trace = self.watched, self.watch, self.trace
+        c = self._compiled
+        kind, in0, in1, out, consumers = c.kind, c.in0, c.in1, c.out, c.consumers
+        sched = self._sched
+        shift = self._shift
+        net_mask = (1 << shift - 1) - 1
+        pop, push = heapq.heappop, heapq.heappush
+        t = self.now
+        cap = limit + env_commits
+        commits = 0
+        try:
+            while heap:
+                key = pop(heap)
+                net = key >> 1 & net_mask
+                if pending[net] != key:
+                    continue  # superseded entry
+                if commits >= cap:
+                    raise NonQuiescenceError(f"no quiescence within {limit} events")
+                commits += 1
+                pending[net] = -1
+                t = key >> shift
+                val = key & 1
+                values[net] = val
+                net_transitions[net] += 1
+                last_commit[net] = t
+                if watched[net] and watch is not None:
+                    watch(t, net, val)
+                if trace is not None:
+                    trace(t, net, val)
+                base = t << shift
+                for g in consumers[net]:
+                    o = out[g]
+                    cur = values[o]
+                    tgt = NEXT_STATE[kind[g] | values[in0[g]] << 2 | values[in1[g]] << 1 | cur]
+                    p = pending[o]
+                    if p >= 0:
+                        if p & 1 == tgt:
+                            continue
+                        hazards.append(HazardRecord(t, g, o, p & 1, tgt))
+                        pending[o] = -1
+                        if tgt == cur:
+                            continue
+                    elif tgt == cur:
+                        continue
+                    p = base + sched[g] + tgt
+                    pending[o] = p
+                    push(heap, p)
+        finally:
             self.now = t
-            values[net] = val
-            self.transitions += 1
-            self.net_transitions[net] += 1
-            if self.watch is not None:
-                self.watch(t, net, val)
-            if self.trace is not None:
-                self.trace(t, net, val)
-            for g in self._consumers[net]:
-                self._excite(g)
-        return steps
+            self.transitions += commits
+        return commits - env_commits
 
     # -- public surface -----------------------------------------------------
 
@@ -297,37 +300,31 @@ class SimState:
         t0 = self.now
         tr0 = self.transitions
         h0 = len(self.hazards)
+        values = self.values
+        stimuli = []
         for net, value in sorted(assignments.items()):
-            if not 0 <= net < len(self.values) or not self._env[net]:
+            if not 0 <= net < len(values) or not self._env[net]:
                 raise StimulusError(f"net {net} is not environment-driven")
             if value not in (0, 1):
                 raise StimulusError(f"net {net} assigned non-bit {value!r}")
-            if self.values[net] != value:
-                self._commit_env(net, value)
-        steps = self._settle(self.default_limit if limit is None else limit)
+            if values[net] != value:
+                stimuli.append(net << 1 | value)
+        # stimuli commit now, in net order, ahead of every gate event (whose
+        # delay is at least one)
+        base = t0 << self._shift
+        for stim in stimuli:
+            self._pending[stim >> 1] = base | stim
+            heapq.heappush(self._heap, base | stim)
+        steps = self._settle(self.default_limit if limit is None else limit, len(stimuli))
         return SettleReport(elapsed=self.now - t0, transitions=self.transitions - tr0,
                             hazards=list(self.hazards[h0:]), steps=steps)
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""
-        if self._pending:
+        if max(self._pending, default=-1) >= 0:
             return False
-        values = self.values
-        for i, k in enumerate(self._kind):
-            ins = self._ins[i]
-            cur = values[self._out[i]]
-            if k == _AND:
-                tgt = values[ins[0]] & values[ins[1]]
-            elif k == _OR:
-                tgt = values[ins[0]] | values[ins[1]]
-            elif k == _C2:
-                a = values[ins[0]]
-                tgt = a if a == values[ins[1]] else cur
-            else:
-                tgt = values[ins[0]] ^ 1
-            if tgt != cur:
-                return False
-        return True
+        out = self._compiled.out
+        return all(self._target(g) == self.values[out[g]] for g in range(len(out)))
 
 
 def initialize(netlist: Netlist, protocol: Protocol,
@@ -339,6 +336,3 @@ def initialize(netlist: Netlist, protocol: Protocol,
     state._relax()
     return state
 
-
-def transitions_count(state: SimState) -> int:
-    return state.transitions

@@ -64,6 +64,23 @@ def test_classify_non_indicating_netlist_exits_one(tmp_path):
     assert run_inproc("classify", "--netlist", str(path)) == 1
 
 
+def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
+    doc = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
+    del doc["gates"][0]["inputs"]
+    bad_netlist = tmp_path / "bad.json"
+    bad_netlist.write_text(json.dumps(doc))
+    bad_kind = tmp_path / "kinds.json"
+    bad_kind.write_text(json.dumps({"AND": 3}))
+    bad_gate = tmp_path / "gates.json"
+    bad_gate.write_text(json.dumps({"100000": 3}))
+    for argv in (["verify", "--netlist", str(bad_netlist)],
+                 ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_kind)],
+                 ["verify", "--n", "2", "--delay", "pergate", "--delay-table", str(bad_gate)]):
+        with pytest.raises(SystemExit) as exc:
+            run_inproc(*argv)
+        assert exc.value.code == 2
+
+
 def test_verify_detects_sabotaged_netlist(tmp_path):
     netlist = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
     doc = json.loads(to_json(netlist))

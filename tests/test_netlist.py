@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdilab.components import ripple_carry_adder
+from qdilab.encoding import Protocol
 from qdilab.netlist import (FormatError, GateKind, NetlistBuilder,
                             NetlistError, ValidationError, dual_of,
                             eval_combinational, from_json, stats,
@@ -205,6 +207,34 @@ def test_from_json_rejects_malformed():
     doc["gates"][0]["inputs"] = [99]
     with pytest.raises(FormatError):
         from_json(json.dumps(doc))
+
+
+def test_from_json_wraps_malformed_entries():
+    def load_with(section, entry):
+        doc = json.loads(to_json(build_sample()))
+        doc[section][0] = entry(doc[section][0])
+        return from_json(json.dumps(doc))
+
+    without = lambda key: lambda e: {k: v for k, v in e.items() if k != key}
+    with pytest.raises(FormatError, match="gate entry 0 lacks key 'inputs'"):
+        load_with("gates", without("inputs"))
+    with pytest.raises(FormatError, match="gate entry 0 is not an object"):
+        load_with("gates", lambda e: [1, 2])
+    with pytest.raises(FormatError, match="port entry 0 lacks key 'rail1'"):
+        load_with("ports", without("rail1"))
+    with pytest.raises(FormatError, match="port entry 0 is not an object"):
+        load_with("ports", lambda e: "X")
+    with pytest.raises(FormatError, match="gates must be a list"):
+        from_json(json.dumps({"net_count": 1, "gates": {}, "ports": []}))
+
+
+def test_permuted_gate_ids_are_rejected():
+    doc = json.loads(to_json(ripple_carry_adder(Protocol.RTZ, 1, "weak_fa")))
+    g0, g1 = doc["gates"][0], doc["gates"][1]
+    g0["id"], g1["id"] = g1["id"], g0["id"]
+    with pytest.raises(ValidationError) as exc:
+        from_json(json.dumps(doc))
+    assert {f.code for f in exc.value.findings} == {"gate-id"}
 
 
 def test_from_json_validates_semantics():
