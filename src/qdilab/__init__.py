@@ -11,9 +11,9 @@ from .netlist import (DualRailPort, Gate, GateKind, Netlist, NetlistBuilder,
                       NetlistError, ValidationError, dual_of, from_json, stats,
                       structurally_equal, to_dot, to_json, validate)
 from .sim import (DelayModel, HazardRecord, InitializationError,
-                  NonQuiescenceError, PerGateDelay, PerKindDelay,
-                  RandomUniformDelay, SimState, SimulationError, StimulusError,
-                  UnitDelay, initialize)
+                  NonQuiescenceError, RandomUniformDelay, SimState,
+                  SimulationError, StimulusError, TableDelay, UnitDelay,
+                  initialize)
 from .handshake import (HandshakeHarness, TransactionError, TransactionMetrics,
                         TransactionResult, build_completion_detector)
 from .components import (COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS, cube,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -351,14 +351,6 @@ def benchmark(designs: Sequence[BenchDesign], protocols: Sequence[Protocol],
 
 
 def bench_to_csv(rows: Sequence[BenchRow]) -> str:
-    lines = ["design,protocol,cycle_units,area_proxy,transitions_per_cycle,pctp_norm"]
-    for r in rows:
-        lines.append(f"{r.design},{r.protocol},{r.cycle_units},"
-                     f"{r.area_proxy},{r.transitions_per_cycle},{r.pctp_norm}")
+    lines = [",".join(f.name for f in fields(BenchRow))]
+    lines += [",".join(map(str, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"
-
-
-def bench_to_dicts(rows: Sequence[BenchRow]) -> list[dict]:
-    return [{"design": r.design, "protocol": r.protocol, "cycle_units": r.cycle_units,
-             "area_proxy": r.area_proxy, "transitions_per_cycle": r.transitions_per_cycle,
-             "pctp_norm": r.pctp_norm} for r in rows]

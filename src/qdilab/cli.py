@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: build | verify | bench | classify | fuzz | export.  Options can
-also come from a flat key=value config file (--config); explicit flags win.
-Reports are deterministic: the same config and seed always produce the same
-bytes, so every JSON report embeds the effective configuration and nothing
-time- or host-dependent.
+Subcommands: build | verify | bench | scale | classify | fuzz | export.
+Options can also come from a flat key=value config file (--config); explicit
+flags win.  Reports are deterministic: the same config and seed always
+produce the same bytes, so every JSON report embeds the effective
+configuration and nothing time- or host-dependent.
 
 Exit codes: 0 success, 1 verification/property failure, 2 usage error.
 """
@@ -16,17 +16,23 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
-from .analysis import (BenchDesign, Indication, bench_to_csv, bench_to_dicts,
-                       benchmark, classify_indication, exhaustive_verify,
+from .analysis import (BenchDesign, Indication, bench_to_csv, benchmark,
+                       classify_indication, exhaustive_verify, measure_latencies,
                        orphan_scan)
-from .components import COMPONENT_ORACLES, COMPONENTS
+from .components import COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS
 from .encoding import Protocol
 from .multiplier import MultiplierSpec, array_multiplier, product_oracle
 from .netlist import Netlist, NetlistError, from_json, stats, to_dot, to_json
-from .sim import (PerGateDelay, PerKindDelay, RandomUniformDelay, UnitDelay)
+from .sim import RandomUniformDelay, TableDelay, UnitDelay
 
-DELAY_CHOICES = ("unit", "perkind", "pergate", "random")
+# the values each string option accepts, from flags and config files alike
+CHOICES = {"protocol": ("rtz", "rto"), "fa": tuple(sorted(FA_VARIANTS)),
+           "delay": ("unit", "perkind", "pergate", "random"),
+           "component": tuple(sorted(COMPONENTS))}
+# vectors measured per design by `scale` once a width is too wide to exhaust
+SCALE_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class CliConfig:
         return asdict(self)
 
 
-_INT_KEYS = {"n", "seed", "trials", "transactions", "delay_low", "delay_high"}
+_INT_KEYS = {k for k, t in get_type_hints(CliConfig).items() if t is int}
 
 
 def load_config_file(path: str) -> dict:
@@ -77,9 +83,9 @@ def make_parser() -> argparse.ArgumentParser:
     g = common.add_argument_group("configuration")
     g.add_argument("--config", metavar="FILE", help="key=value config file")
     g.add_argument("--n", type=int, help="multiplier operand width (default 4)")
-    g.add_argument("--protocol", choices=("rtz", "rto"))
-    g.add_argument("--fa", choices=("dims_fa", "weak_fa"), help="full-adder variant")
-    g.add_argument("--delay", choices=DELAY_CHOICES)
+    g.add_argument("--protocol", choices=CHOICES["protocol"])
+    g.add_argument("--fa", choices=CHOICES["fa"], help="full-adder variant")
+    g.add_argument("--delay", choices=CHOICES["delay"])
     g.add_argument("--seed", type=int)
     g.add_argument("--trials", type=int, help="fuzz trial count (default 1000)")
     g.add_argument("--transactions", type=int, help="transactions per fuzz trial")
@@ -88,7 +94,7 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--delay-table", dest="delay_table", metavar="FILE",
                    help="JSON delay table for perkind/pergate models")
     g.add_argument("--weights", metavar="FILE", help="JSON gate-kind area weights")
-    g.add_argument("--component", choices=sorted(COMPONENTS),
+    g.add_argument("--component", choices=CHOICES["component"],
                    help="classify/verify a library block instead of a multiplier")
     g.add_argument("--netlist", metavar="FILE", help="operate on a saved netlist")
     g.add_argument("--out", metavar="FILE", help="write the report/artifact here")
@@ -102,6 +108,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub.add_parser("build", parents=[common], help="generate a multiplier netlist")
     sub.add_parser("verify", parents=[common], help="exhaustive functional check")
     sub.add_parser("bench", parents=[common], help="relative cycle/area/PCTP table")
+    sub.add_parser("scale", parents=[common], help="latency growth over widths 2..n")
     sub.add_parser("classify", parents=[common], help="strong/weak/neither indication")
     sub.add_parser("fuzz", parents=[common], help="randomized orphan scan")
     sub.add_parser("export", parents=[common], help="re-emit a netlist as JSON/DOT")
@@ -120,12 +127,13 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
     config = replace(config, **overrides)
     if config.n < 2:
         parser.error(f"--n must be >= 2, got {config.n}")
-    if config.protocol not in ("rtz", "rto"):
-        parser.error(f"unknown protocol {config.protocol!r}")
-    if config.delay not in DELAY_CHOICES:
-        parser.error(f"unknown delay model {config.delay!r}")
-    if config.trials < 1:
-        parser.error("--trials must be >= 1")
+    for key, allowed in CHOICES.items():
+        value = getattr(config, key)
+        if value is not None and value not in allowed:
+            parser.error(f"unknown {key} {value!r}")
+    for key in ("trials", "transactions"):
+        if getattr(config, key) < 1:
+            parser.error(f"--{key} must be >= 1")
     return config
 
 
@@ -136,20 +144,25 @@ def delay_model(config: CliConfig):
         return RandomUniformDelay(config.delay_low, config.delay_high, config.seed)
     if config.delay_table is None:
         raise ValueError(f"delay model {config.delay!r} needs --delay-table")
-    table = json.loads(Path(config.delay_table).read_text())
-    if not isinstance(table, dict):
-        raise ValueError(f"{config.delay_table}: delay table must be a JSON object")
-    default = int(table.pop("*", 1))
-    if config.delay == "perkind":
-        return PerKindDelay({str(k): int(v) for k, v in table.items()}, default)
-    return PerGateDelay({int(k): int(v) for k, v in table.items()}, default)
+    table = _load_table(config.delay_table, int)
+    default = table.pop("*", 1)
+    key = str if config.delay == "perkind" else int  # kind names or gate ids
+    return TableDelay({key(k): v for k, v in table.items()}, default)
 
 
 def load_weights(config: CliConfig) -> dict[str, float] | None:
-    if not config.weights:
-        return None
-    return {str(k): float(v) for k, v in
-            json.loads(Path(config.weights).read_text()).items()}
+    return _load_table(config.weights, float) if config.weights else None
+
+
+def _load_table(path: str, convert) -> dict:
+    """A JSON object read from ``path``, each value passed through ``convert``."""
+    table = json.loads(Path(path).read_text())
+    if not isinstance(table, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    try:
+        return {k: convert(v) for k, v in table.items()}
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def target_netlist(config: CliConfig) -> Netlist:
@@ -175,10 +188,23 @@ def _oracle_for(netlist: Netlist):
     return oracle
 
 
-def write_report(config: CliConfig, payload: dict) -> None:
-    payload = {"config": config.echo(), **payload}
-    if config.out:
-        Path(config.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_report(config: CliConfig, payload: dict, path: str | Path | None = None) -> None:
+    """Write ``payload`` with the echoed config as JSON to ``path``, by
+    default ``--out``; without either, write nothing."""
+    path = path or config.out
+    if path:
+        payload = {"config": config.echo(), **payload}
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_artifacts(config: CliConfig, netlist: Netlist, indent: str = "") -> bool:
+    """Write the netlist's JSON to ``--out`` and its DOT rendering to
+    ``--dot``; return whether either was given."""
+    for path, render in ((config.out, to_json), (config.dot, to_dot)):
+        if path:
+            Path(path).write_text(render(netlist))
+            print(f"{indent}wrote {path}")
+    return bool(config.out or config.dot)
 
 
 class _Tracer:
@@ -209,27 +235,13 @@ def cmd_build(config: CliConfig) -> int:
     if "and_blocks" in meta:
         print(f"  blocks: {meta['and_blocks']} AND, {meta['fa_blocks']} FA, "
               f"{meta['const_carries']} constant carries")
-    if config.out:
-        Path(config.out).write_text(to_json(netlist))
-        print(f"  wrote {config.out}")
-    if config.dot:
-        Path(config.dot).write_text(to_dot(netlist))
-        print(f"  wrote {config.dot}")
+    _write_artifacts(config, netlist, "  ")
     return 0
 
 
 def cmd_export(config: CliConfig) -> int:
     netlist = target_netlist(config)
-    wrote = False
-    if config.out:
-        Path(config.out).write_text(to_json(netlist))
-        print(f"wrote {config.out}")
-        wrote = True
-    if config.dot:
-        Path(config.dot).write_text(to_dot(netlist))
-        print(f"wrote {config.dot}")
-        wrote = True
-    if not wrote:
+    if not _write_artifacts(config, netlist):
         sys.stdout.write(to_json(netlist))
     return 0
 
@@ -256,8 +268,7 @@ def cmd_verify(config: CliConfig) -> int:
     payload = {
         "design": report.design, "protocol": report.protocol,
         "total": report.total, "passed": report.passed,
-        "failures": [{"vector": f.vector, "expected": f.expected,
-                      "got": f.got, "error": f.error} for f in report.failures],
+        "failures": [asdict(f) for f in report.failures],
     }
     if report.metrics:
         payload["max_forward_latency"] = max(m.forward_latency for m in report.metrics)
@@ -268,19 +279,17 @@ def cmd_verify(config: CliConfig) -> int:
     return 0 if report.ok else 1
 
 
-def _bench_designs(config: CliConfig) -> list[BenchDesign]:
-    n = config.n
-    designs = []
-    for fa in ("dims_fa", "weak_fa"):
-        designs.append(BenchDesign(
-            name=f"mult{n}x{n}_{fa}",
-            builder=lambda p, fa=fa: array_multiplier(MultiplierSpec(n, p, fa)),
-            oracle=product_oracle(n)))
-    return designs
+def _bench_designs(n: int) -> list[BenchDesign]:
+    """Both multiplier variants at operand width ``n``."""
+    return [BenchDesign(f"mult{n}x{n}_{fa}",
+                        lambda p, fa=fa: array_multiplier(MultiplierSpec(n, p, fa)),
+                        product_oracle(n))
+            for fa in CHOICES["fa"]]
 
 
 def cmd_bench(config: CliConfig) -> int:
-    rows = benchmark(_bench_designs(config), (Protocol.RTZ, Protocol.RTO),
+    designs = _bench_designs(config.n)
+    rows = benchmark(designs, (Protocol.RTZ, Protocol.RTO),
                      delay_model(config), load_weights(config))
     header = f"{'design':<22} {'proto':<5} {'cycle':>5} {'area':>8} {'tr/cycle':>9} {'pctp':>6}"
     print(header)
@@ -292,12 +301,30 @@ def cmd_bench(config: CliConfig) -> int:
         csv_path = out if out.suffix == ".csv" else out.with_suffix(".csv")
         json_path = csv_path.with_suffix(".json")
         csv_path.write_text(bench_to_csv(rows))
-        json_path.write_text(json.dumps(
-            {"config": config.echo(), "rows": bench_to_dicts(rows)},
-            indent=2, sort_keys=True) + "\n")
+        write_report(config, {"rows": [asdict(r) for r in rows]}, json_path)
         print(f"wrote {csv_path} and {json_path}")
-    expected = 2 * len(_bench_designs(config))
-    return 0 if len(rows) == expected else 1
+    return 0 if len(rows) == 2 * len(designs) else 1
+
+
+def cmd_scale(config: CliConfig) -> int:
+    """Worst latencies and gate counts of both multiplier variants at each
+    width from 2 to ``--n``: exhaustive while a width has at most
+    ``SCALE_SAMPLES`` vectors, corners plus a seeded sample beyond."""
+    protocol = Protocol(config.protocol)
+    delays = delay_model(config)
+    rows = []
+    print(f"{'design':<22} {'gates':>6} {'fwd':>4} {'rev':>4} {'cycle':>6}")
+    for n in range(2, config.n + 1):
+        for design in _bench_designs(n):
+            netlist = design.builder(protocol)
+            m = measure_latencies(netlist, protocol, delays,
+                                  sample_limit=SCALE_SAMPLES, seed=config.seed)
+            gates = len(netlist.gates)
+            print(f"{netlist.name:<22} {gates:>6} {m.forward_latency:>4} "
+                  f"{m.reverse_latency:>4} {m.cycle_time:>6}")
+            rows.append({"design": netlist.name, "gates": gates, **asdict(m)})
+    write_report(config, {"rows": rows})
+    return 0
 
 
 def cmd_classify(config: CliConfig) -> int:
@@ -306,17 +333,14 @@ def cmd_classify(config: CliConfig) -> int:
     verdict = classify_indication(netlist, protocol, delay_model(config))
     print(f"classify {netlist.name} [{protocol.value}]: {verdict.verdict.value} "
           f"({verdict.mode} mode, {verdict.scenarios} scenarios)")
-    witness = None
-    if verdict.witness:
-        w = verdict.witness
-        witness = {"codeword": w.codeword, "order": list(w.order),
-                   "phase": w.phase, "kind": w.kind, "detail": w.detail}
+    w = verdict.witness
+    if w:
         print(f"  witness [{w.kind}] {w.phase} phase, codeword {w.codeword}, "
               f"order {'>'.join(w.order)}: {w.detail}")
     write_report(config, {
         "design": netlist.name, "protocol": protocol.value,
         "verdict": verdict.verdict.value, "mode": verdict.mode,
-        "scenarios": verdict.scenarios, "witness": witness,
+        "scenarios": verdict.scenarios, "witness": asdict(w) if w else None,
     })
     return 0 if verdict.verdict is not Indication.NEITHER else 1
 
@@ -335,15 +359,7 @@ def cmd_fuzz(config: CliConfig) -> int:
           f"{'clean' if report.ok else f'{len(report.violations)} violations'}")
     for v in report.violations[:10]:
         print(f"  VIOLATION trial {v.trial} tx {v.transaction} [{v.kind}]: {v.detail}")
-    write_report(config, {
-        "design": report.design, "protocol": report.protocol,
-        "trials": report.trials, "transactions": report.transactions,
-        "seed": report.seed, "delay_low": report.delay_low,
-        "delay_high": report.delay_high, "ok": report.ok,
-        "violations": [{"trial": v.trial, "transaction": v.transaction,
-                        "vector": v.vector, "kind": v.kind, "detail": v.detail}
-                       for v in report.violations],
-    })
+    write_report(config, {**asdict(report), "ok": report.ok})
     return 0 if report.ok else 1
 
 
@@ -352,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     config = merge_config(args, parser)
     commands = {"build": cmd_build, "verify": cmd_verify, "bench": cmd_bench,
-                "classify": cmd_classify, "fuzz": cmd_fuzz, "export": cmd_export}
+                "scale": cmd_scale, "classify": cmd_classify, "fuzz": cmd_fuzz,
+                "export": cmd_export}
     try:
         return commands[args.command](config)
     except (NetlistError, ValueError, OSError) as e:

@@ -98,10 +98,9 @@ class HandshakeHarness:
             builder, base.output_ports, protocol)
         builder.metadata["harness"] = "closed-loop-cd"
         self.netlist = builder.build()
-        self.inputs = [p for p in self.netlist.ports
-                       if p.direction == "input" and not p.is_const]
-        self.consts = [p for p in self.netlist.ports if p.is_const]
-        self.outputs = [p for p in self.netlist.ports if p.direction == "output"]
+        self.inputs = self.netlist.input_ports
+        self.consts = self.netlist.const_ports
+        self.outputs = self.netlist.output_ports
         # the monitor: flags of the nets it watches, and the output ports
         # (by index into self.outputs) that each of those nets belongs to
         self._watched = bytearray(self.netlist.net_count)

@@ -211,8 +211,9 @@ def _drivers(netlist: Netlist) -> dict[NetId, list[str]]:
 
 def validate(netlist: Netlist) -> ValidationReport:
     """Structural checks: gate ids equal to positions, arity, net ranges,
-    single drivers, init consistency, and acyclicity of the combinational
-    subgraph (every feedback loop must pass through a C2)."""
+    port directions, bit-valued inits and constants, single drivers, init
+    consistency, and acyclicity of the combinational subgraph (every
+    feedback loop must pass through a C2)."""
     findings: list[Finding] = []
     n = netlist.net_count
 
@@ -228,13 +229,18 @@ def validate(netlist: Netlist) -> ValidationReport:
         if g.init not in (0, 1):
             findings.append(Finding("init-value", f"gate {g.id} init {g.init} is not a bit"))
     for p in netlist.ports:
+        if p.direction not in ("input", "output"):
+            findings.append(Finding("port-dir", f"port {p.name} has direction {p.direction!r}"))
+        if p.init not in (0, 1) or p.const_value not in (None, 0, 1):
+            findings.append(Finding("init-value", f"port {p.name} init {p.init} or "
+                                    f"constant {p.const_value} is not a bit"))
         for rail in p.rails:
             if not 0 <= rail < n:
                 findings.append(Finding("net-range", f"port {p.name} references net {rail} outside 0..{n - 1}"))
         if p.rail1 == p.rail0:
             findings.append(Finding("port-rails", f"port {p.name} uses one net for both rails"))
-    if any(f.code == "net-range" for f in findings):
-        return ValidationReport(findings)  # later checks need in-range ids
+    if any(f.code in ("net-range", "init-value") for f in findings):
+        return ValidationReport(findings)  # later checks need in-range ids and bit inits
 
     drivers = _drivers(netlist)
     for net, who in drivers.items():
@@ -488,7 +494,7 @@ def _entries(docs, what: str, load: Callable[[int, dict], object]) -> list:
             out.append(load(i, d))
         except KeyError as e:
             raise FormatError(f"{what} entry {i} lacks key {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise FormatError(f"{what} entry {i}: {e}") from None
     return out
 
@@ -508,10 +514,15 @@ def from_json(text: str) -> Netlist:
         port_docs = doc["ports"]
     except KeyError as e:
         raise FormatError(f"missing key {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad top-level value: {e}") from e
     gates = _entries(gate_docs, "gate", _gate_from_doc)
     ports = _entries(port_docs, "port", _port_from_doc)
+    # every net has exactly one driver: a gate output or an input-port rail
+    drivers = len(gates) + 2 * sum(p.direction == "input" for p in ports)
+    if not 0 <= net_count <= drivers:
+        raise FormatError(f"net_count {net_count} outside 0..{drivers}, the "
+                          "number of gate outputs and input rails")
 
     net_init = [0] * net_count
     for p in ports:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .encoding import Protocol
 from .netlist import KIND_CODE, NEXT_STATE, GateKind, Netlist
@@ -65,34 +65,33 @@ class UnitDelay:
 
 
 @dataclass(frozen=True)
-class PerKindDelay:
-    table: Mapping[str, int]
+class TableDelay:
+    """Per-gate delays from a table keyed by kind name (``"AND2"``) or by
+    gate id; a gate's own entry wins over its kind's, and a gate named by
+    neither gets ``default``."""
+
+    table: Mapping[str | int, int]
     default: int = 1
 
     def __post_init__(self) -> None:
         kinds = {kind.value for kind in GateKind}
-        unknown = [key for key in self.table if key not in kinds]
+        unknown = [k for k in self.table if isinstance(k, str) and k not in kinds]
         if unknown:
             raise ValueError(f"unknown gate kinds in delay table: {unknown}")
 
     def resolve(self, netlist: Netlist) -> list[int]:
-        delays = [int(self.table.get(g.kind.value, self.default)) for g in netlist.gates]
-        _check_delays(delays)
-        return delays
-
-
-@dataclass(frozen=True)
-class PerGateDelay:
-    table: Mapping[int, int]
-    default: int = 1
-
-    def resolve(self, netlist: Netlist) -> list[int]:
-        unknown = [k for k in self.table if k not in range(len(netlist.gates))]
+        gates = netlist.gates
+        unknown = [k for k in self.table
+                   if not isinstance(k, str) and k not in range(len(gates))]
         if unknown:
             raise ValueError(f"delay table names gates {unknown}, outside "
-                             f"0..{len(netlist.gates) - 1}")
-        delays = [int(self.table.get(g.id, self.default)) for g in netlist.gates]
-        _check_delays(delays)
+                             f"0..{len(gates) - 1}")
+        table = self.table
+        delays = [int(table.get(g.id, table.get(g.kind.value, self.default)))
+                  for g in gates]
+        for d in delays:
+            if d < 1:
+                raise ValueError(f"gate delays must be >= 1, got {d}")
         return delays
 
 
@@ -111,13 +110,7 @@ class RandomUniformDelay:
         return [rng.randint(self.low, self.high) for _ in netlist.gates]
 
 
-def _check_delays(delays: Sequence[int]) -> None:
-    for d in delays:
-        if d < 1:
-            raise ValueError(f"gate delays must be >= 1, got {d}")
-
-
-DelayModel = UnitDelay | PerKindDelay | PerGateDelay | RandomUniformDelay
+DelayModel = UnitDelay | TableDelay | RandomUniformDelay
 
 
 # --------------------------------------------------------------------------
@@ -255,6 +248,7 @@ class SimState:
                 if pending[net] != key:
                     continue  # superseded entry
                 if commits >= cap:
+                    push(heap, key)  # still pending: a later settle resumes here
                     raise NonQuiescenceError(f"no quiescence within {limit} events")
                 commits += 1
                 pending[net] = -1

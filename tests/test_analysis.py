@@ -12,7 +12,7 @@ from qdilab.encoding import Protocol
 from qdilab.multiplier import (MultiplierSpec, array_multiplier, input_vector,
                                product_oracle)
 from qdilab.netlist import GateKind, NetlistBuilder
-from qdilab.sim import PerKindDelay
+from qdilab.sim import TableDelay
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_measured_latency_envelope_for_the_indicating_and(protocol):
 
 def test_latencies_scale_with_gate_delays():
     metrics = measure_latencies(dims_full_adder(Protocol.RTZ), Protocol.RTZ,
-                                PerKindDelay({"C2": 3, "OR2": 2}, default=1))
+                                TableDelay({"C2": 3, "OR2": 2}, default=1))
     assert metrics.forward_latency == metrics.reverse_latency == 10
     assert metrics.cycle_time == 20
 

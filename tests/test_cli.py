@@ -1,5 +1,8 @@
 """Command-line behaviour: exit codes, config layering, deterministic output."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -73,34 +76,54 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     bad_kind.write_text(json.dumps({"AND": 3}))
     bad_gate = tmp_path / "gates.json"
     bad_gate.write_text(json.dumps({"100000": 3}))
+    bad_value = tmp_path / "value.json"
+    bad_value.write_text(json.dumps({"AND2": [1]}))
+    list_weights = tmp_path / "list.json"
+    list_weights.write_text(json.dumps([1.0, 2.0]))
+    null_weights = tmp_path / "null.json"
+    null_weights.write_text(json.dumps({"C2": None}))
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("component = nosuch\n")
     for argv in (["verify", "--netlist", str(bad_netlist)],
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_kind)],
-                 ["verify", "--n", "2", "--delay", "pergate", "--delay-table", str(bad_gate)]):
+                 ["verify", "--n", "2", "--delay", "pergate", "--delay-table", str(bad_gate)],
+                 ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_value)],
+                 ["build", "--n", "2", "--weights", str(list_weights)],
+                 ["build", "--n", "2", "--weights", str(null_weights)],
+                 ["classify", "--config", str(bad_config)],
+                 ["fuzz", "--n", "2", "--transactions", "0"]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
 
 
-def test_verify_detects_sabotaged_netlist(tmp_path):
-    netlist = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
-    doc = json.loads(to_json(netlist))
+def _sabotaged_doc():
+    doc = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
     for port in doc["ports"]:
         if port["name"] == "P0":  # swap the rails: P0 now reads inverted
             port["rail1"], port["rail0"] = port["rail0"], port["rail1"]
-    path = tmp_path / "sabotaged.json"
-    path.write_text(json.dumps(doc))
-    assert run_inproc("verify", "--netlist", str(path)) == 1
+    return doc
 
 
-def test_fuzz_flags_unacknowledged_branch(tmp_path):
+def _orphan_and2():
     b = NetlistBuilder("and2_orphan", {"component": "strong_and2"})
     x = b.add_input_port("X")
     y = b.add_input_port("Y")
     z1, z0 = emit_strong_and2(b, Protocol.RTZ, x.rails, y.rails)
     b.add_gate(GateKind.OR2, (x.rail1, y.rail1))  # dead-end branch
     b.add_output_port("Z", z1, z0)
+    return b.build()
+
+
+def test_verify_detects_sabotaged_netlist(tmp_path):
+    path = tmp_path / "sabotaged.json"
+    path.write_text(json.dumps(_sabotaged_doc()))
+    assert run_inproc("verify", "--netlist", str(path)) == 1
+
+
+def test_fuzz_flags_unacknowledged_branch(tmp_path):
     path = tmp_path / "orphan.json"
-    path.write_text(to_json(b.build()))
+    path.write_text(to_json(_orphan_and2()))
     report = tmp_path / "fuzz.json"
     assert run_inproc("fuzz", "--netlist", str(path), "--trials", "40",
                       "--out", str(report)) == 1
@@ -191,6 +214,26 @@ def test_bench_writes_csv_and_json(tmp_path):
     assert doc["config"]["n"] == 2
 
 
+def test_scale_prints_the_latency_table(tmp_path, capsys):
+    """Widths 2..4 under RTO; the 4x4 rows come from a seeded sample (at seed
+    42 the weak adder's cycle reads 58, at seed 7 it reads 54)."""
+    out = tmp_path / "scale.json"
+    assert run_inproc("scale", "--n", "4", "--protocol", "rto", "--seed", "7",
+                      "--out", str(out)) == 0
+    assert capsys.readouterr().out == (
+        "design                  gates  fwd  rev  cycle\n"
+        "mult2x2_dims_fa_rto        72   11   11     22\n"
+        "mult2x2_weak_fa_rto        70   11   11     22\n"
+        "mult3x3_dims_fa_rto       198   21   21     42\n"
+        "mult3x3_weak_fa_rto       192   20   20     40\n"
+        "mult4x4_dims_fa_rto       384   31   31     62\n"
+        "mult4x4_weak_fa_rto       372   27   27     54\n")
+    doc = json.loads(out.read_text())
+    assert doc["config"]["seed"] == 7
+    assert [(r["design"], r["gates"], r["cycle_time"]) for r in doc["rows"]][-1] == (
+        "mult4x4_weak_fa_rto", 372, 54)
+
+
 # ---------------------------------------------------------------------------
 # cross-process determinism
 
@@ -205,3 +248,81 @@ def test_reports_are_byte_identical_across_processes(tmp_path):
     assert second.returncode == 0
     assert out.read_bytes() == payload
     assert second.stdout == stdout
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: SHA-256 digests of every report file, stdout and exit code,
+# recorded before the experiment scripts were folded into the CLI, so a
+# refactor of the front end that moves one byte shows here.  The temporary
+# directory is replaced by a fixed placeholder first, because reports echo
+# their output paths.
+
+PIN_INPUTS = {
+    "kinds.json": {"*": 2, "C2": 3, "OR2": 1},
+    "ids.json": {"*": 1, "0": 4, "5": 3, "17": 2},
+    "weights.json": {"AND2": 1.0, "C2": 2.5, "INV": 0.5, "OR2": 1.25},
+}
+
+PIN_RUNS = {
+    "verify_trace": ["verify", "--n", "3", "--trace", "{d}/t.csv", "--out", "{d}/r.json"],
+    "verify_perkind": ["verify", "--n", "3", "--fa", "dims_fa", "--delay", "perkind",
+                       "--delay-table", "{i}/kinds.json", "--out", "{d}/r.json"],
+    "verify_pergate": ["verify", "--n", "3", "--protocol", "rto", "--delay", "pergate",
+                       "--delay-table", "{i}/ids.json", "--out", "{d}/r.json"],
+    "bench": ["bench", "--n", "3", "--weights", "{i}/weights.json", "--out", "{d}/b.csv"],
+    "classify_weak_rto": ["classify", "--component", "weak_fa", "--protocol", "rto",
+                          "--out", "{d}/r.json"],
+    "classify_dims": ["classify", "--component", "dims_fa", "--out", "{d}/r.json"],
+    "fuzz": ["fuzz", "--n", "2", "--trials", "30", "--out", "{d}/r.json"],
+    "build": ["build", "--n", "3", "--weights", "{i}/weights.json",
+              "--out", "{d}/m.json", "--dot", "{d}/m.dot"],
+    "export_stdout": ["export", "--component", "rca2_weak"],
+    "export_files": ["export", "--n", "2", "--out", "{d}/m.json", "--dot", "{d}/m.dot"],
+    "verify_sabotaged": ["verify", "--netlist", "{i}/sabotaged.json", "--out", "{d}/r.json"],
+    "fuzz_orphan": ["fuzz", "--netlist", "{i}/orphan.json", "--trials", "40",
+                    "--out", "{d}/r.json"],
+}
+
+PINNED_OUTPUTS = {
+    "bench": {"exit": 0, "stdout": "9c2aa4b9bb3f456c", "b.csv": "681e694394ef8393", "b.json": "9e9280a081e6e36e"},
+    "build": {"exit": 0, "stdout": "b3259b1155c452e5", "m.dot": "9242268d35ca626f", "m.json": "e44433ffab685a13"},
+    "classify_dims": {"exit": 0, "stdout": "b01b6fd0ef923d6d", "r.json": "16ce2a7c0d22158e"},
+    "classify_weak_rto": {"exit": 0, "stdout": "b262ef73e631d279", "r.json": "5ce0f28f89d1b76a"},
+    "export_files": {"exit": 0, "stdout": "139f9ede363bde12", "m.dot": "6da7904679036465", "m.json": "23ae3d24cda6075b"},
+    "export_stdout": {"exit": 0, "stdout": "bba9325d1f3870f2"},
+    "fuzz": {"exit": 0, "stdout": "2ccccb19ee64589d", "r.json": "562f2a58f91c15ab"},
+    "fuzz_orphan": {"exit": 1, "stdout": "b4e3836d9bf1df21", "r.json": "1b061772f21f0af4"},
+    "verify_pergate": {"exit": 0, "stdout": "8b58e0a58f75a0e0", "r.json": "b666c3d0e30617f4"},
+    "verify_perkind": {"exit": 0, "stdout": "5336f6c1974da06d", "r.json": "2fceccc64bef445f"},
+    "verify_sabotaged": {"exit": 1, "stdout": "9f64be2c04148098", "r.json": "caafdae3538bc7b3"},
+    "verify_trace": {"exit": 0, "stdout": "88b8cc84179b6e6e", "r.json": "664e8b5ec1feeaff", "t.csv": "d70dba46d5db3306"},
+}
+
+
+def _pinned_run(tmp_path, case):
+    inputs = tmp_path / "in"
+    inputs.mkdir(exist_ok=True)
+    for name, table in PIN_INPUTS.items():
+        (inputs / name).write_text(json.dumps(table))
+    (inputs / "sabotaged.json").write_text(json.dumps(_sabotaged_doc()))
+    (inputs / "orphan.json").write_text(to_json(_orphan_and2()))
+    out = tmp_path / case
+    out.mkdir()
+    argv = [a.format(d=out, i=inputs) for a in PIN_RUNS[case]]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+
+    def sha(text):
+        text = text.replace(str(tmp_path), "<tmp>")
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    digests = {"exit": code, "stdout": sha(stdout.getvalue())}
+    for path in sorted(out.iterdir()):
+        digests[path.name] = sha(path.read_text())
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(PIN_RUNS))
+def test_pinned_cli_outputs(tmp_path, case):
+    assert _pinned_run(tmp_path, case) == PINNED_OUTPUTS[case]

@@ -1,9 +1,10 @@
 """Netlist construction, validation, serialization, and structural tools."""
 
 import json
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdilab.components import ripple_carry_adder
@@ -269,6 +270,67 @@ def random_netlists(draw):
 @given(random_netlists())
 def test_json_round_trip_random(netlist):
     assert from_json(to_json(netlist)) == netlist
+
+
+def test_port_inits_constants_and_directions_are_checked():
+    netlist = build_sample()
+    for change, code in (({"init": 2}, "init-value"), ({"init": -1}, "init-value"),
+                         ({"const_value": 3}, "init-value"),
+                         ({"direction": "sideways"}, "port-dir")):
+        ports = list(netlist.ports)
+        ports[1] = replace(ports[1], **change)  # the constant port K
+        assert code in codes(replace(netlist, ports=tuple(ports)))
+
+
+def test_from_json_bounds_net_count_before_allocating():
+    """Every net needs exactly one driver, so a document with more nets than
+    gate outputs and input rails is rejected before any per-net work."""
+    doc = json.loads(to_json(build_sample()))  # 3 gates, 2 input ports
+    for net_count in (-1, 3 + 2 * 2 + 1, 2_000_000, 10**15):
+        doc["net_count"] = net_count
+        with pytest.raises(FormatError, match=f"net_count {net_count} outside 0..7"):
+            from_json(json.dumps(doc))
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 12), st.integers(), st.floats(),
+    st.sampled_from([float("inf"), float("nan"), 2, 8, 10**20]),
+    st.text(max_size=3), st.sampled_from([k.value for k in GateKind] + ["input", "output"]),
+    st.lists(st.integers(-1, 12), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "kind", "inputs", "output", "init", "name"]),
+                    st.integers(-1, 12), max_size=3))
+
+
+def _mutate(data, doc):
+    """Drop, retype or perturb one value somewhere in a netlist document."""
+    node = doc
+    while node:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        op = data.draw(st.sampled_from(["drop", "retype", "perturb"]))
+        if op == "drop":
+            del node[key]
+        elif op == "perturb" and type(child) is int:
+            node[key] = child + data.draw(st.integers(-3, 3) | st.integers())
+        else:
+            node[key] = data.draw(JUNK)
+        return
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_netlists(), st.data())
+def test_mutated_documents_load_or_raise_netlist_error(netlist, data):
+    doc = json.loads(to_json(netlist))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    try:
+        from_json(json.dumps(doc))
+    except NetlistError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
 from qdilab.netlist import GateKind, NetlistBuilder
 from qdilab.sim import (HazardRecord, InitializationError, NonQuiescenceError,
-                        PerGateDelay, PerKindDelay, RandomUniformDelay,
-                        StimulusError, UnitDelay, initialize)
+                        RandomUniformDelay, StimulusError, TableDelay,
+                        UnitDelay, initialize)
 
 from test_analysis import dead_end_and2
 
@@ -74,7 +74,7 @@ def test_glitch_pulse_under_asymmetric_delays():
     """A slower inverter stretches the static hazard into a visible pulse."""
     netlist, x = wire_fixture()
     state = initialize(netlist, Protocol.RTZ,
-                       PerGateDelay({0: 3}, default=1))  # INV=3, AND=1
+                       TableDelay({0: 3}, default=1))  # INV=3, AND=1
     pulses = []
     state.trace = lambda t, net, val: pulses.append((t, net, val))
     z = netlist.gates[1].output
@@ -89,7 +89,7 @@ def test_cancelled_excitation_is_recorded_as_hazard():
     before it commits; the simulator cancels it and records the hazard."""
     netlist, x = wire_fixture()
     state = initialize(netlist, Protocol.RTZ,
-                       PerGateDelay({1: 5}, default=3))  # AND=5, INV=3
+                       TableDelay({1: 5}, default=3))  # AND=5, INV=3
     z = netlist.gates[1].output
     report = state.apply_and_settle({x.rail1: 1})
     assert state.values[z] == 0  # the pulse never surfaced
@@ -121,23 +121,43 @@ def test_settle_limit_raises():
         state.apply_and_settle({x.rail0: 1, y.rail0: 1}, limit=1)
 
 
+def test_settle_resumes_after_the_limit_trips():
+    """The event that trips the limit stays queued, so the next settle picks
+    up where the first stopped and ends where an unbounded one does."""
+    netlist = strong_and2(Protocol.RTZ)
+    x, y, z = netlist.port("X"), netlist.port("Y"), netlist.port("Z")
+    stimulus = {x.rail0: 1, y.rail0: 1}
+    state = initialize(netlist, Protocol.RTZ)
+    with pytest.raises(NonQuiescenceError):
+        state.apply_and_settle(stimulus, limit=1)
+    assert state.apply_and_settle({}).steps > 0
+    fresh = initialize(netlist, Protocol.RTZ)
+    fresh.apply_and_settle(stimulus)
+    assert state.is_quiescent()
+    assert (state.values[z.rail1], state.values[z.rail0]) == (0, 1)  # data0
+    assert (state.values, state.now, state.transitions) == (
+        fresh.values, fresh.now, fresh.transitions)
+
+
 def test_delay_models_resolve_per_gate():
     netlist, _ = wire_fixture()
     assert UnitDelay().resolve(netlist) == [1, 1]
-    assert PerKindDelay({"INV": 4}, default=2).resolve(netlist) == [4, 2]
-    assert PerGateDelay({1: 7}, default=1).resolve(netlist) == [1, 7]
+    assert TableDelay({"INV": 4}, default=2).resolve(netlist) == [4, 2]
+    assert TableDelay({1: 7}, default=1).resolve(netlist) == [1, 7]
+    # a gate's own entry wins over its kind's
+    assert TableDelay({"AND2": 4, 1: 7, "INV": 3}).resolve(netlist) == [3, 7]
     with pytest.raises(ValueError):
-        initialize(netlist, Protocol.RTZ, PerGateDelay({0: 0}, default=1))
+        initialize(netlist, Protocol.RTZ, TableDelay({0: 0}, default=1))
 
 
 def test_delay_tables_reject_unknown_keys():
     netlist, _ = wire_fixture()
     with pytest.raises(ValueError, match="AND"):
-        PerKindDelay({"AND": 3})  # the kind is AND2
+        TableDelay({"AND": 3})  # the kind is AND2
     with pytest.raises(ValueError, match=r"\[2\]"):
-        PerGateDelay({2: 3}).resolve(netlist)  # two gates: ids 0 and 1
+        TableDelay({2: 3}).resolve(netlist)  # two gates: ids 0 and 1
     with pytest.raises(ValueError):
-        PerGateDelay({-1: 3}).resolve(netlist)
+        TableDelay({-1: 3}).resolve(netlist)
 
 
 def test_random_delays_are_seed_deterministic():
@@ -247,7 +267,7 @@ def _pinned_case(case):
         vectors = _vectors(harness, seed, 8)
     else:
         netlist, x = wire_fixture()
-        delays = UnitDelay() if case == "wire_equal" else PerGateDelay({1: 5}, default=3)
+        delays = UnitDelay() if case == "wire_equal" else TableDelay({1: 5}, default=3)
         stimuli = [{x.rail1: 1}, {x.rail1: 0}, {x.rail1: 1}]
         return _kernel_digests(netlist, delays, stimuli)
     out = _kernel_digests(harness.netlist, delays, _stimuli(harness, vectors))
