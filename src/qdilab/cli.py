@@ -25,7 +25,7 @@ from .components import COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS
 from .encoding import Protocol
 from .multiplier import MultiplierSpec, array_multiplier, product_oracle
 from .netlist import Netlist, NetlistError, from_json, stats, to_dot, to_json
-from .sim import RandomUniformDelay, TableDelay, UnitDelay
+from .sim import InitializationError, RandomUniformDelay, TableDelay, UnitDelay
 
 # the values each string option accepts, from flags and config files alike
 CHOICES = {"protocol": ("rtz", "rto"), "fa": tuple(sorted(FA_VARIANTS)),
@@ -177,14 +177,24 @@ def target_netlist(config: CliConfig) -> Netlist:
 
 
 def _oracle_for(netlist: Netlist):
+    """The reference oracle named by the netlist's metadata, checked once
+    against its port names: it must read only the netlist's inputs and give
+    exactly its outputs."""
     n = netlist.metadata.get("n")
-    if n is not None:
-        return product_oracle(int(n))
-    oracle = COMPONENT_ORACLES.get(netlist.metadata.get("component", ""))
+    oracle = (product_oracle(int(n)) if n is not None
+              else COMPONENT_ORACLES.get(netlist.metadata.get("component", "")))
     if oracle is None:
         raise ValueError(
             f"no reference oracle for netlist {netlist.name!r}; "
             "verify/fuzz need one to judge outputs")
+    try:
+        expected = oracle({p.name: 0 for p in netlist.input_ports})
+    except KeyError as e:
+        raise ValueError(f"netlist {netlist.name!r} has no input {e} for its oracle") from None
+    outputs = sorted(p.name for p in netlist.output_ports)
+    if sorted(expected) != outputs:
+        raise ValueError(f"netlist {netlist.name!r} has outputs {outputs}, its oracle "
+                         f"gives {sorted(expected)}")
     return oracle
 
 
@@ -372,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
                 "export": cmd_export}
     try:
         return commands[args.command](config)
-    except (NetlistError, ValueError, OSError) as e:
+    except (NetlistError, InitializationError, ValueError, OSError) as e:
         parser.error(str(e))
         return 2  # unreachable; parser.error exits
 

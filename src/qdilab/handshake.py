@@ -102,13 +102,13 @@ class HandshakeHarness:
         self.consts = self.netlist.const_ports
         self.outputs = self.netlist.output_ports
         # the monitor: flags of the nets it watches, and the output ports
-        # (by index into self.outputs) that each of those nets belongs to
+        # that each of those nets belongs to
         self._watched = bytearray(self.netlist.net_count)
-        self._ports_of: list[tuple[int, ...]] = [()] * self.netlist.net_count
-        for i, p in enumerate(self.outputs):
+        self._ports_of: list[tuple[DualRailPort, ...]] = [()] * self.netlist.net_count
+        for p in self.outputs:
             for rail in p.rails:
                 self._watched[rail] = 1
-                self._ports_of[rail] += (i,)
+                self._ports_of[rail] += (p,)
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
         return initialize(self.netlist, self.protocol, delay_model)
@@ -117,6 +117,11 @@ class HandshakeHarness:
 
     def port_state(self, state: SimState, port: DualRailPort) -> PairState:
         return decode(self.protocol, state.values[port.rail1], state.values[port.rail0])
+
+    def _off_target(self, state: SimState, targets: set[tuple[int, int]]) -> list[str]:
+        """Names of the output ports whose (rail1, rail0) pair is not in ``targets``."""
+        values = state.values
+        return [p.name for p in self.outputs if (values[p.rail1], values[p.rail0]) not in targets]
 
     def decode_outputs(self, state: SimState) -> dict[str, int]:
         out = {}
@@ -158,12 +163,10 @@ class HandshakeHarness:
                 batch.update(r)
             return [batch]
         groups: list[dict[int, int]] = [const] if const else []
-        seen: set[str] = set()
         for names in order:
             g: dict[int, int] = {}
             for name in names:
                 g.update(rails.pop(name))
-                seen.add(name)
             groups.append(g)
         if rails:
             raise TransactionError(f"arrival order misses inputs {sorted(rails)}")
@@ -181,10 +184,10 @@ class HandshakeHarness:
         datapath hazard, or a wrong acknowledge level at the end.
         """
         if phase == "data":
-            targets = (PairState.DATA0, PairState.DATA1)
+            targets = {encode(self.protocol, 0), encode(self.protocol, 1)}
             ack_expect = 1 if self.protocol is Protocol.RTZ else 0
         elif phase == "return":
-            targets = (PairState.SPACER,)
+            targets = {spacer_rails(self.protocol)}
             ack_expect = 0 if self.protocol is Protocol.RTZ else 1
         else:
             raise ValueError(f"unknown phase {phase!r}")
@@ -196,32 +199,18 @@ class HandshakeHarness:
         values_arr = state.values
         datapath = self.datapath_nets
 
-        # running count of output ports at the phase target; an event on an
-        # output rail re-decodes only the ports that rail belongs to
-        at_target = [decode(protocol, values_arr[p.rail1], values_arr[p.rail0]) in targets
-                     for p in out_ports]
-        done = sum(at_target)
-        complete = len(out_ports)
-        completed_at = None
+        # outside an illegal codeword every output-rail event moves its ports
+        # into or out of the target, so outputs that all end at the target
+        # completed at the last such event
+        last_move: int | None = None
         illegal: list[tuple[int, str]] = []
 
         def watch(t: int, net: int, val: int) -> None:
-            nonlocal completed_at, done
-            for i in ports_of[net]:
-                p = out_ports[i]
-                ps = decode(protocol, values_arr[p.rail1], values_arr[p.rail0])
-                hit = ps in targets
-                if hit != at_target[i]:
-                    at_target[i] = hit
-                    done += 1 if hit else -1
-            if ps is PairState.ILLEGAL:
-                illegal.append((t, p.name))
-                return
-            if done == complete:
-                if completed_at is None:
-                    completed_at = t
-            else:
-                completed_at = None
+            nonlocal last_move
+            last_move = t
+            for p in ports_of[net]:
+                if decode(protocol, values_arr[p.rail1], values_arr[p.rail0]) is PairState.ILLEGAL:
+                    illegal.append((t, p.name))
 
         groups = self._groups(phase, values, order)
         start_vals = list(values_arr)
@@ -237,7 +226,7 @@ class HandshakeHarness:
                     moved = tuple(p.name for p in out_ports
                                   if any(values_arr[r] != start_vals[r] for r in p.rails))
                     if moved:
-                        early.append(EarlyRecord(gi, moved, completed_at is not None))
+                        early.append(EarlyRecord(gi, moved, not self._off_target(state, targets)))
         finally:
             state.watch, state.watched = prev
         last_datapath = max(t0, max(state.last_commit[:datapath]))
@@ -249,9 +238,8 @@ class HandshakeHarness:
         for h in hazards:
             if h.net < datapath:
                 raise TransactionError(f"datapath hazard: {h.description}")
-        if completed_at is None:
-            bad = [p.name for p in out_ports
-                   if self.port_state(state, p) not in targets]
+        bad = self._off_target(state, targets)
+        if bad or last_move is None:
             raise TransactionError(f"{phase} phase left outputs incomplete: {bad}")
         ack = values_arr[self.ackout]
         if ack != ack_expect or values_arr[self.ackin] != ack_expect ^ 1:
@@ -259,10 +247,10 @@ class HandshakeHarness:
                 f"acknowledge level wrong after {phase} phase: ackout={ack}")
         return PhaseReport(
             phase=phase,
-            latency=completed_at - t0,
+            latency=last_move - t0,
             elapsed=state.now - t0,
             transitions=state.transitions - tr0,
-            completed_at=completed_at,
+            completed_at=last_move,
             last_datapath_commit=last_datapath,
             early=early,
             hazards=hazards,

@@ -211,9 +211,9 @@ def _drivers(netlist: Netlist) -> dict[NetId, list[str]]:
 
 def validate(netlist: Netlist) -> ValidationReport:
     """Structural checks: gate ids equal to positions, arity, net ranges,
-    port directions, bit-valued inits and constants, single drivers, init
-    consistency, and acyclicity of the combinational subgraph (every
-    feedback loop must pass through a C2)."""
+    unique port names, port directions, bit-valued inits and constants,
+    single drivers, init consistency, and acyclicity of the combinational
+    subgraph (every feedback loop must pass through a C2)."""
     findings: list[Finding] = []
     n = netlist.net_count
 
@@ -228,7 +228,11 @@ def validate(netlist: Netlist) -> ValidationReport:
                 findings.append(Finding("net-range", f"gate {g.id} references net {net} outside 0..{n - 1}"))
         if g.init not in (0, 1):
             findings.append(Finding("init-value", f"gate {g.id} init {g.init} is not a bit"))
+    names: set[str] = set()
     for p in netlist.ports:
+        if p.name in names:
+            findings.append(Finding("port-name", f"port name {p.name!r} is used twice"))
+        names.add(p.name)
         if p.direction not in ("input", "output"):
             findings.append(Finding("port-dir", f"port {p.name} has direction {p.direction!r}"))
         if p.init not in (0, 1) or p.const_value not in (None, 0, 1):

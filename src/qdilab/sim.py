@@ -8,6 +8,11 @@ an input change that disagrees with a pending event cancels it and records a
 hazard (a disabled excitation), which is how indication violations become
 observable.
 
+Reset computes nothing: ``initialize`` seeds the input rails at the spacer
+level and every other net at its stored init, and raises if any gate is
+excited there (validation already holds each combinational init to the reset
+levels of its inputs, so no relaxation is needed).
+
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: flat
 per-gate input/output/kind arrays, per-net consumer tuples and the one
 ``NEXT_STATE`` table of gate functions).  It is built the first time a state
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .encoding import Protocol
-from .netlist import KIND_CODE, NEXT_STATE, GateKind, Netlist
+from .netlist import NEXT_STATE, GateKind, Netlist
 
 
 class SimulationError(Exception):
@@ -44,7 +49,8 @@ class SimulationError(Exception):
 
 
 class InitializationError(SimulationError):
-    """Reset state is inconsistent or fails to relax to a quiescent fixpoint."""
+    """The reset state (input rails at spacer, every other net at its stored
+    init) has an excited gate."""
 
 
 class NonQuiescenceError(SimulationError):
@@ -159,7 +165,9 @@ class SimState:
         # t schedules (t << shift) + _sched[g] + value
         self._shift = shift = netlist.net_count.bit_length() + 1
         self._sched = [d << shift | o << 1 for d, o in zip(delays, compiled.out)]
-        self.values = [0] * netlist.net_count
+        spacer = protocol.spacer_level
+        self.values = [spacer if env else init
+                       for env, init in zip(self._env, netlist.net_init)]
         self.now = 0
         self.transitions = 0
         self.net_transitions = [0] * netlist.net_count
@@ -172,55 +180,19 @@ class SimState:
         self._pending = [-1] * netlist.net_count
         self.default_limit = 10_000 + 200 * max(1, len(netlist.gates))
 
-    # -- initialization -----------------------------------------------------
-
-    def _relax(self) -> None:
-        """Seed the reset state and relax combinational gates to a fixpoint."""
-        values = self.values
-        spacer = self.protocol.spacer_level
-        for net in range(self.netlist.net_count):
-            values[net] = spacer if self._env[net] else self.netlist.net_init[net]
-        for g in self.netlist.gates:
-            values[g.output] = g.init
-
-        c = self._compiled
-        kind, in0, in1, out = c.kind, c.in0, c.in1, c.out
-        c2 = KIND_CODE[GateKind.C2] << 3
-        comb = [i for i, k in enumerate(kind) if k != c2]
-        limit = 4 * max(1, len(kind))
-        for _ in range(limit):
-            changed = False
-            for i in comb:
-                v = NEXT_STATE[kind[i] | values[in0[i]] << 2 | values[in1[i]] << 1]
-                if values[out[i]] != v:
-                    values[out[i]] = v
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise InitializationError(
-                f"reset relaxation did not converge within {limit} sweeps")
-
-        gates = self.netlist.gates
-        for i in comb:
-            g = gates[i]
-            if values[g.output] != g.init:
-                raise InitializationError(
-                    f"init inconsistency: gate {g.id} ({g.kind.value}) stores init "
-                    f"{g.init} but relaxes to {values[g.output]}")
-        for i, k in enumerate(kind):
-            if k == c2 and self._target(i) != values[out[i]]:
-                raise InitializationError(
-                    f"init inconsistency: C2 gate {i} excited at reset")
-
     # -- event machinery ----------------------------------------------------
 
-    def _target(self, g: int) -> int:
-        """Gate ``g``'s next output value under the present net values."""
+    def _excited(self) -> int | None:
+        """The first gate whose output differs from its function of the
+        present net values, or None when no gate is excited."""
         c = self._compiled
+        in0, in1, out = c.in0, c.in1, c.out
         values = self.values
-        return NEXT_STATE[c.kind[g] | values[c.in0[g]] << 2 | values[c.in1[g]] << 1
-                          | values[c.out[g]]]
+        for g, k in enumerate(c.kind):
+            cur = values[out[g]]
+            if NEXT_STATE[k | values[in0[g]] << 2 | values[in1[g]] << 1 | cur] != cur:
+                return g
+        return None
 
     def _settle(self, limit: int, env_commits: int) -> int:
         """Commit queued events in key order until the queue is empty; the
@@ -315,18 +287,19 @@ class SimState:
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""
-        if max(self._pending, default=-1) >= 0:
-            return False
-        out = self._compiled.out
-        return all(self._target(g) == self.values[out[g]] for g in range(len(out)))
+        return max(self._pending, default=-1) < 0 and self._excited() is None
 
 
 def initialize(netlist: Netlist, protocol: Protocol,
                delay_model: DelayModel = UnitDelay()) -> SimState:
-    """Build a quiescent reset-state simulation: environment rails at the
-    spacer level, C2 outputs at their stored inits, combinational gates
-    relaxed to a fixpoint (zero elapsed time)."""
+    """Build the reset-state simulation at time zero: input rails at the
+    spacer level, every other net at its stored init.  That state must
+    already be quiescent; reset computes nothing, it only checks."""
     state = SimState(netlist, protocol, delay_model.resolve(netlist))
-    state._relax()
+    g = state._excited()
+    if g is not None:
+        raise InitializationError(f"reset state is not quiescent under "
+                                  f"{protocol.value}: gate {g} "
+                                  f"({netlist.gates[g].kind.value}) is excited")
     return state
 

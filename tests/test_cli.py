@@ -84,6 +84,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     null_weights.write_text(json.dumps({"C2": None}))
     bad_config = tmp_path / "bad.cfg"
     bad_config.write_text("component = nosuch\n")
+    and2 = tmp_path / "and.json"  # an RTZ netlist cannot reset under RTO
+    assert run_inproc("export", "--component", "strong_and2", "--out", str(and2)) == 0
     for argv in (["verify", "--netlist", str(bad_netlist)],
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_kind)],
                  ["verify", "--n", "2", "--delay", "pergate", "--delay-table", str(bad_gate)],
@@ -91,7 +93,9 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["build", "--n", "2", "--weights", str(list_weights)],
                  ["build", "--n", "2", "--weights", str(null_weights)],
                  ["classify", "--config", str(bad_config)],
-                 ["fuzz", "--n", "2", "--transactions", "0"]):
+                 ["fuzz", "--n", "2", "--transactions", "0"],
+                 ["verify", "--netlist", str(and2), "--protocol", "rto"],
+                 ["classify", "--netlist", str(and2), "--protocol", "rto"]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
@@ -113,6 +117,27 @@ def _orphan_and2():
     b.add_gate(GateKind.OR2, (x.rail1, y.rail1))  # dead-end branch
     b.add_output_port("Z", z1, z0)
     return b.build()
+
+
+def test_port_names_must_match_the_oracle(tmp_path):
+    """A saved multiplier whose ports the product oracle cannot read, or
+    whose outputs it does not give, exits 2 instead of raising."""
+    doc = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
+    for old, new, message in (("A1", "A0", "port name 'A0' is used twice"),
+                              ("A1", "Q1", "has no input 'A1' for its oracle"),
+                              ("P0", "R0", "its oracle gives")):
+        renamed = json.loads(json.dumps(doc))
+        for port in renamed["ports"]:
+            if port["name"] == old:
+                port["name"] = new
+        path = tmp_path / f"{new}.json"
+        path.write_text(json.dumps(renamed))
+        for command in ("verify", "fuzz"):
+            err = io.StringIO()
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+                run_inproc(command, "--netlist", str(path), "--trials", "1")
+            assert exc.value.code == 2
+            assert message in err.getvalue()
 
 
 def test_verify_detects_sabotaged_netlist(tmp_path):

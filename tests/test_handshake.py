@@ -162,3 +162,17 @@ def test_staggered_order_reports_early_movement():
     assert not any(rec.all_complete for rec in report.early)
     harness.run_phase(state, "return", order=[["A"], ["B"], ["Cin"]])
     assert harness.port_state(state, harness.outputs[0]) is PairState.SPACER
+
+
+def test_illegal_codeword_on_a_shared_rail_is_caught():
+    """X.rail1 feeds both Z and W; X = Y = 1 makes Z illegal on the event
+    that makes W data, and every port on that rail is checked."""
+    b = NetlistBuilder("shared_rail")
+    y = b.add_input_port("Y")
+    x = b.add_input_port("X")
+    b.add_output_port("Z", x.rail1, y.rail1)
+    b.add_output_port("W", x.rail1, x.rail0)
+    harness = HandshakeHarness(b.build(), Protocol.RTZ)
+    state = harness.initialize()
+    with pytest.raises(TransactionError, match="output Z hit an illegal codeword"):
+        harness.run_phase(state, "data", {"X": 1, "Y": 1})

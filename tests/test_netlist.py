@@ -276,7 +276,8 @@ def test_port_inits_constants_and_directions_are_checked():
     netlist = build_sample()
     for change, code in (({"init": 2}, "init-value"), ({"init": -1}, "init-value"),
                          ({"const_value": 3}, "init-value"),
-                         ({"direction": "sideways"}, "port-dir")):
+                         ({"direction": "sideways"}, "port-dir"),
+                         ({"name": "X"}, "port-name")):
         ports = list(netlist.ports)
         ports[1] = replace(ports[1], **change)  # the constant port K
         assert code in codes(replace(netlist, ports=tuple(ports)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdilab.components import strong_and2
+from qdilab.components import COMPONENTS, FA_VARIANTS, strong_and2
 from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
@@ -21,18 +21,34 @@ from qdilab.sim import (HazardRecord, InitializationError, NonQuiescenceError,
 from test_analysis import dead_end_and2
 
 
+RESET_DESIGNS = {**COMPONENTS, **{
+    f"mult{n}x{n}_{fa}": lambda p, n=n, fa=fa: array_multiplier(MultiplierSpec(n, p, fa))
+    for n in (2, 3) for fa in FA_VARIANTS}}
+
+
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_reset_state_is_quiescent_spacer(protocol):
-    netlist = strong_and2(protocol)
-    state = initialize(netlist, protocol)
-    assert state.now == 0 and state.transitions == 0
-    assert state.is_quiescent()
+    """Every library block and small multiplier resets, under its own
+    protocol, to exactly its stored inits: nothing settles at reset."""
     spacer = protocol.spacer_level
-    for p in netlist.input_ports:
-        assert (state.values[p.rail1], state.values[p.rail0]) == (spacer, spacer)
-    for p in netlist.output_ports:
-        assert (state.values[p.rail1], state.values[p.rail0]) \
-            == spacer_rails(protocol)
+    for name, build in RESET_DESIGNS.items():
+        netlist = build(protocol)
+        state = initialize(netlist, protocol)
+        assert state.now == 0 and state.transitions == 0, name
+        assert state.is_quiescent(), name
+        assert state.values == list(netlist.net_init), name
+        for p in netlist.input_ports:
+            assert (state.values[p.rail1], state.values[p.rail0]) == (spacer, spacer)
+        for p in netlist.output_ports:
+            assert (state.values[p.rail1], state.values[p.rail0]) \
+                == spacer_rails(protocol)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_reset_under_the_other_protocol_names_an_excited_gate(protocol):
+    other = Protocol.RTO if protocol is Protocol.RTZ else Protocol.RTZ
+    with pytest.raises(InitializationError, match=r"gate \d+ \((AND2|OR2|INV|C2)\) is excited"):
+        initialize(strong_and2(protocol), other)
 
 
 def test_initialize_rejects_inconsistent_reset():
