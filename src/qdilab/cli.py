@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -155,14 +156,19 @@ def load_weights(config: CliConfig) -> dict[str, float] | None:
 
 
 def _load_table(path: str, convert) -> dict:
-    """A JSON object read from ``path``, each value passed through ``convert``."""
+    """A JSON object read from ``path``: finite numbers that ``convert`` keeps."""
     table = json.loads(Path(path).read_text())
     if not isinstance(table, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    try:
-        return {k: convert(v) for k, v in table.items()}
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: {e}") from None
+    for key, value in table.items():
+        try:  # a bool is an int to Python, and 2.7 would read as 2
+            ok = not isinstance(value, bool) and math.isfinite(value) and convert(value) == value
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}: value {value!r} of {key!r} is not a "
+                             f"{'whole' if convert is int else 'finite'} number")
+    return {k: convert(v) for k, v in table.items()}
 
 
 def target_netlist(config: CliConfig) -> Netlist:

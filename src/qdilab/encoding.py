@@ -9,7 +9,6 @@ the RTZ ones.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
 
 
 class Protocol(str, Enum):
@@ -43,13 +42,6 @@ class PairState(Enum):
         return 1 if self is PairState.DATA1 else 0
 
 
-class BusState(Enum):
-    SPACER = "spacer"
-    DATA = "data"
-    INCOMPLETE = "incomplete"
-    ILLEGAL = "illegal"
-
-
 def encode(protocol: Protocol, bit: int) -> tuple[int, int]:
     """Rail values (rail1, rail0) for a logical bit."""
     if bit not in (0, 1):
@@ -64,34 +56,10 @@ def spacer_rails(protocol: Protocol) -> tuple[int, int]:
     return (s, s)
 
 
+# pair states by (rail1, rail0) under RTZ; RTO rails read as complemented RTZ rails
+_RTZ_STATES = ((PairState.SPACER, PairState.DATA0), (PairState.DATA1, PairState.ILLEGAL))
+
+
 def decode(protocol: Protocol, rail1: int, rail0: int) -> PairState:
     s = protocol.spacer_level
-    if (rail1, rail0) == (s, s):
-        return PairState.SPACER
-    if (rail1, rail0) == encode(protocol, 1):
-        return PairState.DATA1
-    if (rail1, rail0) == encode(protocol, 0):
-        return PairState.DATA0
-    return PairState.ILLEGAL
-
-
-def decode_bus(protocol: Protocol, pairs: Iterable[tuple[int, int]]) -> BusState:
-    """Aggregate state of a multi-pair port."""
-    states = [decode(protocol, r1, r0) for r1, r0 in pairs]
-    if any(s is PairState.ILLEGAL for s in states):
-        return BusState.ILLEGAL
-    if all(s is PairState.SPACER for s in states):
-        return BusState.SPACER
-    if all(s.is_data for s in states):
-        return BusState.DATA
-    return BusState.INCOMPLETE
-
-
-def bus_value(protocol: Protocol, pairs: Sequence[tuple[int, int]]) -> int:
-    """Little-endian integer carried by a fully-data bus."""
-    if decode_bus(protocol, pairs) is not BusState.DATA:
-        raise ValueError("bus is not holding complete data")
-    value = 0
-    for i, (r1, r0) in enumerate(pairs):
-        value |= decode(protocol, r1, r0).bit << i
-    return value
+    return _RTZ_STATES[rail1 ^ s][rail0 ^ s]

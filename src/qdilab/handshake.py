@@ -109,6 +109,17 @@ class HandshakeHarness:
             for rail in p.rails:
                 self._watched[rail] = 1
                 self._ports_of[rail] += (p,)
+        # built once: each input's rail dicts indexed by bit (the spacer at
+        # index 2), the constants' rails per phase, and each phase's target
+        # rail pairs and acknowledge level
+        words = (encode(protocol, 0), encode(protocol, 1), spacer_rails(protocol))
+        self._stimuli = {p.name: [dict(zip(p.rails, w)) for w in words] for p in self.inputs}
+        self._const = {
+            "data": {r: v for p in self.consts for r, v in zip(p.rails, words[p.const_value])},
+            "return": {r: v for p in self.consts for r, v in zip(p.rails, words[2])},
+        }
+        self._targets = {"data": (set(words[:2]), protocol.active_level),
+                         "return": ({words[2]}, protocol.spacer_level)}
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
         return initialize(self.netlist, self.protocol, delay_model)
@@ -145,17 +156,14 @@ class HandshakeHarness:
             if missing:
                 raise TransactionError(f"missing values for inputs {missing}")
             rails = {}
-            for p in self.inputs:
-                rails[p.name] = dict(zip(p.rails, encode(self.protocol, values[p.name])))
-            const = {}
-            for p in self.consts:
-                const.update(zip(p.rails, encode(self.protocol, p.const_value)))
+            for name, words in self._stimuli.items():
+                bit = values[name]
+                if bit not in (0, 1):  # a bit of 2 or -1 would index the spacer
+                    raise ValueError(f"input {name}: bit must be 0 or 1, got {bit!r}")
+                rails[name] = words[bit]
         else:
-            rails = {p.name: dict(zip(p.rails, spacer_rails(self.protocol)))
-                     for p in self.inputs}
-            const = {}
-            for p in self.consts:
-                const.update(zip(p.rails, spacer_rails(self.protocol)))
+            rails = {name: words[2] for name, words in self._stimuli.items()}
+        const = self._const[phase]
 
         if order is None:
             batch = dict(const)
@@ -174,8 +182,7 @@ class HandshakeHarness:
 
     def run_phase(self, state: SimState, phase: str,
                   values: Mapping[str, int] | None = None,
-                  order: Sequence[Sequence[str]] | None = None,
-                  limit: int | None = None) -> PhaseReport:
+                  order: Sequence[Sequence[str]] | None = None) -> PhaseReport:
         """Drive one handshake phase to quiescence and measure it.
 
         ``order`` splits the stimulus into sequentially settled groups (used
@@ -183,19 +190,14 @@ class HandshakeHarness:
         Raises :class:`TransactionError` on incomplete or illegal outputs, a
         datapath hazard, or a wrong acknowledge level at the end.
         """
-        if phase == "data":
-            targets = {encode(self.protocol, 0), encode(self.protocol, 1)}
-            ack_expect = 1 if self.protocol is Protocol.RTZ else 0
-        elif phase == "return":
-            targets = {spacer_rails(self.protocol)}
-            ack_expect = 0 if self.protocol is Protocol.RTZ else 1
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
+        try:
+            targets, ack_expect = self._targets[phase]
+        except KeyError:
+            raise ValueError(f"unknown phase {phase!r}") from None
 
         t0 = state.now
-        out_ports = self.outputs
         ports_of = self._ports_of
-        protocol = self.protocol
+        spacer = self.protocol.spacer_level
         values_arr = state.values
         datapath = self.datapath_nets
 
@@ -209,7 +211,7 @@ class HandshakeHarness:
             nonlocal last_move
             last_move = t
             for p in ports_of[net]:
-                if decode(protocol, values_arr[p.rail1], values_arr[p.rail0]) is PairState.ILLEGAL:
+                if values_arr[p.rail1] == values_arr[p.rail0] != spacer:  # both rails active
                     illegal.append((t, p.name))
 
         groups = self._groups(phase, values, order)
@@ -221,9 +223,9 @@ class HandshakeHarness:
         state.watch, state.watched = watch, self._watched
         try:
             for gi, group in enumerate(groups):
-                state.apply_and_settle(group, limit=limit)
+                state.apply_and_settle(group)
                 if gi < len(groups) - 1:
-                    moved = tuple(p.name for p in out_ports
+                    moved = tuple(p.name for p in self.outputs
                                   if any(values_arr[r] != start_vals[r] for r in p.rails))
                     if moved:
                         early.append(EarlyRecord(gi, moved, not self._off_target(state, targets)))
@@ -258,16 +260,15 @@ class HandshakeHarness:
 
     # -- transactions ---------------------------------------------------------
 
-    def run_transaction(self, state: SimState, values: Mapping[str, int],
-                        limit: int | None = None) -> TransactionResult:
+    def run_transaction(self, state: SimState, values: Mapping[str, int]) -> TransactionResult:
         """One complete handshake: data phase then return phase, both settled
         through the closed loop (completion detector and acknowledge checked)."""
         for p in self.inputs:
             if self.port_state(state, p) is not PairState.SPACER:
                 raise TransactionError(f"input {p.name} not at spacer at transaction start")
-        data = self.run_phase(state, "data", values, limit=limit)
+        data = self.run_phase(state, "data", values)
         outputs = self.decode_outputs(state)
-        ret = self.run_phase(state, "return", limit=limit)
+        ret = self.run_phase(state, "return")
         metrics = TransactionMetrics(
             forward_latency=data.latency,
             reverse_latency=ret.latency,
@@ -275,7 +276,3 @@ class HandshakeHarness:
             transitions=data.transitions + ret.transitions,
         )
         return TransactionResult(outputs, metrics, data, ret)
-
-    def run_sequence(self, state: SimState, vectors: Sequence[Mapping[str, int]],
-                     limit: int | None = None) -> list[TransactionResult]:
-        return [self.run_transaction(state, v, limit=limit) for v in vectors]

@@ -82,6 +82,12 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     list_weights.write_text(json.dumps([1.0, 2.0]))
     null_weights = tmp_path / "null.json"
     null_weights.write_text(json.dumps({"C2": None}))
+    fraction_delays = tmp_path / "fraction.json"
+    fraction_delays.write_text(json.dumps({"AND2": 2.7, "C2": 1}))
+    bool_delays = tmp_path / "bool.json"
+    bool_delays.write_text(json.dumps({"C2": True}))
+    nan_weights = tmp_path / "nan.json"
+    nan_weights.write_text(json.dumps({"AND2": float("nan")}))
     bad_config = tmp_path / "bad.cfg"
     bad_config.write_text("component = nosuch\n")
     and2 = tmp_path / "and.json"  # an RTZ netlist cannot reset under RTO
@@ -92,10 +98,14 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_value)],
                  ["build", "--n", "2", "--weights", str(list_weights)],
                  ["build", "--n", "2", "--weights", str(null_weights)],
+                 ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(fraction_delays)],
+                 ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bool_delays)],
+                 ["bench", "--n", "2", "--weights", str(nan_weights)],
                  ["classify", "--config", str(bad_config)],
                  ["fuzz", "--n", "2", "--transactions", "0"],
                  ["verify", "--netlist", str(and2), "--protocol", "rto"],
-                 ["classify", "--netlist", str(and2), "--protocol", "rto"]):
+                 ["classify", "--netlist", str(and2), "--protocol", "rto"],
+                 ["fuzz", "--netlist", str(and2), "--protocol", "rto", "--trials", "3"]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdilab.encoding import (BusState, PairState, Protocol, bus_value, decode,
-                             decode_bus, encode, spacer_rails)
+from qdilab.encoding import PairState, Protocol, decode, encode, spacer_rails
 
 
 def test_rtz_codeword_table():
@@ -45,26 +44,3 @@ def test_pair_state_bit_only_defined_for_data():
     assert PairState.DATA0.bit == 0
     with pytest.raises(ValueError):
         _ = PairState.SPACER.bit
-
-
-@pytest.mark.parametrize("protocol", list(Protocol))
-def test_bus_states(protocol):
-    data = [encode(protocol, b) for b in (1, 0, 1)]
-    spacer = [spacer_rails(protocol)] * 3
-    assert decode_bus(protocol, data) is BusState.DATA
-    assert decode_bus(protocol, spacer) is BusState.SPACER
-    assert decode_bus(protocol, data[:2] + spacer[:1]) is BusState.INCOMPLETE
-    bad = [(1, 1) if protocol is Protocol.RTZ else (0, 0)]
-    assert decode_bus(protocol, data[:2] + bad) is BusState.ILLEGAL
-
-
-@pytest.mark.parametrize("protocol", list(Protocol))
-def test_bus_value_is_little_endian(protocol):
-    pairs = [encode(protocol, b) for b in (1, 0, 1)]  # bit0=1, bit1=0, bit2=1
-    assert bus_value(protocol, pairs) == 0b101
-
-
-def test_bus_value_rejects_incomplete():
-    pairs = [encode(Protocol.RTZ, 1), spacer_rails(Protocol.RTZ)]
-    with pytest.raises(ValueError):
-        bus_value(Protocol.RTZ, pairs)

@@ -119,7 +119,7 @@ def test_run_sequence_reuses_the_same_state(protocol):
     harness = HandshakeHarness(strong_and2(protocol), protocol)
     state = harness.initialize()
     vectors = [{"X": x, "Y": y} for x in (0, 1) for y in (0, 1)] * 2
-    results = harness.run_sequence(state, vectors)
+    results = [harness.run_transaction(state, v) for v in vectors]
     assert [r.outputs["Z"] for r in results] == [v["X"] & v["Y"] for v in vectors]
     assert all(r.data_phase.datapath_quiet_at_completion for r in results)
     assert all(r.return_phase.datapath_quiet_at_completion for r in results)
@@ -164,15 +164,34 @@ def test_staggered_order_reports_early_movement():
     assert harness.port_state(state, harness.outputs[0]) is PairState.SPACER
 
 
-def test_illegal_codeword_on_a_shared_rail_is_caught():
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_illegal_codeword_on_a_shared_rail_is_caught(protocol):
     """X.rail1 feeds both Z and W; X = Y = 1 makes Z illegal on the event
     that makes W data, and every port on that rail is checked."""
     b = NetlistBuilder("shared_rail")
-    y = b.add_input_port("Y")
-    x = b.add_input_port("X")
+    y = b.add_input_port("Y", init=protocol.spacer_level)
+    x = b.add_input_port("X", init=protocol.spacer_level)
     b.add_output_port("Z", x.rail1, y.rail1)
     b.add_output_port("W", x.rail1, x.rail0)
-    harness = HandshakeHarness(b.build(), Protocol.RTZ)
+    harness = HandshakeHarness(b.build(), protocol)
     state = harness.initialize()
     with pytest.raises(TransactionError, match="output Z hit an illegal codeword"):
         harness.run_phase(state, "data", {"X": 1, "Y": 1})
+
+
+@pytest.mark.parametrize("bit", [2, -1, None])
+def test_a_data_value_that_is_not_a_bit_is_rejected(bit):
+    """A value outside {0, 1} raises before any rail moves."""
+    harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)
+    state = harness.initialize()
+    before = list(state.values)
+    with pytest.raises(ValueError, match="input Y: bit must be 0 or 1"):
+        harness.run_phase(state, "data", {"X": 1, "Y": bit})
+    assert state.values == before and state.now == 0
+
+
+def test_an_unknown_phase_is_rejected():
+    harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)
+    state = harness.initialize()
+    with pytest.raises(ValueError, match="unknown phase 'bogus'"):
+        harness.run_phase(state, "bogus")
