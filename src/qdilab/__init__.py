@@ -16,10 +16,9 @@ from .sim import (DelayModel, HazardRecord, InitializationError,
                   initialize)
 from .handshake import (HandshakeHarness, TransactionError, TransactionMetrics,
                         TransactionResult, build_completion_detector)
-from .components import (COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS, cube,
-                         dims_fa_cubes, dims_full_adder, disjoint_sop_check,
-                         rca_oracle, ripple_carry_adder, strong_and2,
-                         weak_fa_cubes, weak_full_adder)
+from .components import (COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS,
+                         dims_full_adder, rca_oracle, ripple_carry_adder,
+                         strong_and2, weak_full_adder)
 from .multiplier import (MultiplierSpec, array_multiplier, input_vector,
                          product_bits, product_oracle, reference_product)
 from .analysis import (BenchDesign, BenchRow, Indication, IndicationVerdict,

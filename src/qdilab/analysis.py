@@ -109,6 +109,8 @@ def classify_indication(netlist: Netlist, protocol: Protocol,
     """
     harness = HandshakeHarness(netlist, protocol)
     names = [p.name for p in harness.inputs]
+    if (1 << len(names)) > EXHAUSTIVE_VECTOR_LIMIT:
+        raise ValueError(f"{len(names)} inputs is too wide for classification")
     if mode == "auto":
         mode = "exhaustive" if len(names) <= PERMUTATION_INPUT_LIMIT else "holdback"
     if mode == "exhaustive":

@@ -3,9 +3,10 @@
 All blocks are built from 2-input AND/OR gates and C-elements only, with the
 output rails expressed as disjoint sums of products: at most one product term
 of any output rail can be active for a given input codeword, so every OR
-(or AND, under return-to-one) sees a single moving input per phase.  Under
-RTZ the product terms are C2s merged by OR trees; the RTO variants swap the
-OR trees for AND trees and complement every reset level.
+(or AND, under return-to-one) sees a single moving input per phase.  The
+tests check that rule on the built netlists of every block and multiplier.
+Under RTZ the product terms are C2s merged by OR trees; the RTO variants swap
+the OR trees for AND trees and complement every reset level.
 
 Three blocks ship:
 
@@ -197,52 +198,3 @@ COMPONENT_ORACLES: dict[str, Callable[[Mapping[str, int]], dict[str, int]]] = {
     "weak_fa": _fa_oracle,
     "rca2": rca_oracle(2),
 }
-
-
-# ---------------------------------------------------------------------------
-# disjoint sum-of-products check
-
-Cube = frozenset[tuple[str, int]]  # rail literals, e.g. ("A", 1) for rail A1
-
-
-def cube(*literals: tuple[str, int]) -> Cube:
-    return frozenset(literals)
-
-
-def disjoint_sop_check(cubes: Sequence[Cube]) -> bool:
-    """True when the conjunction of any two cubes is identically 0 under the
-    one-hot rail constraint, i.e. every pair clashes on some variable."""
-    for i in range(len(cubes)):
-        for j in range(i + 1, len(cubes)):
-            vars_i = {v: r for v, r in cubes[i]}
-            if not any(v in vars_i and vars_i[v] != r for v, r in cubes[j]):
-                return False
-    return True
-
-
-def _term_cubes(terms: Sequence[tuple[int, int, int]]) -> list[Cube]:
-    return [cube(("A", a), ("B", b), ("Cin", c)) for a, b, c in terms]
-
-
-def dims_fa_cubes() -> dict[str, list[Cube]]:
-    """Product terms behind each DIMS full-adder output rail."""
-    return {
-        "Sum1": _term_cubes(SUM1_TERMS),
-        "Sum0": _term_cubes(SUM0_TERMS),
-        "Cout1": _term_cubes(COUT1_TERMS),
-        "Cout0": _term_cubes(COUT0_TERMS),
-    }
-
-
-def weak_fa_cubes() -> dict[str, list[Cube]]:
-    """Weak full-adder terms with the propagate factor expanded into cubes."""
-    return {
-        "Sum1": _term_cubes(SUM1_TERMS),
-        "Sum0": _term_cubes(SUM0_TERMS),
-        "Cout1": [cube(("A", 1), ("B", 1)),
-                  cube(("A", 1), ("B", 0), ("Cin", 1)),
-                  cube(("A", 0), ("B", 1), ("Cin", 1))],
-        "Cout0": [cube(("A", 0), ("B", 0)),
-                  cube(("A", 1), ("B", 0), ("Cin", 0)),
-                  cube(("A", 0), ("B", 1), ("Cin", 0))],
-    }

@@ -91,7 +91,6 @@ class HandshakeHarness:
         if not base.output_ports:
             raise ValueError("harness needs at least one output port")
         self.protocol = protocol
-        self.base = base
         builder = NetlistBuilder.from_netlist(base, name=base.name + "+cd")
         self.datapath_nets = builder.net_count  # nets below this id are datapath
         self.ackout, self.ackin = build_completion_detector(

@@ -416,6 +416,9 @@ def stats(netlist: Netlist, weights: dict[str, float] | None = None) -> NetlistS
     for g in netlist.gates:
         counts[g.kind.value] += 1
     weights = weights or {}
+    unknown = sorted(set(weights) - set(counts))
+    if unknown:
+        raise ValueError(f"unknown gate kinds in weights: {unknown}")
     area = sum(counts[k] * float(weights.get(k, 1.0)) for k in counts)
     return NetlistStats(counts=counts, total_gates=len(netlist.gates), area_proxy=area)
 
@@ -472,17 +475,26 @@ def _port_doc(p: DualRailPort) -> dict:
     return doc
 
 
+def _int(value) -> int:
+    """A JSON integer field: a float, string or boolean is not one."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _gate_from_doc(i: int, g: dict) -> Gate:
-    return Gate(int(g.get("id", i)), GateKind(g["kind"]), tuple(int(x) for x in g["inputs"]),
-                int(g["output"]), int(g["init"]))
+    if not isinstance(g["inputs"], list):
+        raise TypeError(f"inputs must be a list, got {g['inputs']!r}")
+    return Gate(_int(g.get("id", i)), GateKind(g["kind"]), tuple(map(_int, g["inputs"])),
+                _int(g["output"]), _int(g["init"]))
 
 
 def _port_from_doc(_i: int, p: dict) -> DualRailPort:
     return DualRailPort(
         name=str(p["name"]), direction=str(p["dir"]),
-        rail1=int(p["rail1"]), rail0=int(p["rail0"]),
-        const_value=(int(p["const_value"]) if "const_value" in p else None),
-        init=int(p.get("init", 0)),
+        rail1=_int(p["rail1"]), rail0=_int(p["rail0"]),
+        const_value=(_int(p["const_value"]) if "const_value" in p else None),
+        init=_int(p.get("init", 0)),
     )
 
 
@@ -498,7 +510,7 @@ def _entries(docs, what: str, load: Callable[[int, dict], object]) -> list:
             out.append(load(i, d))
         except KeyError as e:
             raise FormatError(f"{what} entry {i} lacks key {e}") from None
-        except (TypeError, ValueError, OverflowError) as e:
+        except (TypeError, ValueError) as e:
             raise FormatError(f"{what} entry {i}: {e}") from None
     return out
 
@@ -511,14 +523,14 @@ def from_json(text: str) -> Netlist:
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
     try:
-        net_count = int(doc["net_count"])
+        net_count = _int(doc["net_count"])
         name = str(doc.get("name", ""))
         meta = dict(doc.get("meta", {}))
         gate_docs = doc["gates"]
         port_docs = doc["ports"]
     except KeyError as e:
         raise FormatError(f"missing key {e}") from e
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError) as e:
         raise FormatError(f"bad top-level value: {e}") from e
     gates = _entries(gate_docs, "gate", _gate_from_doc)
     ports = _entries(port_docs, "port", _port_from_doc)

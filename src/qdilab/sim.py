@@ -151,9 +151,9 @@ class SimState:
     """Mutable simulation state over one immutable netlist."""
 
     __slots__ = ("netlist", "protocol", "values", "now", "transitions",
-                 "net_transitions", "last_commit", "hazards", "watch", "watched",
-                 "trace", "_compiled", "_env", "_sched", "_shift",
-                 "_heap", "_pending", "default_limit")
+                 "last_commit", "hazards", "watch", "watched", "trace",
+                 "_compiled", "_env", "_sched", "_shift", "_heap", "_pending",
+                 "default_limit")
 
     def __init__(self, netlist: Netlist, protocol: Protocol, delays: list[int]):
         self.netlist = netlist
@@ -170,7 +170,6 @@ class SimState:
                        for env, init in zip(self._env, netlist.net_init)]
         self.now = 0
         self.transitions = 0
-        self.net_transitions = [0] * netlist.net_count
         self.last_commit = [0] * netlist.net_count
         self.hazards: list[HazardRecord] = []
         self.watch: Callable[[int, int, int], None] | None = None
@@ -200,7 +199,6 @@ class SimState:
         heap = self._heap
         pending = self._pending
         values = self.values
-        net_transitions = self.net_transitions
         last_commit = self.last_commit
         hazards = self.hazards
         watched, watch, trace = self.watched, self.watch, self.trace
@@ -227,7 +225,6 @@ class SimState:
                 t = key >> shift
                 val = key & 1
                 values[net] = val
-                net_transitions[net] += 1
                 last_commit[net] = t
                 if watched[net] and watch is not None:
                     watch(t, net, val)

@@ -105,7 +105,9 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["fuzz", "--n", "2", "--transactions", "0"],
                  ["verify", "--netlist", str(and2), "--protocol", "rto"],
                  ["classify", "--netlist", str(and2), "--protocol", "rto"],
-                 ["fuzz", "--netlist", str(and2), "--protocol", "rto", "--trials", "3"]):
+                 ["fuzz", "--netlist", str(and2), "--protocol", "rto", "--trials", "3"],
+                 ["bench", "--n", "2", "--weights", str(bad_kind)],
+                 ["classify", "--n", "9"]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2

@@ -1,18 +1,16 @@
-"""Indicating gate library: truth tables, budgets, duality, logic structure."""
+"""Indicating gate library: truth tables, budgets, duality, merge-gate structure."""
 
 import itertools
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from qdilab.components import (COMPONENTS, cube, dims_fa_cubes,
-                               dims_full_adder, disjoint_sop_check,
-                               ripple_carry_adder, strong_and2,
-                               weak_fa_cubes, weak_full_adder)
+from qdilab.components import (COMPONENTS, dims_full_adder, ripple_carry_adder,
+                               strong_and2, weak_full_adder)
 from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
-from qdilab.netlist import dual_of, stats, structurally_equal
+from qdilab.multiplier import MultiplierSpec, array_multiplier
+from qdilab.netlist import (GateKind, NetlistBuilder, dual_of, stats,
+                            structurally_equal)
 
 
 # ---------------------------------------------------------------------------
@@ -121,62 +119,45 @@ def test_weak_carry_chain_beats_dims_through_a_ripple_adder(protocol):
 
 
 # ---------------------------------------------------------------------------
-# disjoint sum-of-products structure
+# one active input per merge gate, checked on the built netlists
 
-def test_disjoint_check_counterexample():
-    assert not disjoint_sop_check([cube(("A", 1), ("B", 1)),
-                                   cube(("A", 1), ("Cin", 1))])
-
-
-def test_disjoint_check_trivial_cases():
-    assert disjoint_sop_check([])
-    assert disjoint_sop_check([cube(("A", 1))])
-    assert disjoint_sop_check([cube(("A", 1)), cube(("A", 0))])
-
-
-@pytest.mark.parametrize("cubes_fn", [dims_fa_cubes, weak_fa_cubes])
-def test_adder_rail_terms_are_pairwise_disjoint(cubes_fn):
-    for rail, cubes in cubes_fn().items():
-        assert disjoint_sop_check(cubes), rail
-
-
-def test_adder_rail_terms_cover_the_truth_table():
-    """Each rail's cubes fire exactly on the codewords that rail encodes."""
-    for cubes_fn in (dims_fa_cubes, weak_fa_cubes):
-        terms = cubes_fn()
-        for a, b, c in itertools.product((0, 1), repeat=3):
-            env = {"A": a, "B": b, "Cin": c}
-            total = a + b + c
-            expect = {"Sum1": total & 1, "Sum0": (total & 1) ^ 1,
-                      "Cout1": total >> 1, "Cout0": (total >> 1) ^ 1}
-            for rail, cubes in terms.items():
-                fired = sum(all(env[v] == r for v, r in cb) for cb in cubes)
-                assert fired == expect[rail], (rail, env)
-                assert fired <= 1  # disjointness, seen concretely
+def merge_gates_with_two_active_inputs(netlist, protocol):
+    """``(codeword, gate id)`` for every merge gate of ``netlist`` (OR2 under
+    RTZ, AND2 under RTO) that holds both inputs at the active level at the
+    end of a data phase, over every input codeword."""
+    harness = HandshakeHarness(netlist, protocol)
+    state = harness.initialize()
+    merge = GateKind.OR2 if protocol is Protocol.RTZ else GateKind.AND2
+    merges = [g for g in netlist.gates if g.kind is merge]
+    active = protocol.active_level
+    names = [p.name for p in harness.inputs]
+    found = []
+    for code in range(1 << len(names)):
+        harness.run_phase(state, "data", {n: code >> i & 1 for i, n in enumerate(names)})
+        found += [(code, g.id) for g in merges
+                  if all(state.values[net] == active for net in g.inputs)]
+        harness.run_phase(state, "return")
+    return found
 
 
-@st.composite
-def random_cube_lists(draw):
-    variables = ["A", "B", "C"]
-    n = draw(st.integers(0, 5))
-    out = []
-    for _ in range(n):
-        picks = draw(st.lists(st.sampled_from(variables), min_size=1,
-                              max_size=3, unique=True))
-        out.append(cube(*((v, draw(st.integers(0, 1))) for v in picks)))
-    return out
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_merge_gates_see_one_active_input(protocol):
+    """Every output rail is a disjoint sum of products, so no merge gate ever
+    sees two active inputs: the structural rule behind indication."""
+    designs = {name: build(protocol) for name, build in COMPONENTS.items()}
+    for n, fa in itertools.product((2, 3), ("dims_fa", "weak_fa")):
+        designs[f"mult{n}x{n}_{fa}"] = array_multiplier(MultiplierSpec(n, protocol, fa))
+    for name, netlist in designs.items():
+        assert merge_gates_with_two_active_inputs(netlist, protocol) == [], name
 
 
-@given(random_cube_lists())
-def test_disjoint_check_matches_brute_force(cubes):
-    """The literal-clash test agrees with evaluating every assignment."""
-    def overlap(c1, c2):
-        for bits in itertools.product((0, 1), repeat=3):
-            env = dict(zip("ABC", bits))
-            if all(env[v] == r for v, r in c1) and all(env[v] == r for v, r in c2):
-                return True
-        return False
-
-    brute = all(not overlap(cubes[i], cubes[j])
-                for i in range(len(cubes)) for j in range(i + 1, len(cubes)))
-    assert disjoint_sop_check(cubes) == brute
+def test_merge_gate_check_flags_a_sabotaged_or():
+    """A dual-rail OR whose true rail is a plain OR of the true rails computes
+    correctly but merges two active inputs when both operands are 1."""
+    b = NetlistBuilder("or2_sabotaged")
+    x = b.add_input_port("X")
+    y = b.add_input_port("Y")
+    z1 = b.add_gate(GateKind.OR2, (x.rail1, y.rail1))
+    z0 = b.add_gate(GateKind.C2, (x.rail0, y.rail0))
+    b.add_output_port("Z", z1, z0)
+    assert merge_gates_with_two_active_inputs(b.build(), Protocol.RTZ) == [(3, 0)]

@@ -227,6 +227,24 @@ def test_from_json_wraps_malformed_entries():
         load_with("ports", lambda e: "X")
     with pytest.raises(FormatError, match="gates must be a list"):
         from_json(json.dumps({"net_count": 1, "gates": {}, "ports": []}))
+    # integer fields take JSON integers only: each of these loaded once, read
+    # digit by digit, truncated, or as a bit
+    setting = lambda key, value: lambda e: {**e, key: value}
+    for section, key, value in (("gates", "inputs", "02"), ("gates", "output", 4.5),
+                                ("gates", "output", "4"), ("gates", "init", False),
+                                ("gates", "id", 0.0), ("gates", "inputs", [0, 2.0]),
+                                ("ports", "init", True), ("ports", "rail1", "0"),
+                                ("ports", "rail0", 1.0)):
+        with pytest.raises(FormatError, match=f"{section[:-1]} entry 0: "):
+            load_with(section, setting(key, value))
+    doc = json.loads(to_json(build_sample()))
+    doc["ports"][1]["const_value"] = False  # the constant port K
+    with pytest.raises(FormatError, match="port entry 1: "):
+        from_json(json.dumps(doc))
+    doc = json.loads(to_json(build_sample()))
+    doc["net_count"] += 0.5
+    with pytest.raises(FormatError, match="bad top-level value"):
+        from_json(json.dumps(doc))
 
 
 def test_permuted_gate_ids_are_rejected():
