@@ -124,10 +124,10 @@ def classify_indication(netlist: Netlist, protocol: Protocol,
     const_groups = 1 if harness.consts else 0
     early_witness: Witness | None = None
     scenarios = 0
+    flats = [tuple(n for group in order for n in group) for order in orders]
     for vec in _codewords(names):
-        for order in orders:
+        for order, flat in zip(orders, flats):
             scenarios += 1
-            flat = tuple(n for group in order for n in group)
             for phase in ("data", "return"):
                 try:
                     report = harness.run_phase(

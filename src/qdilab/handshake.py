@@ -173,7 +173,11 @@ class HandshakeHarness:
         for names in order:
             g: dict[int, int] = {}
             for name in names:
-                g.update(rails.pop(name))
+                r = rails.pop(name, None)
+                if r is None:
+                    what = "repeats" if name in self._stimuli else "names unknown"
+                    raise TransactionError(f"arrival order {what} input {name!r}")
+                g.update(r)
             groups.append(g)
         if rails:
             raise TransactionError(f"arrival order misses inputs {sorted(rails)}")
@@ -186,7 +190,12 @@ class HandshakeHarness:
 
         ``order`` splits the stimulus into sequentially settled groups (used
         by the indication classifier); by default everything lands at once.
-        Raises :class:`TransactionError` on incomplete or illegal outputs, a
+        After each group but the last, the output ports whose rails differ
+        from their phase-start values are recorded in ``early``; the scan is
+        skipped while no output rail has committed an event in the phase,
+        since every output then still holds its phase-start value.
+        Raises :class:`TransactionError` on an arrival order that repeats,
+        misses or names an unknown input, on incomplete or illegal outputs, a
         datapath hazard, or a wrong acknowledge level at the end.
         """
         try:
@@ -214,7 +223,8 @@ class HandshakeHarness:
                     illegal.append((t, p.name))
 
         groups = self._groups(phase, values, order)
-        start_vals = list(values_arr)
+        final = len(groups) - 1
+        start = [(values_arr[p.rail1], values_arr[p.rail0]) for p in self.outputs] if final else []
         h0 = len(state.hazards)
         tr0 = state.transitions
         early: list[EarlyRecord] = []
@@ -223,9 +233,9 @@ class HandshakeHarness:
         try:
             for gi, group in enumerate(groups):
                 state.apply_and_settle(group)
-                if gi < len(groups) - 1:
-                    moved = tuple(p.name for p in self.outputs
-                                  if any(values_arr[r] != start_vals[r] for r in p.rails))
+                if gi < final and last_move is not None:
+                    moved = tuple(p.name for p, s in zip(self.outputs, start)
+                                  if (values_arr[p.rail1], values_arr[p.rail0]) != s)
                     if moved:
                         early.append(EarlyRecord(gi, moved, not self._off_target(state, targets)))
         finally:

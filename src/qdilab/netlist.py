@@ -253,11 +253,16 @@ def validate(netlist: Netlist) -> ValidationReport:
         elif not who:
             findings.append(Finding("undriven", f"net {net} has no driver"))
 
-    # init consistency: combinational gates must reset to the value their
-    # input reset levels imply.
+    # init consistency: no gate may be excited at its inputs' reset levels,
+    # so a combinational gate resets to its function of them and a C2 whose
+    # two inputs agree resets to their level (over disagreeing ones it holds
+    # either init).
+    net_init = netlist.net_init
     for g in netlist.gates:
-        if g.kind.is_combinational and len(g.inputs) == g.kind.arity:
-            expect = eval_combinational(g.kind, [netlist.net_init[i] for i in g.inputs])
+        ins = g.inputs
+        if len(ins) == g.kind.arity:
+            expect = NEXT_STATE[KIND_CODE[g.kind] << 3 | net_init[ins[0]] << 2
+                                | net_init[ins[-1]] << 1 | g.init]
             if g.init != expect:
                 findings.append(Finding(
                     "init-inconsistent",

@@ -24,7 +24,11 @@ with ``shift`` wide enough for any ``net << 1 | value``, so keys pop in
 ``(time, net id, value)`` order: events due at one time commit in ascending
 net id.  ``_pending[net]`` holds the key of the net's pending event, or -1;
 a popped key that no longer matches it was superseded and is skipped.
-Stimuli enter the same queue at the current time, ahead of every gate event.
+
+``SimState.apply_and_settle`` is the one settle function.  It checks the
+stimuli (environment nets only, each the int 0 or 1), queues their keys at
+the current time, ahead of every gate event, commits events until the queue
+is empty, and builds the :class:`SettleReport` from its own counts.
 
 Observers: ``trace(t, net, value)`` sees every committed event.  ``watch``
 is called the same way, but only for nets whose ``watched`` flag is set (the
@@ -58,7 +62,8 @@ class NonQuiescenceError(SimulationError):
 
 
 class StimulusError(SimulationError):
-    """An assignment targeted a net the environment does not drive."""
+    """An assignment targeted a net the environment does not drive, or
+    assigned it something other than the int 0 or 1."""
 
 
 # --------------------------------------------------------------------------
@@ -193,23 +198,45 @@ class SimState:
                 return g
         return None
 
-    def _settle(self, limit: int, env_commits: int) -> int:
-        """Commit queued events in key order until the queue is empty; the
-        first ``env_commits`` are stimuli, which ``limit`` does not count."""
+    # -- public surface -----------------------------------------------------
+
+    def apply_and_settle(self, assignments: Mapping[int, int],
+                         limit: int | None = None) -> SettleReport:
+        """Drive environment nets at the current time, then commit queued
+        events in (time, net id) order, stimuli first, until the queue is
+        empty.  Past ``limit`` gate events (stimuli do not count) it raises
+        :class:`NonQuiescenceError` with the next event queued for a later call."""
         heap = self._heap
         pending = self._pending
         values = self.values
+        env = self._env
+        shift = self._shift
+        net_mask = (1 << shift - 1) - 1
+        pop, push = heapq.heappop, heapq.heappush
+        t = t0 = self.now
+        base = t0 << shift
+        stimuli = []
+        for net, value in sorted(assignments.items()):
+            if not 0 <= net < len(values) or not env[net]:
+                raise StimulusError(f"net {net} is not environment-driven")
+            if value not in (0, 1) or not isinstance(value, int):
+                raise StimulusError(f"net {net} assigned non-bit {value!r}")
+            if values[net] != value:
+                stimuli.append(base | net << 1 | value)
+        # stimuli commit now, in net order, ahead of every gate event (whose
+        # delay is at least one)
+        for key in stimuli:
+            pending[key >> 1 & net_mask] = key
+            push(heap, key)
         last_commit = self.last_commit
         hazards = self.hazards
+        h0 = len(hazards)
         watched, watch, trace = self.watched, self.watch, self.trace
         c = self._compiled
         kind, in0, in1, out, consumers = c.kind, c.in0, c.in1, c.out, c.consumers
         sched = self._sched
-        shift = self._shift
-        net_mask = (1 << shift - 1) - 1
-        pop, push = heapq.heappop, heapq.heappush
-        t = self.now
-        cap = limit + env_commits
+        limit = self.default_limit if limit is None else limit
+        cap = limit + len(stimuli)
         commits = 0
         try:
             while heap:
@@ -251,36 +278,8 @@ class SimState:
         finally:
             self.now = t
             self.transitions += commits
-        return commits - env_commits
-
-    # -- public surface -----------------------------------------------------
-
-    def apply_and_settle(self, assignments: Mapping[int, int],
-                         limit: int | None = None) -> SettleReport:
-        """Drive environment nets at the current time, then run events until
-        the circuit is quiet.  Ties at one timestamp resolve by ascending
-        net id; assignments are applied in ascending net order as well."""
-        t0 = self.now
-        tr0 = self.transitions
-        h0 = len(self.hazards)
-        values = self.values
-        stimuli = []
-        for net, value in sorted(assignments.items()):
-            if not 0 <= net < len(values) or not self._env[net]:
-                raise StimulusError(f"net {net} is not environment-driven")
-            if value not in (0, 1):
-                raise StimulusError(f"net {net} assigned non-bit {value!r}")
-            if values[net] != value:
-                stimuli.append(net << 1 | value)
-        # stimuli commit now, in net order, ahead of every gate event (whose
-        # delay is at least one)
-        base = t0 << self._shift
-        for stim in stimuli:
-            self._pending[stim >> 1] = base | stim
-            heapq.heappush(self._heap, base | stim)
-        steps = self._settle(self.default_limit if limit is None else limit, len(stimuli))
-        return SettleReport(elapsed=self.now - t0, transitions=self.transitions - tr0,
-                            hazards=list(self.hazards[h0:]), steps=steps)
+        return SettleReport(elapsed=t - t0, transitions=commits,
+                            hazards=hazards[h0:], steps=commits - len(stimuli))
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""

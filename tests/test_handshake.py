@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
-from qdilab.components import strong_and2
+from qdilab.components import COMPONENTS, strong_and2
 from qdilab.encoding import PairState, Protocol, encode, spacer_rails
-from qdilab.handshake import (HandshakeHarness, TransactionError,
+from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
                               build_completion_detector)
 from qdilab.netlist import GateKind, NetlistBuilder
 from qdilab.sim import initialize
@@ -195,3 +195,77 @@ def test_an_unknown_phase_is_rejected():
     state = harness.initialize()
     with pytest.raises(ValueError, match="unknown phase 'bogus'"):
         harness.run_phase(state, "bogus")
+
+
+@pytest.mark.parametrize("order,message", [
+    ([["X"], ["X"]], "arrival order repeats input 'X'"),
+    ([["X"], ["Q"]], "arrival order names unknown input 'Q'"),
+])
+def test_a_bad_arrival_order_is_rejected(order, message):
+    """An order that names an input twice, or names no input of the design,
+    raises before any rail moves."""
+    harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)
+    state = harness.initialize()
+    before = list(state.values)
+    with pytest.raises(TransactionError, match=message):
+        harness.run_phase(state, "data", {"X": 1, "Y": 0}, order=order)
+    assert state.values == before and state.now == 0
+
+
+def reference_early(harness, state, phase, values, order):
+    """Settle ``order``'s stimulus groups on ``state`` one by one and, after
+    each group but the last, record every output port whose rails differ
+    from their phase-start values, scanning all of them every time."""
+    protocol = harness.protocol
+    spacer = spacer_rails(protocol)
+
+    def drive(ports, bits):
+        words = [spacer] * len(ports) if phase == "return" else \
+            [encode(protocol, bit) for bit in bits]
+        return {r: v for p, word in zip(ports, words) for r, v in zip(p.rails, word)}
+
+    const = drive(harness.consts, [p.const_value for p in harness.consts])
+    groups = [const] if const else []
+    inputs = {p.name: p for p in harness.inputs}
+    for names in order:
+        groups.append(drive([inputs[n] for n in names], [(values or {}).get(n) for n in names]))
+    targets = {encode(protocol, 0), encode(protocol, 1)} if phase == "data" else {spacer}
+    start = list(state.values)
+    early = []
+    for gi, group in enumerate(groups):
+        state.apply_and_settle(group)
+        if gi < len(groups) - 1:
+            now = state.values
+            moved = tuple(p.name for p in harness.outputs
+                          if any(now[r] != start[r] for r in p.rails))
+            if moved:
+                complete = all((now[p.rail1], now[p.rail0]) in targets for p in harness.outputs)
+                early.append(EarlyRecord(gi, moved, complete))
+    return early
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_early_records_match_a_full_scan(name, protocol):
+    """``run_phase`` scans for early outputs only once an output rail has
+    moved in the phase; its records equal a scan after every group, for
+    every codeword and every arrival order (hold-back orders past three
+    inputs), in both phases."""
+    harness = HandshakeHarness(COMPONENTS[name](protocol), protocol)
+    names = [p.name for p in harness.inputs]
+    if len(names) <= 3:
+        orders = [[[n] for n in perm] for perm in itertools.permutations(names)]
+    else:
+        orders = [[[m for m in names if m != h], [h]] for h in names]
+    state, ref = harness.initialize(), harness.initialize()
+    records = 0
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        values = dict(zip(names, bits))
+        for order in orders:
+            for phase, vals in (("data", values), ("return", None)):
+                report = harness.run_phase(state, phase, vals, order=order)
+                assert report.early == reference_early(harness, ref, phase, vals, order)
+                assert state.values == ref.values
+                records += len(report.early)
+    # the two strongly indicating blocks never move an output early
+    assert (records > 0) == (name not in ("strong_and2", "dims_fa"))

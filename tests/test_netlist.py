@@ -263,6 +263,27 @@ def test_from_json_validates_semantics():
         from_json(json.dumps(doc))
 
 
+def test_c2_init_against_agreeing_input_resets_is_detected():
+    """Gate 0 is a C2 over two rails that reset to 1, so it must reset to 1
+    as well; init 0 would leave it excited at reset."""
+    doc = json.loads(to_json(build_sample()))
+    assert doc["gates"][0]["kind"] == "C2" and doc["gates"][0]["init"] == 1
+    doc["gates"][0]["init"] = 0
+    with pytest.raises(ValidationError) as exc:
+        from_json(json.dumps(doc))
+    assert [(f.code, f.message) for f in exc.value.findings] == [
+        ("init-inconsistent", "gate 0 (C2) init 0 but inputs reset to 1")]
+
+
+def test_c2_over_disagreeing_input_resets_takes_either_init():
+    for init in (0, 1):
+        b, x, _ = small_builder()
+        one = b.add_input_port("W", init=1)
+        z = b.add_gate(GateKind.C2, (x.rail1, one.rail1), init=init)
+        b.add_output_port("Z", z, x.rail0)
+        assert "init-inconsistent" not in codes(b.build_unchecked())
+
+
 @st.composite
 def random_netlists(draw):
     b = NetlistBuilder("rand")

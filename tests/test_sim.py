@@ -125,6 +125,8 @@ def test_stimulus_errors():
     with pytest.raises(StimulusError):
         state.apply_and_settle({x.rail1: 2})
     with pytest.raises(StimulusError):
+        state.apply_and_settle({x.rail1: 1.0})  # equal to 1, but not a bit
+    with pytest.raises(StimulusError):
         state.apply_and_settle({9999: 0})
 
 
@@ -153,6 +155,24 @@ def test_settle_resumes_after_the_limit_trips():
     assert (state.values[z.rail1], state.values[z.rail0]) == (0, 1)  # data0
     assert (state.values, state.now, state.transitions) == (
         fresh.values, fresh.now, fresh.transitions)
+
+
+def test_a_stimulus_given_on_resume_commits_ahead_of_the_queued_events():
+    """After the limit trips, the queue still holds gate events; a stimulus
+    given with the next settle joins that queue at the current time and
+    commits first, and time never runs backwards."""
+    netlist = strong_and2(Protocol.RTZ)
+    x, y = netlist.port("X"), netlist.port("Y")
+    state = initialize(netlist, Protocol.RTZ)
+    with pytest.raises(NonQuiescenceError):
+        state.apply_and_settle({x.rail0: 1, y.rail0: 1}, limit=1)
+    events = []
+    state.trace = lambda t, net, val: events.append((t, net, val))
+    now = state.now
+    report = state.apply_and_settle({x.rail1: 1})
+    assert len(events) > 1 and events[0] == (now, x.rail1, 1)
+    assert [t for t, _, _ in events] == sorted(t for t, _, _ in events)
+    assert report.elapsed == events[-1][0] - now
 
 
 def test_delay_models_resolve_per_gate():
