@@ -14,8 +14,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .encoding import Protocol
-from .handshake import (HandshakeHarness, TransactionError, TransactionMetrics,
-                        TransactionResult)
+from .handshake import HandshakeHarness, TransactionError, TransactionMetrics
 from .netlist import Netlist, stats
 from .sim import DelayModel, RandomUniformDelay, SimulationError, UnitDelay
 
@@ -59,13 +58,15 @@ def measure_latencies(netlist: Netlist, protocol: Protocol,
         vectors = _codewords(names)
     else:
         vectors = _sampled_codewords(names, sample_limit, seed)
-    max_fl = max_rl = max_tr = 0
-    for vec in vectors:
-        res = harness.run_transaction(state, vec)
-        max_fl = max(max_fl, res.metrics.forward_latency)
-        max_rl = max(max_rl, res.metrics.reverse_latency)
-        max_tr = max(max_tr, res.metrics.transitions)
-    return TransactionMetrics(max_fl, max_rl, max_fl + max_rl, max_tr)
+    return worst_case([harness.run_transaction(state, vec).metrics for vec in vectors])
+
+
+def worst_case(metrics: Sequence[TransactionMetrics]) -> TransactionMetrics:
+    """The largest forward latency, reverse latency and transition count
+    over ``metrics``; the cycle time is the sum of the two latencies."""
+    fl = max(m.forward_latency for m in metrics)
+    rl = max(m.reverse_latency for m in metrics)
+    return TransactionMetrics(fl, rl, fl + rl, max(m.transitions for m in metrics))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +337,7 @@ def benchmark(designs: Sequence[BenchDesign], protocols: Sequence[Protocol],
             report = exhaustive_verify(netlist, protocol, design.oracle, delay_model)
             if not report.ok:
                 continue  # a design that cannot compute has no PCTP row
-            max_fl = max(m.forward_latency for m in report.metrics)
-            max_rl = max(m.reverse_latency for m in report.metrics)
-            cycle = max_fl + max_rl
+            cycle = worst_case(report.metrics).cycle_time
             mean_tr = sum(m.transitions for m in report.metrics) / len(report.metrics)
             area = stats(netlist, dict(weights) if weights else None).area_proxy
             group.append(BenchRow(design.name, protocol.value, cycle, area,

@@ -21,7 +21,7 @@ from typing import get_type_hints
 
 from .analysis import (BenchDesign, Indication, bench_to_csv, benchmark,
                        classify_indication, exhaustive_verify, measure_latencies,
-                       orphan_scan)
+                       orphan_scan, worst_case)
 from .components import COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS
 from .encoding import Protocol
 from .multiplier import MultiplierSpec, array_multiplier, product_oracle
@@ -187,8 +187,11 @@ def _oracle_for(netlist: Netlist):
     against its port names: it must read only the netlist's inputs and give
     exactly its outputs."""
     n = netlist.metadata.get("n")
-    oracle = (product_oracle(int(n)) if n is not None
-              else COMPONENT_ORACLES.get(netlist.metadata.get("component", "")))
+    component = netlist.metadata.get("component", "")
+    if (n is not None and type(n) is not int) or not isinstance(component, str):
+        raise ValueError(f"netlist {netlist.name!r} metadata needs an integer n or a "
+                         f"string component, got n={n!r}, component={component!r}")
+    oracle = product_oracle(n) if n is not None else COMPONENT_ORACLES.get(component)
     if oracle is None:
         raise ValueError(
             f"no reference oracle for netlist {netlist.name!r}; "
@@ -287,10 +290,10 @@ def cmd_verify(config: CliConfig) -> int:
         "failures": [asdict(f) for f in report.failures],
     }
     if report.metrics:
-        payload["max_forward_latency"] = max(m.forward_latency for m in report.metrics)
-        payload["max_reverse_latency"] = max(m.reverse_latency for m in report.metrics)
-        payload["max_cycle_time"] = (payload["max_forward_latency"]
-                                     + payload["max_reverse_latency"])
+        worst = worst_case(report.metrics)
+        payload.update(max_forward_latency=worst.forward_latency,
+                       max_reverse_latency=worst.reverse_latency,
+                       max_cycle_time=worst.cycle_time)
     write_report(config, payload)
     return 0 if report.ok else 1
 

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 NetId = int
 
@@ -50,10 +50,6 @@ class GateKind(str, Enum):
     def arity(self) -> int:
         return 1 if self is GateKind.INV else 2
 
-    @property
-    def is_combinational(self) -> bool:
-        return self is not GateKind.C2
-
 
 # Every gate kind's Boolean function, written once: the next output value of
 # a gate, indexed by ``KIND_CODE[kind] << 3 | a << 2 | b << 1 | cur`` where
@@ -66,13 +62,6 @@ NEXT_STATE = (
     1, 1, 1, 1, 0, 0, 0, 0,  # INV:  not a
     0, 0, 0, 1, 0, 1, 1, 1,  # C2:   a if a == b else cur
 )
-
-
-def eval_combinational(kind: GateKind, values: Sequence[int]) -> int:
-    """Boolean function of a combinational kind; C2 has no combinational value."""
-    if kind is GateKind.C2:
-        raise ValueError(f"{kind.value} is not combinational")
-    return NEXT_STATE[KIND_CODE[kind] << 3 | values[0] << 2 | values[-1] << 1]
 
 
 @dataclass(frozen=True)
@@ -195,20 +184,6 @@ class CompiledNetlist:
                 self.env[p.rail1] = self.env[p.rail0] = True
 
 
-def _drivers(netlist: Netlist) -> dict[NetId, list[str]]:
-    """Map each net to the labels of everything driving it."""
-    drivers: dict[NetId, list[str]] = {n: [] for n in range(netlist.net_count)}
-    for g in netlist.gates:
-        if 0 <= g.output < netlist.net_count:
-            drivers[g.output].append(f"gate {g.id}")
-    for p in netlist.ports:
-        if p.direction == "input":
-            for rail in p.rails:
-                if 0 <= rail < netlist.net_count:
-                    drivers[rail].append(f"port {p.name}")
-    return drivers
-
-
 def validate(netlist: Netlist) -> ValidationReport:
     """Structural checks: gate ids equal to positions, arity, net ranges,
     unique port names, port directions, bit-valued inits and constants,
@@ -216,8 +191,9 @@ def validate(netlist: Netlist) -> ValidationReport:
     subgraph (every feedback loop must pass through a C2)."""
     findings: list[Finding] = []
     n = netlist.net_count
+    gates = netlist.gates
 
-    for i, g in enumerate(netlist.gates):
+    for i, g in enumerate(gates):
         if g.id != i:
             # delay tables key gates by id, the simulator by position
             findings.append(Finding("gate-id", f"gate at position {i} has id {g.id}"))
@@ -246,8 +222,14 @@ def validate(netlist: Netlist) -> ValidationReport:
     if any(f.code in ("net-range", "init-value") for f in findings):
         return ValidationReport(findings)  # later checks need in-range ids and bit inits
 
-    drivers = _drivers(netlist)
-    for net, who in drivers.items():
+    drivers: list[list[str]] = [[] for _ in range(n)]
+    for g in gates:
+        drivers[g.output].append(f"gate {g.id}")
+    for p in netlist.ports:
+        if p.direction == "input":
+            for rail in p.rails:
+                drivers[rail].append(f"port {p.name}")
+    for net, who in enumerate(drivers):
         if len(who) > 1:
             findings.append(Finding("multi-driver", f"net {net} driven by {', '.join(who)}"))
         elif not who:
@@ -258,7 +240,7 @@ def validate(netlist: Netlist) -> ValidationReport:
     # two inputs agree resets to their level (over disagreeing ones it holds
     # either init).
     net_init = netlist.net_init
-    for g in netlist.gates:
+    for g in gates:
         ins = g.inputs
         if len(ins) == g.kind.arity:
             expect = NEXT_STATE[KIND_CODE[g.kind] << 3 | net_init[ins[0]] << 2
@@ -268,37 +250,28 @@ def validate(netlist: Netlist) -> ValidationReport:
                     "init-inconsistent",
                     f"gate {g.id} ({g.kind.value}) init {g.init} but inputs reset to {expect}"))
 
-    # combinational cycles: edges between combinational gates only, so any
-    # loop broken by a C2 output is legal.
-    comb = [g for g in netlist.gates if g.kind.is_combinational]
-    by_output = {g.output: g.id for g in comb}
-    succ: dict[int, list[int]] = {g.id: [] for g in comb}
-    for g in comb:
-        for net in g.inputs:
-            src = by_output.get(net)
-            if src is not None:
-                succ[src].append(g.id)
-    state: dict[int, int] = {}  # 0 visiting, 1 done
-    for start in succ:
-        if start in state:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in state:
-                    state[nxt] = 0
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if state[nxt] == 0:
-                    findings.append(Finding("comb-cycle", f"combinational cycle through gate {nxt}"))
-                    state[nxt] = 1
-            if not advanced:
-                state[node] = 1
-                stack.pop()
+    # combinational cycles, by Kahn's peel: a non-C2 gate waits once for
+    # each non-C2 driver of each input it reads and is peeled off when none
+    # is left; gates never peeled lie on or behind a loop.  A C2 neither
+    # waits nor is waited for, so a loop broken by a C2 output is legal.
+    comb = [i for i, g in enumerate(gates) if g.kind is not GateKind.C2]
+    readers: list[list[int]] = [[] for _ in range(n)]
+    for i in comb:
+        for net in gates[i].inputs:
+            readers[net].append(i)
+    waits = [0] * len(gates)
+    for i in comb:
+        for r in readers[gates[i].output]:
+            waits[r] += 1
+    ready = [i for i in comb if not waits[i]]
+    for i in ready:  # grows while it is walked
+        for r in readers[gates[i].output]:
+            waits[r] -= 1
+            if not waits[r]:
+                ready.append(r)
+    stuck = [gates[i].id for i, w in enumerate(waits) if w]
+    if stuck:
+        findings.append(Finding("comb-cycle", f"gates {stuck} lie on or behind a combinational cycle"))
     return ValidationReport(findings)
 
 
@@ -331,8 +304,9 @@ class NetlistBuilder:
     def add_gate(self, kind: GateKind, inputs: Sequence[NetId], init: int | None = None) -> NetId:
         """Append a gate on a fresh output net and return that net.
 
-        ``init`` may be omitted: combinational kinds derive it from their
-        input reset levels; a C2 derives it only when its inputs agree.
+        ``init`` may be omitted: it is then read from ``NEXT_STATE`` at the
+        inputs' reset levels, which leaves it open only for a C2 over
+        disagreeing inputs.
         """
         kind = GateKind(kind)
         if len(inputs) != kind.arity:
@@ -341,12 +315,10 @@ class NetlistBuilder:
             if not 0 <= net < self.net_count:
                 raise NetlistError(f"unknown net {net}")
         if init is None:
-            ins = [self._net_init[i] for i in inputs]
-            if kind.is_combinational:
-                init = eval_combinational(kind, ins)
-            elif ins[0] == ins[1]:
-                init = ins[0]
-            else:
+            code = (KIND_CODE[kind] << 3 | self._net_init[inputs[0]] << 2
+                    | self._net_init[inputs[-1]] << 1)
+            init = NEXT_STATE[code]
+            if NEXT_STATE[code | 1] != init:  # the gate holds either value
                 raise NetlistError("C2 with disagreeing input resets needs an explicit init")
         out = self.new_net(init)
         self._gates.append(Gate(len(self._gates), kind, tuple(inputs), out, init))
@@ -569,13 +541,9 @@ def to_dot(netlist: Netlist) -> str:
     """Graphviz rendering: one node per gate and per port, one edge per net
     consumer.  Ordering follows gate ids and port declaration order so the
     output is byte-stable."""
-    driver_node: dict[NetId, str] = {}
-    for g in netlist.gates:
-        driver_node[g.output] = f"g{g.id}"
-    for p in netlist.ports:
-        if p.direction == "input":
-            driver_node[p.rail1] = f"p_{p.name}"
-            driver_node[p.rail0] = f"p_{p.name}"
+    driver_node = {g.output: f"g{g.id}" for g in netlist.gates}
+    driver_node.update((rail, f"p_{p.name}") for p in netlist.ports
+                       if p.direction == "input" for rail in p.rails)
 
     lines = ["digraph netlist {", "  rankdir=LR;"]
     for p in netlist.ports:

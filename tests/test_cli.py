@@ -92,6 +92,12 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     bad_config.write_text("component = nosuch\n")
     and2 = tmp_path / "and.json"  # an RTZ netlist cannot reset under RTO
     assert run_inproc("export", "--component", "strong_and2", "--out", str(and2)) == 0
+    mult2 = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
+    bad_meta = []  # oracle metadata of the wrong JSON type
+    for i, (base, meta) in enumerate([*((mult2, {"n": n}) for n in ([2], {"a": 1}, "2", 2.0, True)),
+                                      (json.loads(and2.read_text()), {"component": [1]})]):
+        bad_meta.append(tmp_path / f"meta{i}.json")
+        bad_meta[-1].write_text(json.dumps({**base, "meta": meta}))
     for argv in (["verify", "--netlist", str(bad_netlist)],
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_kind)],
                  ["verify", "--n", "2", "--delay", "pergate", "--delay-table", str(bad_gate)],
@@ -107,7 +113,9 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["classify", "--netlist", str(and2), "--protocol", "rto"],
                  ["fuzz", "--netlist", str(and2), "--protocol", "rto", "--trials", "3"],
                  ["bench", "--n", "2", "--weights", str(bad_kind)],
-                 ["classify", "--n", "9"]):
+                 ["classify", "--n", "9"],
+                 *(["verify", "--netlist", str(p)] for p in bad_meta[:-1]),
+                 ["fuzz", "--netlist", str(bad_meta[-1]), "--trials", "3"]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2

@@ -1,5 +1,6 @@
 """Netlist construction, validation, serialization, and structural tools."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from qdilab.components import ripple_carry_adder
 from qdilab.encoding import Protocol
-from qdilab.netlist import (FormatError, GateKind, NetlistBuilder,
-                            NetlistError, ValidationError, dual_of,
-                            eval_combinational, from_json, stats,
-                            structurally_equal, to_dot, to_json, validate)
+from qdilab.netlist import (KIND_CODE, NEXT_STATE, FormatError, GateKind,
+                            NetlistBuilder, NetlistError, ValidationError,
+                            dual_of, from_json, stats, structurally_equal,
+                            to_dot, to_json, validate)
 
 
 def small_builder():
@@ -25,12 +26,17 @@ def small_builder():
 # ---------------------------------------------------------------------------
 # gate evaluation and builder basics
 
-def test_eval_combinational_tables():
-    assert [eval_combinational(GateKind.AND2, (a, c)) for a in (0, 1) for c in (0, 1)] \
-        == [0, 0, 0, 1]
-    assert [eval_combinational(GateKind.OR2, (a, c)) for a in (0, 1) for c in (0, 1)] \
-        == [0, 1, 1, 1]
-    assert [eval_combinational(GateKind.INV, (a,)) for a in (0, 1)] == [1, 0]
+def test_next_state_table():
+    """The one definition of every gate function: AND, OR and INV ignore the
+    present output; a C2 copies its inputs when they agree and else holds."""
+    functions = {GateKind.AND2: lambda a, b, cur: a & b,
+                 GateKind.OR2: lambda a, b, cur: a | b,
+                 GateKind.INV: lambda a, b, cur: 1 - a,
+                 GateKind.C2: lambda a, b, cur: a if a == b else cur}
+    assert len(NEXT_STATE) == 32
+    for kind, f in functions.items():
+        for a, b, cur in itertools.product((0, 1), repeat=3):
+            assert NEXT_STATE[KIND_CODE[kind] << 3 | a << 2 | b << 1 | cur] == f(a, b, cur)
 
 
 def test_builder_assigns_ids_and_derives_inits():
@@ -96,6 +102,29 @@ def test_combinational_cycle_detected():
     b.wire_gate(GateKind.OR2, (a, y.rail1), loop, init=0)
     b.add_output_port("Z", a, loop)
     assert "comb-cycle" in codes(b.build_unchecked())
+
+
+def test_combinational_cycle_lists_the_gates_behind_it():
+    b, x, y = small_builder()
+    loop = b.new_net()
+    a = b.add_gate(GateKind.OR2, (x.rail1, loop))
+    b.wire_gate(GateKind.OR2, (a, y.rail1), loop, init=0)
+    behind = b.add_gate(GateKind.AND2, (loop, x.rail0))  # reads the loop's output
+    b.add_output_port("Z", behind, a)
+    (finding,) = validate(b.build_unchecked()).findings
+    assert finding.code == "comb-cycle"
+    assert finding.message == "gates [0, 1, 2] lie on or behind a combinational cycle"
+
+
+def test_a_gate_reading_a_later_gate_is_no_cycle():
+    """Gate order is not signal order: reading a net that a later gate
+    drives forms no loop."""
+    b, x, y = small_builder()
+    later = b.new_net()
+    first = b.add_gate(GateKind.AND2, (later, x.rail1))
+    b.wire_gate(GateKind.OR2, (y.rail1, y.rail0), later, init=0)
+    b.add_output_port("Z", first, later)
+    assert codes(b.build_unchecked()) == []
 
 
 def test_c2_feedback_loop_is_legal():
