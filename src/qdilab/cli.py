@@ -34,6 +34,10 @@ CHOICES = {"protocol": ("rtz", "rto"), "fa": tuple(sorted(FA_VARIANTS)),
            "component": tuple(sorted(COMPONENTS))}
 # vectors measured per design by `scale` once a width is too wide to exhaust
 SCALE_SAMPLES = 64
+# the commands that read each option some command would otherwise ignore
+_TARGET_READERS = ("build", "export", "verify", "classify", "fuzz")
+READERS = {"trace": ("verify",), "dot": ("build", "export"),
+           "netlist": _TARGET_READERS, "component": _TARGET_READERS}
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,10 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
     for key in ("trials", "transactions"):
         if getattr(config, key) < 1:
             parser.error(f"--{key} must be >= 1")
+    for key, commands in READERS.items():
+        if getattr(config, key) is not None and args.command not in commands:
+            parser.error(f"--{key} is read only by {', '.join(commands)}; "
+                         f"{args.command} would ignore it")
     return config
 
 

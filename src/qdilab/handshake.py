@@ -119,6 +119,12 @@ class HandshakeHarness:
         }
         self._targets = {"data": (set(words[:2]), protocol.active_level),
                          "return": ({words[2]}, protocol.spacer_level)}
+        # the bit of each (rail1, rail0) pair, None for the spacer and an
+        # illegal pair
+        self._bit: list[list[int | None]] = [[None, None], [None, None]]
+        for bit in (0, 1):
+            rail1, rail0 = words[bit]
+            self._bit[rail1][rail0] = bit
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
         return initialize(self.netlist, self.protocol, delay_model)
@@ -134,12 +140,14 @@ class HandshakeHarness:
         return [p.name for p in self.outputs if (values[p.rail1], values[p.rail0]) not in targets]
 
     def decode_outputs(self, state: SimState) -> dict[str, int]:
+        values, bits = state.values, self._bit
         out = {}
         for p in self.outputs:
-            ps = self.port_state(state, p)
-            if not ps.is_data:
-                raise TransactionError(f"output {p.name} is {ps.value}, not data")
-            out[p.name] = ps.bit
+            bit = bits[values[p.rail1]][values[p.rail0]]
+            if bit is None:
+                raise TransactionError(
+                    f"output {p.name} is {self.port_state(state, p).value}, not data")
+            out[p.name] = bit
         return out
 
     # -- phase driving ------------------------------------------------------
@@ -207,7 +215,7 @@ class HandshakeHarness:
         ports_of = self._ports_of
         spacer = self.protocol.spacer_level
         values_arr = state.values
-        datapath = self.datapath_nets
+        datapath = state.datapath_nets = self.datapath_nets
 
         # outside an illegal codeword every output-rail event moves its ports
         # into or out of the target, so outputs that all end at the target
@@ -240,7 +248,7 @@ class HandshakeHarness:
                         early.append(EarlyRecord(gi, moved, not self._off_target(state, targets)))
         finally:
             state.watch, state.watched = prev
-        last_datapath = max(t0, max(state.last_commit[:datapath]))
+        last_datapath = max(t0, state.last_datapath_commit)
 
         hazards = list(state.hazards[h0:])
         if illegal:
@@ -272,8 +280,9 @@ class HandshakeHarness:
     def run_transaction(self, state: SimState, values: Mapping[str, int]) -> TransactionResult:
         """One complete handshake: data phase then return phase, both settled
         through the closed loop (completion detector and acknowledge checked)."""
+        rails, spacer = state.values, self.protocol.spacer_level
         for p in self.inputs:
-            if self.port_state(state, p) is not PairState.SPACER:
+            if rails[p.rail1] != spacer or rails[p.rail0] != spacer:
                 raise TransactionError(f"input {p.name} not at spacer at transaction start")
         data = self.run_phase(state, "data", values)
         outputs = self.decode_outputs(state)

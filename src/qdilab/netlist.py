@@ -159,13 +159,19 @@ class CompiledNetlist:
 
     Gate ``g`` computes ``NEXT_STATE[kind[g] | v[in0[g]] << 2 | v[in1[g]] << 1
     | v[out[g]]]`` over net values ``v``; ``kind`` already holds the shifted
-    kind code, and an inverter's ``in1`` repeats its ``in0``.  ``consumers[n]``
-    lists the gates reading net ``n`` in gate order; ``env[n]`` is true for
-    the rails of input ports.  Gates are indexed by position, which
-    validation requires to equal ``Gate.id``.
+    kind code, and an inverter's ``in1`` repeats its ``in0``.  That index is
+    the gate's *code*, and the simulator keeps it up to date instead of
+    rebuilding it: ``fanout[n]`` lists, in gate order, one ``(gate, mask,
+    out)`` entry per gate reading net ``n``, where ``mask`` holds the index
+    bits that ``n`` sets (4 for ``in0``, 2 for ``in1``, 6 when the gate reads
+    ``n`` on both, as every inverter does) and ``out`` is the gate's output
+    net.  ``driver[n]`` is the gate driving net ``n``, whose ``cur`` bit (1)
+    a change of ``n`` flips; the rails of input ports all map to one spare
+    slot, ``len(gates)``.  ``env[n]`` is true for those rails.  Gates are
+    indexed by position, which validation requires to equal ``Gate.id``.
     """
 
-    __slots__ = ("kind", "in0", "in1", "out", "consumers", "env")
+    __slots__ = ("kind", "in0", "in1", "out", "fanout", "driver", "env")
 
     def __init__(self, netlist: Netlist):
         gates = netlist.gates
@@ -173,11 +179,16 @@ class CompiledNetlist:
         self.in0 = [g.inputs[0] for g in gates]
         self.in1 = [g.inputs[-1] for g in gates]
         self.out = [g.output for g in gates]
-        consumers: list[list[int]] = [[] for _ in range(netlist.net_count)]
-        for i, g in enumerate(gates):
-            for net in set(g.inputs):
-                consumers[net].append(i)
-        self.consumers = [tuple(c) for c in consumers]
+        fanout: list[list[tuple[int, int, int]]] = [[] for _ in range(netlist.net_count)]
+        self.driver = [len(gates)] * netlist.net_count
+        for i, (a, b, o) in enumerate(zip(self.in0, self.in1, self.out)):
+            if a == b:
+                fanout[a].append((i, 6, o))
+            else:
+                fanout[a].append((i, 4, o))
+                fanout[b].append((i, 2, o))
+            self.driver[o] = i
+        self.fanout = [tuple(f) for f in fanout]
         self.env = [False] * netlist.net_count
         for p in netlist.ports:
             if p.direction == "input":

@@ -13,11 +13,19 @@ level and every other net at its stored init, and raises if any gate is
 excited there (validation already holds each combinational init to the reset
 levels of its inputs, so no relaxation is needed).
 
-The kernel runs on the netlist's compiled form (``Netlist.compiled``: flat
-per-gate input/output/kind arrays, per-net consumer tuples and the one
-``NEXT_STATE`` table of gate functions).  It is built the first time a state
-is initialized over a netlist, not when the netlist is built or validated,
-and is shared by every later state over the same netlist.
+The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
+fanout entries and drivers, the per-gate arrays that seed the gate codes, and
+the one ``NEXT_STATE`` table of gate functions).  It is built the first time
+a state is initialized over a netlist, not when the netlist is built or
+validated, and is shared by every later state over the same netlist.
+
+Each gate's ``NEXT_STATE`` index, its *code* ``kind | a << 2 | b << 1 |
+cur``, is kept by the state in ``_code`` and built from ``values`` once, at
+construction.  Every commit flips its net's value, so it XORs 1 into the code
+of the net's driver and each fanout entry's mask into the code of the gate
+reading it; a gate's next value is then one table read, ``NEXT_STATE[code]``,
+and its present one ``code & 1``.  This is selective trace (Ulrich, CACM
+1969): only a changed input redoes a gate's work.
 
 Each queued event is one int heap key ``t << shift | net << 1 | value``,
 with ``shift`` wide enough for any ``net << 1 | value``, so keys pop in
@@ -32,9 +40,10 @@ is empty, and builds the :class:`SettleReport` from its own counts.
 
 Observers: ``trace(t, net, value)`` sees every committed event.  ``watch``
 is called the same way, but only for nets whose ``watched`` flag is set (the
-handshake monitor flags the output rails).  ``last_commit[net]`` is the time
-of the net's latest commit, so a monitor can ask when a group of nets last
-moved without seeing their events.
+handshake monitor flags the output rails).  ``last_datapath_commit`` is the
+time of the latest commit on a net below ``datapath_nets`` (0 before any),
+so a monitor can ask when a group of nets last moved without seeing their
+events; the handshake harness sets that bound to its design's nets.
 """
 
 from __future__ import annotations
@@ -156,9 +165,9 @@ class SimState:
     """Mutable simulation state over one immutable netlist."""
 
     __slots__ = ("netlist", "protocol", "values", "now", "transitions",
-                 "last_commit", "hazards", "watch", "watched", "trace",
-                 "_compiled", "_env", "_sched", "_shift", "_heap", "_pending",
-                 "default_limit")
+                 "datapath_nets", "last_datapath_commit", "hazards", "watch",
+                 "watched", "trace", "_compiled", "_env", "_code", "_sched",
+                 "_shift", "_heap", "_pending", "default_limit")
 
     def __init__(self, netlist: Netlist, protocol: Protocol, delays: list[int]):
         self.netlist = netlist
@@ -171,11 +180,15 @@ class SimState:
         self._shift = shift = netlist.net_count.bit_length() + 1
         self._sched = [d << shift | o << 1 for d, o in zip(delays, compiled.out)]
         spacer = protocol.spacer_level
-        self.values = [spacer if env else init
-                       for env, init in zip(self._env, netlist.net_init)]
+        self.values = values = [spacer if env else init
+                                for env, init in zip(self._env, netlist.net_init)]
+        # one code per gate, plus the spare slot that input-rail commits flip
+        self._code = [k | values[a] << 2 | values[b] << 1 | values[o] for k, a, b, o
+                      in zip(compiled.kind, compiled.in0, compiled.in1, compiled.out)] + [0]
         self.now = 0
         self.transitions = 0
-        self.last_commit = [0] * netlist.net_count
+        self.datapath_nets = 0
+        self.last_datapath_commit = 0
         self.hazards: list[HazardRecord] = []
         self.watch: Callable[[int, int, int], None] | None = None
         self.watched = bytearray(netlist.net_count)
@@ -189,12 +202,8 @@ class SimState:
     def _excited(self) -> int | None:
         """The first gate whose output differs from its function of the
         present net values, or None when no gate is excited."""
-        c = self._compiled
-        in0, in1, out = c.in0, c.in1, c.out
-        values = self.values
-        for g, k in enumerate(c.kind):
-            cur = values[out[g]]
-            if NEXT_STATE[k | values[in0[g]] << 2 | values[in1[g]] << 1 | cur] != cur:
+        for g, c in enumerate(self._code[:-1]):  # the spare slot is no gate
+            if NEXT_STATE[c] != c & 1:
                 return g
         return None
 
@@ -228,12 +237,13 @@ class SimState:
         for key in stimuli:
             pending[key >> 1 & net_mask] = key
             push(heap, key)
-        last_commit = self.last_commit
+        datapath, last_datapath = self.datapath_nets, self.last_datapath_commit
         hazards = self.hazards
         h0 = len(hazards)
         watched, watch, trace = self.watched, self.watch, self.trace
         c = self._compiled
-        kind, in0, in1, out, consumers = c.kind, c.in0, c.in1, c.out, c.consumers
+        fanout, driver = c.fanout, c.driver
+        code = self._code
         sched = self._sched
         limit = self.default_limit if limit is None else limit
         cap = limit + len(stimuli)
@@ -251,26 +261,28 @@ class SimState:
                 pending[net] = -1
                 t = key >> shift
                 val = key & 1
-                values[net] = val
-                last_commit[net] = t
+                values[net] = val  # a commit always flips its net
+                code[driver[net]] ^= 1
+                if net < datapath:
+                    last_datapath = t
                 if watched[net] and watch is not None:
                     watch(t, net, val)
                 if trace is not None:
                     trace(t, net, val)
                 base = t << shift
-                for g in consumers[net]:
-                    o = out[g]
-                    cur = values[o]
-                    tgt = NEXT_STATE[kind[g] | values[in0[g]] << 2 | values[in1[g]] << 1 | cur]
+                for g, mask, o in fanout[net]:
+                    k = code[g] ^ mask
+                    code[g] = k
+                    tgt = NEXT_STATE[k]
                     p = pending[o]
                     if p >= 0:
                         if p & 1 == tgt:
                             continue
                         hazards.append(HazardRecord(t, g, o, p & 1, tgt))
                         pending[o] = -1
-                        if tgt == cur:
+                        if tgt == k & 1:
                             continue
-                    elif tgt == cur:
+                    elif tgt == k & 1:
                         continue
                     p = base + sched[g] + tgt
                     pending[o] = p
@@ -278,6 +290,7 @@ class SimState:
         finally:
             self.now = t
             self.transitions += commits
+            self.last_datapath_commit = last_datapath
         return SettleReport(elapsed=t - t0, transitions=commits,
                             hazards=hazards[h0:], steps=commits - len(stimuli))
 

@@ -115,10 +115,28 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["bench", "--n", "2", "--weights", str(bad_kind)],
                  ["classify", "--n", "9"],
                  *(["verify", "--netlist", str(p)] for p in bad_meta[:-1]),
-                 ["fuzz", "--netlist", str(bad_meta[-1]), "--trials", "3"]):
+                 ["fuzz", "--netlist", str(bad_meta[-1]), "--trials", "3"],
+                 # options the command does not read
+                 *([cmd, "--n", "2", "--trace", str(tmp_path / "t.csv")]
+                   for cmd in ("classify", "fuzz", "scale", "bench")),
+                 ["verify", "--n", "2", "--dot", str(tmp_path / "m.dot")],
+                 *([cmd, "--netlist", str(and2)] for cmd in ("bench", "scale")),
+                 *([cmd, "--component", "strong_and2"] for cmd in ("bench", "scale"))):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "m.dot").exists()
+
+
+def test_an_ignored_option_names_the_commands_that_read_it(capsys):
+    for argv, message in ((["bench", "--component", "strong_and2"],
+                           "--component is read only by build, export, verify, classify, "
+                           "fuzz; bench would ignore it"),
+                          (["fuzz", "--trace", "t.csv"],
+                           "--trace is read only by verify; fuzz would ignore it")):
+        with pytest.raises(SystemExit):
+            run_inproc(*argv)
+        assert message in capsys.readouterr().err
 
 
 def _sabotaged_doc():

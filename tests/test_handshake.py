@@ -1,6 +1,7 @@
 """Completion detection and closed-loop four-phase transactions."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,8 +9,11 @@ from qdilab.components import COMPONENTS, strong_and2
 from qdilab.encoding import PairState, Protocol, encode, spacer_rails
 from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
                               build_completion_detector)
+from qdilab.multiplier import MultiplierSpec, array_multiplier
 from qdilab.netlist import GateKind, NetlistBuilder
-from qdilab.sim import initialize
+from qdilab.sim import RandomUniformDelay, initialize
+
+from test_analysis import dead_end_and2
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +273,37 @@ def test_early_records_match_a_full_scan(name, protocol):
                 records += len(report.early)
     # the two strongly indicating blocks never move an output early
     assert (records > 0) == (name not in ("strong_and2", "dims_fa"))
+
+
+# ---------------------------------------------------------------------------
+# the last datapath commit
+
+@pytest.mark.parametrize("design,seeds", [
+    ("dead_end_and2", (3, 6)),  # both seeds commit past completion
+    ("mult3x3_weak_fa", (1, 2)),
+])
+def test_last_datapath_commit_is_the_latest_traced_datapath_event(design, seeds):
+    """Each phase's ``last_datapath_commit`` equals the time of the latest
+    event the trace saw on a net below ``datapath_nets`` in that phase, or
+    the phase start when there was none; staggered phases included."""
+    base = dead_end_and2() if design == "dead_end_and2" else \
+        array_multiplier(MultiplierSpec(3, Protocol.RTZ, "weak_fa"))
+    harness = HandshakeHarness(base, Protocol.RTZ)
+    order = [[p.name] for p in reversed(harness.inputs)]
+    late = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        state = harness.initialize(RandomUniformDelay(1, 16, seed))
+        events = []
+        state.trace = lambda t, net, val: events.append((t, net))
+        for _ in range(8):
+            vec = {p.name: rng.randint(0, 1) for p in harness.inputs}
+            for phase, values, arrival in (("data", vec, None), ("return", None, None),
+                                           ("data", vec, order), ("return", None, order)):
+                t0, i0 = state.now, len(events)
+                report = harness.run_phase(state, phase, values, order=arrival)
+                moved = [t for t, net in events[i0:] if net < harness.datapath_nets]
+                assert report.last_datapath_commit == (moved[-1] if moved else t0)
+                late += not report.datapath_quiet_at_completion
+    assert (late > 0) == (design == "dead_end_and2")
+

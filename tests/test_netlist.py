@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdilab.components import ripple_carry_adder
+from qdilab.components import COMPONENTS, ripple_carry_adder
 from qdilab.encoding import Protocol
+from qdilab.handshake import HandshakeHarness
+from qdilab.multiplier import MultiplierSpec, array_multiplier
 from qdilab.netlist import (KIND_CODE, NEXT_STATE, FormatError, GateKind,
                             NetlistBuilder, NetlistError, ValidationError,
                             dual_of, from_json, stats, structurally_equal,
@@ -68,6 +70,63 @@ def test_add_gate_rejects_wrong_arity():
         b.add_gate(GateKind.INV, (x.rail1, y.rail1))
     with pytest.raises(NetlistError):
         b.add_gate(GateKind.AND2, (x.rail1,))
+
+
+# ---------------------------------------------------------------------------
+# compiled form
+
+def check_fanout_and_driver(netlist):
+    """Each gate appears once in the fanout of each net it reads, with the
+    index bits that net sets (4 for the first input, 2 for the last, both
+    when they are one net) and its own output net; those masks OR to the
+    bits it reads.  ``driver`` names each gate's output net, and input rails
+    map to the spare slot ``len(gates)``."""
+    compiled = netlist.compiled
+    entries = {}
+    for net, fanout in enumerate(compiled.fanout):
+        assert [g for g, _, _ in fanout] == sorted({g for g, _, _ in fanout}), net
+        for g, mask, out in fanout:
+            entries[g, net] = (mask, out)
+    expected = {}
+    for g in netlist.gates:
+        first, last = g.inputs[0], g.inputs[-1]
+        expected[g.id, first] = (4 | (2 if last == first else 0), g.output)
+        expected[g.id, last] = (2 | (4 if last == first else 0), g.output)
+    assert entries == expected
+    for g in netlist.gates:
+        bits = 0
+        for net in set(g.inputs):
+            bits |= entries[g.id, net][0]
+        assert bits == 6, g  # an inverter's second index bit repeats its first
+    drivers = [len(netlist.gates)] * netlist.net_count
+    for g in netlist.gates:
+        drivers[g.output] = g.id
+    rails = {r for p in netlist.input_ports + netlist.const_ports for r in p.rails}
+    assert {n for n, d in enumerate(drivers) if d == len(netlist.gates)} == rails
+    assert compiled.driver == drivers
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_fanout_masks_and_drivers_of_built_designs(protocol):
+    for name, build in COMPONENTS.items():
+        check_fanout_and_driver(build(protocol))
+    harness = HandshakeHarness(array_multiplier(MultiplierSpec(3, protocol)), protocol)
+    check_fanout_and_driver(harness.netlist)
+
+
+def test_fanout_masks_of_a_gate_reading_one_net_twice():
+    """``AND2(a, a)`` and an inverter both take mask 6: the net sets both
+    index bits."""
+    b, x, _ = small_builder()
+    both = b.add_gate(GateKind.AND2, (x.rail1, x.rail1))
+    inv = b.add_gate(GateKind.INV, (x.rail0,))
+    b.add_output_port("Z", both, inv)
+    netlist = b.build()
+    check_fanout_and_driver(netlist)
+    compiled = netlist.compiled
+    assert compiled.fanout[x.rail1] == ((0, 6, both),)
+    assert compiled.fanout[x.rail0] == ((1, 6, inv),)
+    assert compiled.driver[both] == 0 and compiled.driver[inv] == 1
 
 
 # ---------------------------------------------------------------------------

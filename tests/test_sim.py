@@ -13,7 +13,7 @@ from qdilab.components import COMPONENTS, FA_VARIANTS, strong_and2
 from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
-from qdilab.netlist import GateKind, NetlistBuilder
+from qdilab.netlist import KIND_CODE, NEXT_STATE, GateKind, NetlistBuilder
 from qdilab.sim import (HazardRecord, InitializationError, NonQuiescenceError,
                         RandomUniformDelay, StimulusError, TableDelay,
                         UnitDelay, initialize)
@@ -234,6 +234,57 @@ def test_per_net_transition_parity_over_full_cycle(protocol):
     for net in range(netlist.net_count):
         expected = spacer if state._env[net] else netlist.net_init[net]
         assert state.values[net] == expected
+
+
+# ---------------------------------------------------------------------------
+# the kept gate codes
+
+def assert_codes_match_values(state):
+    """Each gate's kept code equals the one recomputed from ``values``, and
+    ``is_quiescent`` agrees with a full ``NEXT_STATE`` scan."""
+    v = state.values
+    excited = False
+    for g in state.netlist.gates:
+        code = (KIND_CODE[g.kind] << 3 | v[g.inputs[0]] << 2 | v[g.inputs[-1]] << 1
+                | v[g.output])
+        assert state._code[g.id] == code, g
+        excited |= NEXT_STATE[code] != v[g.output]
+    assert state.is_quiescent() == (not excited and all(p < 0 for p in state._pending))
+
+
+@pytest.mark.parametrize("delays", [UnitDelay(), TableDelay({1: 5}, default=3)])
+def test_gate_codes_follow_the_hazard_cancelling_wire(delays):
+    netlist, x = wire_fixture()
+    state = initialize(netlist, Protocol.RTZ, delays)
+    assert_codes_match_values(state)
+    for value in (1, 0, 1):
+        state.apply_and_settle({x.rail1: value})
+        assert_codes_match_values(state)
+    assert len(state.hazards) == 2  # each rise of IN cancels the AND's pulse
+
+
+def test_gate_codes_survive_a_tripped_limit_and_a_stimulus_on_resume():
+    netlist = strong_and2(Protocol.RTZ)
+    x, y = netlist.port("X"), netlist.port("Y")
+    state = initialize(netlist, Protocol.RTZ)
+    with pytest.raises(NonQuiescenceError):
+        state.apply_and_settle({x.rail0: 1, y.rail0: 1}, limit=1)
+    assert_codes_match_values(state)
+    assert not state.is_quiescent()
+    state.apply_and_settle({x.rail1: 1})
+    assert_codes_match_values(state)
+    assert state.is_quiescent()
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_gate_codes_follow_random_delays_on_a_multiplier(protocol):
+    harness = HandshakeHarness(array_multiplier(MultiplierSpec(3, protocol)), protocol)
+    for seed in range(3):
+        state = harness.initialize(RandomUniformDelay(1, 16, seed))
+        assert_codes_match_values(state)
+        for stimulus in _stimuli(harness, _vectors(harness, seed, 4)):
+            state.apply_and_settle(stimulus)
+            assert_codes_match_values(state)
 
 
 # ---------------------------------------------------------------------------
