@@ -37,7 +37,9 @@ SCALE_SAMPLES = 64
 # the commands that read each option some command would otherwise ignore
 _TARGET_READERS = ("build", "export", "verify", "classify", "fuzz")
 READERS = {"trace": ("verify",), "dot": ("build", "export"),
-           "netlist": _TARGET_READERS, "component": _TARGET_READERS}
+           "netlist": _TARGET_READERS, "component": _TARGET_READERS,
+           "weights": ("build", "bench"),
+           "delay_table": ("verify", "bench", "scale", "classify")}
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,11 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
             parser.error(f"--{key} must be >= 1")
     for key, commands in READERS.items():
         if getattr(config, key) is not None and args.command not in commands:
-            parser.error(f"--{key} is read only by {', '.join(commands)}; "
+            parser.error(f"--{key.replace('_', '-')} is read only by {', '.join(commands)}; "
                          f"{args.command} would ignore it")
+    if args.command == "fuzz" and config.delay != CliConfig.delay:
+        parser.error(f"fuzz draws random delays from --delay-low/--delay-high; "
+                     f"--delay {config.delay} would be ignored")
     return config
 
 

@@ -12,6 +12,7 @@ their sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .encoding import PairState, Protocol, decode, encode, spacer_rails
@@ -108,11 +109,14 @@ class HandshakeHarness:
             for rail in p.rails:
                 self._watched[rail] = 1
                 self._ports_of[rail] += (p,)
+        # the output rails' values, flat: (rail1, rail0) of each output port
+        self._snapshot = itemgetter(*(r for p in self.outputs for r in p.rails))
         # built once: each input's rail dicts indexed by bit (the spacer at
-        # index 2), the constants' rails per phase, and each phase's target
-        # rail pairs and acknowledge level
+        # index 2), and by name its spacer dict alone, the constants' rails
+        # per phase, and each phase's target rail pairs and acknowledge level
         words = (encode(protocol, 0), encode(protocol, 1), spacer_rails(protocol))
         self._stimuli = {p.name: [dict(zip(p.rails, w)) for w in words] for p in self.inputs}
+        self._spacer = {name: ws[2] for name, ws in self._stimuli.items()}
         self._const = {
             "data": {r: v for p in self.consts for r, v in zip(p.rails, words[p.const_value])},
             "return": {r: v for p in self.consts for r, v in zip(p.rails, words[2])},
@@ -153,9 +157,10 @@ class HandshakeHarness:
     # -- phase driving ------------------------------------------------------
 
     def _groups(self, phase: str, values: Mapping[str, int] | None,
-                order: Sequence[Sequence[str]] | None) -> list[dict[int, int]]:
+                order: Sequence[Sequence[str]] | None) -> list[Mapping[int, int]]:
         """Stimulus groups: constants first, then the data inputs either as a
-        single simultaneous batch or in the caller's arrival order."""
+        single simultaneous batch or in the caller's arrival order.  A group
+        of one input is that input's prebuilt rail dict, shared, not copied."""
         if phase == "data":
             if values is None:
                 raise TransactionError("data phase needs input values")
@@ -169,7 +174,7 @@ class HandshakeHarness:
                     raise ValueError(f"input {name}: bit must be 0 or 1, got {bit!r}")
                 rails[name] = words[bit]
         else:
-            rails = {name: words[2] for name, words in self._stimuli.items()}
+            rails = self._spacer
         const = self._const[phase]
 
         if order is None:
@@ -177,18 +182,18 @@ class HandshakeHarness:
             for r in rails.values():
                 batch.update(r)
             return [batch]
-        groups: list[dict[int, int]] = [const] if const else []
+        groups: list[Mapping[int, int]] = [const] if const else []
+        seen: set[str] = set()
         for names in order:
-            g: dict[int, int] = {}
             for name in names:
-                r = rails.pop(name, None)
-                if r is None:
-                    what = "repeats" if name in self._stimuli else "names unknown"
+                if name in seen or name not in rails:
+                    what = "repeats" if name in seen else "names unknown"
                     raise TransactionError(f"arrival order {what} input {name!r}")
-                g.update(r)
-            groups.append(g)
-        if rails:
-            raise TransactionError(f"arrival order misses inputs {sorted(rails)}")
+                seen.add(name)
+            groups.append(rails[names[0]] if len(names) == 1 else
+                          {r: v for name in names for r, v in rails[name].items()})
+        if len(seen) < len(rails):
+            raise TransactionError(f"arrival order misses inputs {sorted(rails.keys() - seen)}")
         return groups
 
     def run_phase(self, state: SimState, phase: str,
@@ -232,7 +237,8 @@ class HandshakeHarness:
 
         groups = self._groups(phase, values, order)
         final = len(groups) - 1
-        start = [(values_arr[p.rail1], values_arr[p.rail0]) for p in self.outputs] if final else []
+        snapshot = self._snapshot
+        start = snapshot(values_arr) if final else ()
         h0 = len(state.hazards)
         tr0 = state.transitions
         early: list[EarlyRecord] = []
@@ -242,9 +248,10 @@ class HandshakeHarness:
             for gi, group in enumerate(groups):
                 state.apply_and_settle(group)
                 if gi < final and last_move is not None:
-                    moved = tuple(p.name for p, s in zip(self.outputs, start)
-                                  if (values_arr[p.rail1], values_arr[p.rail0]) != s)
-                    if moved:
+                    rails = snapshot(values_arr)
+                    if rails != start:
+                        moved = tuple(p.name for i, p in enumerate(self.outputs)
+                                      if rails[2 * i:2 * i + 2] != start[2 * i:2 * i + 2])
                         early.append(EarlyRecord(gi, moved, not self._off_target(state, targets)))
         finally:
             state.watch, state.watched = prev

@@ -407,6 +407,9 @@ def stats(netlist: Netlist, weights: dict[str, float] | None = None) -> NetlistS
     unknown = sorted(set(weights) - set(counts))
     if unknown:
         raise ValueError(f"unknown gate kinds in weights: {unknown}")
+    negative = {k: w for k, w in weights.items() if w < 0}
+    if negative:
+        raise ValueError(f"area weights must be >= 0, got {negative}")
     area = sum(counts[k] * float(weights.get(k, 1.0)) for k in counts)
     return NetlistStats(counts=counts, total_gates=len(netlist.gates), area_proxy=area)
 
@@ -470,6 +473,13 @@ def _int(value) -> int:
     return value
 
 
+def _str(value) -> str:
+    """A JSON string field: a number, boolean or null is not one."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _gate_from_doc(i: int, g: dict) -> Gate:
     if not isinstance(g["inputs"], list):
         raise TypeError(f"inputs must be a list, got {g['inputs']!r}")
@@ -479,7 +489,7 @@ def _gate_from_doc(i: int, g: dict) -> Gate:
 
 def _port_from_doc(_i: int, p: dict) -> DualRailPort:
     return DualRailPort(
-        name=str(p["name"]), direction=str(p["dir"]),
+        name=_str(p["name"]), direction=_str(p["dir"]),
         rail1=_int(p["rail1"]), rail0=_int(p["rail0"]),
         const_value=(_int(p["const_value"]) if "const_value" in p else None),
         init=_int(p.get("init", 0)),
@@ -512,7 +522,7 @@ def from_json(text: str) -> Netlist:
         raise FormatError("top-level value must be an object")
     try:
         net_count = _int(doc["net_count"])
-        name = str(doc.get("name", ""))
+        name = _str(doc.get("name", ""))
         meta = dict(doc.get("meta", {}))
         gate_docs = doc["gates"]
         port_docs = doc["ports"]

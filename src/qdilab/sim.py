@@ -27,11 +27,26 @@ reading it; a gate's next value is then one table read, ``NEXT_STATE[code]``,
 and its present one ``code & 1``.  This is selective trace (Ulrich, CACM
 1969): only a changed input redoes a gate's work.
 
-Each queued event is one int heap key ``t << shift | net << 1 | value``,
-with ``shift`` wide enough for any ``net << 1 | value``, so keys pop in
-``(time, net id, value)`` order: events due at one time commit in ascending
-net id.  ``_pending[net]`` holds the key of the net's pending event, or -1;
-a popped key that no longer matches it was superseded and is skipped.
+Events wait in one of two queues, chosen by each settle from the resolved
+delays, not by an option; both commit in ``(time, net id)`` order.
+
+- The heap serves every delay model.  An event is one int heap key
+  ``t << shift | net << 1 | value``, with ``shift`` wide enough for any
+  ``net << 1 | value``, so keys pop in ``(time, net id, value)`` order.
+- Per-step lists serve a state whose resolved delays are all 1, while its
+  heap is empty.  An event committed at t can then only schedule t + 1, so
+  the settle walks one sorted list of the events due at t and appends what
+  it schedules to the next step's list, which it sorts once and makes the
+  current one.  A list key is ``net << 2 | (t & 1) << 1 | value``: the due
+  time's parity bit keeps apart an entry due at t that was superseded and
+  the event its gate is re-excited to, with the same value, due at t + 1.
+  No event is due later than t + 1, so one bit is enough.  When the limit
+  trips, the live list entries move to the heap as heap keys, and the
+  resumed settle finishes there.
+
+``_pending[net]`` holds the key of the net's pending event, or -1 (heap keys
+only, between settles).  A queued key that no longer matches it was
+superseded: it is skipped, and neither moves the clock nor counts.
 
 ``SimState.apply_and_settle`` is the one settle function.  It checks the
 stimuli (environment nets only, each the int 0 or 1), queues their keys at
@@ -167,7 +182,7 @@ class SimState:
     __slots__ = ("netlist", "protocol", "values", "now", "transitions",
                  "datapath_nets", "last_datapath_commit", "hazards", "watch",
                  "watched", "trace", "_compiled", "_env", "_code", "_sched",
-                 "_shift", "_heap", "_pending", "default_limit")
+                 "_shift", "_unit", "_heap", "_pending", "default_limit")
 
     def __init__(self, netlist: Netlist, protocol: Protocol, delays: list[int]):
         self.netlist = netlist
@@ -179,6 +194,9 @@ class SimState:
         # t schedules (t << shift) + _sched[g] + value
         self._shift = shift = netlist.net_count.bit_length() + 1
         self._sched = [d << shift | o << 1 for d, o in zip(delays, compiled.out)]
+        # every event is due one unit after its cause: settles run on the
+        # per-step lists
+        self._unit = all(d == 1 for d in delays)
         spacer = protocol.spacer_level
         self.values = values = [spacer if env else init
                                 for env, init in zip(self._env, netlist.net_init)]
@@ -223,7 +241,11 @@ class SimState:
         net_mask = (1 << shift - 1) - 1
         pop, push = heapq.heappop, heapq.heappush
         t = t0 = self.now
-        base = t0 << shift
+        # a settle resumed after a tripped limit finishes on the heap
+        unit = self._unit and not heap
+        # list keys are net << 2 | (t & 1) << 1 | value, heap keys
+        # t << shift | net << 1 | value
+        stamp, step = ((t0 & 1) << 1, 2) if unit else (t0 << shift, 1)
         stimuli = []
         for net, value in sorted(assignments.items()):
             if not 0 <= net < len(values) or not env[net]:
@@ -231,12 +253,16 @@ class SimState:
             if value not in (0, 1) or not isinstance(value, int):
                 raise StimulusError(f"net {net} assigned non-bit {value!r}")
             if values[net] != value:
-                stimuli.append(base | net << 1 | value)
+                stimuli.append(stamp | net << step | value)
         # stimuli commit now, in net order, ahead of every gate event (whose
         # delay is at least one)
-        for key in stimuli:
-            pending[key >> 1 & net_mask] = key
-            push(heap, key)
+        if unit:
+            for key in stimuli:
+                pending[key >> 2] = key
+        else:
+            for key in stimuli:
+                pending[key >> 1 & net_mask] = key
+                push(heap, key)
         datapath, last_datapath = self.datapath_nets, self.last_datapath_commit
         hazards = self.hazards
         h0 = len(hazards)
@@ -249,6 +275,57 @@ class SimState:
         cap = limit + len(stimuli)
         commits = 0
         try:
+            if unit:
+                # one sorted list of the keys due at t; what a commit at t
+                # schedules is due at t + 1 and goes on the next list
+                cur, nxt = stimuli, []
+                while cur:
+                    stamp ^= 2  # the parity bit of t + 1
+                    c_step = commits
+                    for key in cur:
+                        net = key >> 2
+                        if pending[net] != key:
+                            continue  # superseded entry
+                        if commits >= cap:
+                            self._requeue(t, cur, nxt)
+                            if commits == c_step and t > t0:
+                                t -= 1  # nothing has committed at t yet
+                            raise NonQuiescenceError(f"no quiescence within {limit} events")
+                        commits += 1
+                        pending[net] = -1
+                        val = key & 1
+                        values[net] = val  # a commit always flips its net
+                        code[driver[net]] ^= 1
+                        if net < datapath:
+                            last_datapath = t
+                        if watched[net] and watch is not None:
+                            watch(t, net, val)
+                        if trace is not None:
+                            trace(t, net, val)
+                        for g, mask, o in fanout[net]:
+                            k = code[g] ^ mask
+                            code[g] = k
+                            tgt = NEXT_STATE[k]
+                            p = pending[o]
+                            if p >= 0:
+                                if p & 1 == tgt:
+                                    continue
+                                hazards.append(HazardRecord(t, g, o, p & 1, tgt))
+                                pending[o] = -1
+                                if tgt == k & 1:
+                                    continue
+                            elif tgt == k & 1:
+                                continue
+                            p = o << 2 | stamp | tgt
+                            pending[o] = p
+                            nxt.append(p)
+                    if not nxt:
+                        if commits == c_step:
+                            t -= 1  # every entry at t was superseded
+                        break
+                    nxt.sort()
+                    cur, nxt = nxt, []
+                    t += 1
             while heap:
                 key = pop(heap)
                 net = key >> 1 & net_mask
@@ -293,6 +370,19 @@ class SimState:
             self.last_datapath_commit = last_datapath
         return SettleReport(elapsed=t - t0, transitions=commits,
                             hazards=hazards[h0:], steps=commits - len(stimuli))
+
+    def _requeue(self, t: int, due: list[int], after: list[int]) -> None:
+        """Move the live entries of the per-step lists, ``due`` at t and
+        ``after`` it at t + 1, into the (empty) heap as full heap keys; an
+        entry already committed or superseded no longer matches ``_pending``."""
+        pending, heap, shift = self._pending, self._heap, self._shift
+        for when, keys in ((t, due), (t + 1, after)):
+            for key in keys:
+                net = key >> 2
+                if pending[net] == key:
+                    pending[net] = p = when << shift | net << 1 | key & 1
+                    heap.append(p)
+        heapq.heapify(heap)
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""

@@ -88,6 +88,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     bool_delays.write_text(json.dumps({"C2": True}))
     nan_weights = tmp_path / "nan.json"
     nan_weights.write_text(json.dumps({"AND2": float("nan")}))
+    negative_weights = tmp_path / "negative.json"
+    negative_weights.write_text(json.dumps({"C2": -3}))
     bad_config = tmp_path / "bad.cfg"
     bad_config.write_text("component = nosuch\n")
     and2 = tmp_path / "and.json"  # an RTZ netlist cannot reset under RTO
@@ -98,6 +100,12 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                                       (json.loads(and2.read_text()), {"component": [1]})]):
         bad_meta.append(tmp_path / f"meta{i}.json")
         bad_meta[-1].write_text(json.dumps({**base, "meta": meta}))
+    numeric_names = []  # a netlist or port name that is a number, not a string
+    for i, doc in enumerate(({**mult2, "name": 5},
+                             {**mult2, "ports": [{**mult2["ports"][0], "name": 7},
+                                                 *mult2["ports"][1:]]})):
+        numeric_names.append(tmp_path / f"name{i}.json")
+        numeric_names[-1].write_text(json.dumps(doc))
     for argv in (["verify", "--netlist", str(bad_netlist)],
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_kind)],
                  ["verify", "--n", "2", "--delay", "pergate", "--delay-table", str(bad_gate)],
@@ -107,6 +115,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(fraction_delays)],
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bool_delays)],
                  ["bench", "--n", "2", "--weights", str(nan_weights)],
+                 ["build", "--n", "2", "--weights", str(negative_weights)],
+                 *(["verify", "--netlist", str(p)] for p in numeric_names),
                  ["classify", "--config", str(bad_config)],
                  ["fuzz", "--n", "2", "--transactions", "0"],
                  ["verify", "--netlist", str(and2), "--protocol", "rto"],
@@ -120,6 +130,12 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  *([cmd, "--n", "2", "--trace", str(tmp_path / "t.csv")]
                    for cmd in ("classify", "fuzz", "scale", "bench")),
                  ["verify", "--n", "2", "--dot", str(tmp_path / "m.dot")],
+                 ["fuzz", "--n", "2", "--delay", "pergate"],
+                 ["verify", "--n", "2", "--weights", str(nan_weights)],
+                 ["classify", "--component", "weak_fa", "--weights", str(nan_weights),
+                  "--delay-table", str(bad_kind)],
+                 *([cmd, "--n", "2", "--delay-table", str(bad_kind)]
+                   for cmd in ("build", "export", "fuzz")),
                  *([cmd, "--netlist", str(and2)] for cmd in ("bench", "scale")),
                  *([cmd, "--component", "strong_and2"] for cmd in ("bench", "scale"))):
         with pytest.raises(SystemExit) as exc:
@@ -133,7 +149,13 @@ def test_an_ignored_option_names_the_commands_that_read_it(capsys):
                            "--component is read only by build, export, verify, classify, "
                            "fuzz; bench would ignore it"),
                           (["fuzz", "--trace", "t.csv"],
-                           "--trace is read only by verify; fuzz would ignore it")):
+                           "--trace is read only by verify; fuzz would ignore it"),
+                          (["build", "--delay-table", "d.json"],
+                           "--delay-table is read only by verify, bench, scale, classify; "
+                           "build would ignore it"),
+                          (["fuzz", "--delay", "random"],
+                           "fuzz draws random delays from --delay-low/--delay-high; "
+                           "--delay random would be ignored")):
         with pytest.raises(SystemExit):
             run_inproc(*argv)
         assert message in capsys.readouterr().err

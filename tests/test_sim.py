@@ -18,6 +18,7 @@ from qdilab.sim import (HazardRecord, InitializationError, NonQuiescenceError,
                         RandomUniformDelay, StimulusError, TableDelay,
                         UnitDelay, initialize)
 
+from reference_kernel import ReferenceKernel
 from test_analysis import dead_end_and2
 
 
@@ -344,7 +345,7 @@ def _pinned_case(case):
         seed = int(case.rsplit("_", 1)[1])
         harness = HandshakeHarness(
             array_multiplier(MultiplierSpec(4, Protocol.RTZ, "weak_fa")), Protocol.RTZ)
-        delays = RandomUniformDelay(1, 16, seed)
+        delays = UnitDelay() if "_unit_" in case else RandomUniformDelay(1, 16, seed)
         vectors = _vectors(harness, seed, 6)
     elif case.startswith("dead_end_and2"):
         seed = int(case.rsplit("_", 1)[1])
@@ -364,6 +365,9 @@ def _pinned_case(case):
 # Cases with a hazard: both wire cases (an inertially cancelled AND pulse).
 # Cases with post-completion commits: dead_end_and2 at seeds 3 and 6.  No
 # benchmark workload records a hazard, so their goldens miss that path.
+# mult4x4_weak_fa_unit_1 runs unit delays, so the per-step lists, over a real
+# design with staggered arrival orders; its digests were recorded with the
+# heap kernel.
 PINNED = {
     "mult4x4_weak_fa_1": {"trace": "fec70730520d6a05", "hazards": "4f53cda18c2baa0c", "reports": "fbed05de53c02b11",
                           "values": "efb609674febaa28", "harness": "9aaa7348c2adf37b"},
@@ -371,6 +375,9 @@ PINNED = {
                           "values": "efb609674febaa28", "harness": "f7e1181076495c4f"},
     "mult4x4_weak_fa_3": {"trace": "a1399f501692fb8e", "hazards": "4f53cda18c2baa0c", "reports": "cec6097bed3efb6a",
                           "values": "efb609674febaa28", "harness": "4408add7dee5579c"},
+    "mult4x4_weak_fa_unit_1": {"trace": "8d5612ef6c837910", "hazards": "4f53cda18c2baa0c",
+                               "reports": "4a669f3bafe0323c", "values": "efb609674febaa28",
+                               "harness": "8deeb002ab611b02"},
     "wire_equal": {"trace": "d2dbc6abc044c641", "hazards": "08cd552b6ef993e5", "reports": "67d09d3e13219195",
                    "values": "390401748a789fa6"},
     "wire_and_slow": {"trace": "fe859993d417bd32", "hazards": "886fca5870e4c243", "reports": "961394578181493a",
@@ -385,3 +392,109 @@ PINNED = {
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_pinned_traces_hazards_and_reports(case):
     assert _pinned_case(case) == PINNED[case]
+
+
+# ---------------------------------------------------------------------------
+# the reference kernel: random netlists settled by SimState and by the naive
+# kernel in reference_kernel.py must agree event for event
+
+@st.composite
+def kernel_cases(draw):
+    """A random RTZ netlist of 2-12 gates over 1-3 input ports, maybe closed
+    through a C2 feedback loop, whose reset state is quiescent, and the
+    settles to run on it: each a stimulus batch and a limit (small ones
+    trip, and the next settle resumes)."""
+    b = NetlistBuilder("rand")
+    init: dict[int, int] = {}
+    rails = [r for i in range(draw(st.integers(1, 3))) for r in b.add_input_port(f"I{i}").rails]
+    init.update((r, 0) for r in rails)
+    loop = b.new_net() if draw(st.booleans()) else None  # driven last, by a C2
+    if loop is not None:
+        init[loop] = 0
+    for _ in range(draw(st.integers(2, 12))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        a = draw(st.sampled_from(sorted(init)))
+        inputs = (a,) if kind is GateKind.INV else (
+            a, a if draw(st.integers(0, 3)) == 0 else draw(st.sampled_from(sorted(init))))
+        code = KIND_CODE[kind] << 3 | init[inputs[0]] << 2 | init[inputs[-1]] << 1
+        out = b.add_gate(kind, inputs, init=NEXT_STATE[code])
+        init[out] = NEXT_STATE[code]
+    if loop is not None:
+        # C2(a, m) with m downstream of the loop: a 1 on both would excite
+        # the C2 at reset, so a then reads an input rail, which resets to 0
+        m = draw(st.sampled_from(sorted(init)))
+        a = draw(st.sampled_from(sorted(init) if init[m] == 0 else rails))
+        b.wire_gate(GateKind.C2, (a, m), loop, init=0)
+    netlist = b.build_unchecked()
+    settles = draw(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(rails), st.integers(0, 1)),
+        st.one_of(st.integers(0, 4), st.just(1000))), min_size=1, max_size=5))
+    return netlist, settles
+
+
+def _run_against_reference(netlist, delays, settles):
+    state = initialize(netlist, Protocol.RTZ, delays)
+    ref = ReferenceKernel(netlist, Protocol.RTZ, delays.resolve(netlist))
+    trace = []
+    state.trace = lambda t, net, val: trace.append((t, net, val))
+    for assignments, limit in settles:
+        outcomes = []
+        for settle in (state.apply_and_settle, ref.settle):
+            try:
+                outcomes.append(asdict(settle(assignments, limit)))
+            except NonQuiescenceError:
+                outcomes.append("no quiescence")
+        assert outcomes[0] == outcomes[1]
+        assert (trace, state.hazards, state.values, state.now) == (
+            ref.trace, ref.hazards, ref.values, ref.now)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(), st.data())
+def test_kernel_matches_the_reference_kernel(case, data):
+    """Unit delays run on the per-step lists, delays of 1-3 per gate on the
+    heap; both must match the reference in traces, hazards, values, time
+    and every report field, through tripped limits and resumes."""
+    netlist, settles = case
+    table = {g.id: data.draw(st.integers(1, 3)) for g in netlist.gates}
+    for delays in (UnitDelay(), TableDelay(table)):
+        _run_against_reference(netlist, delays, settles)
+
+
+def test_a_cancelled_entry_at_t_does_not_commit_its_rescheduled_event():
+    """Under unit delays, OR gate o is excited to 1 at t=1 by the pulse on
+    ``a``, disabled at t=2 when the pulse ends, and excited to 1 again at
+    t=2 by ``b``, which has a higher net id than ``a``: the stale event due
+    at t=2 and the new one due at t=3 carry the same net and value, and only
+    the new one may commit."""
+    b = NetlistBuilder("parity")
+    x = b.add_input_port("X")
+    a = b.new_net()
+    n = b.add_gate(GateKind.INV, (x.rail1,))
+    b.wire_gate(GateKind.AND2, (x.rail1, n), a, init=0)  # pulses 1 at t=1, 0 at t=2
+    c = b.add_gate(GateKind.OR2, (x.rail1, x.rail1))
+    rise = b.add_gate(GateKind.OR2, (c, c))  # rises at t=2
+    o = b.add_gate(GateKind.OR2, (a, rise))
+    netlist = b.build()
+    state = initialize(netlist, Protocol.RTZ)
+    events = []
+    state.trace = lambda t, net, val: events.append((t, net, val))
+    report = state.apply_and_settle({x.rail1: 1})
+    assert [e for e in events if e[1] == o] == [(3, o, 1)]
+    assert report.hazards == [HazardRecord(2, 4, o, 1, 0)]
+    assert (report.elapsed, state.now, state.values[o]) == (3, 3, 1)
+
+
+def test_a_step_of_superseded_entries_does_not_move_the_clock():
+    """Under unit delays, X rising and Y falling at once excite the AND of
+    the two and disable it within the same step: its event due a step later
+    is superseded, nothing commits then, and the settle ends at the last
+    commit."""
+    b = NetlistBuilder("cancel")
+    x, y = b.add_input_port("X"), b.add_input_port("Y")
+    z = b.add_gate(GateKind.AND2, (x.rail1, y.rail1))
+    state = initialize(b.build(), Protocol.RTZ)
+    state.apply_and_settle({y.rail1: 1})  # the AND stays low
+    report = state.apply_and_settle({x.rail1: 1, y.rail1: 0})
+    assert (report.elapsed, report.transitions, state.now) == (0, 2, 0)
+    assert report.hazards == [HazardRecord(0, 0, z, 1, 0)]
