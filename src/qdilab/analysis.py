@@ -16,7 +16,8 @@ from typing import Callable, Mapping, Sequence
 from .encoding import Protocol
 from .handshake import HandshakeHarness, TransactionError, TransactionMetrics
 from .netlist import Netlist, stats
-from .sim import DelayModel, RandomUniformDelay, SimulationError, UnitDelay
+from .sim import (DelayModel, RandomUniformDelay, SimulationError, UnitDelay,
+                  uniform_draws)
 
 Oracle = Callable[[Mapping[str, int]], Mapping[str, int]]
 
@@ -37,7 +38,7 @@ def _sampled_codewords(names: Sequence[str], limit: int, seed: int):
     yield {name: 1 for name in names}
     rng = random.Random(seed)
     for _ in range(limit):
-        yield {name: rng.randint(0, 1) for name in names}
+        yield dict(zip(names, uniform_draws(rng, 0, 1, len(names))))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +268,10 @@ def orphan_scan(netlist: Netlist, protocol: Protocol, oracle: Oracle,
     rng = random.Random(seed)
     for trial in range(trials):
         delay_seed = rng.getrandbits(32)
-        vec_rng = random.Random(rng.getrandbits(32))
-        vectors = [{n: vec_rng.randint(0, 1) for n in names}
-                   for _ in range(transactions)]
+        # one draw for all the vectors, vector by vector, input by input
+        w = len(names)
+        bits = uniform_draws(random.Random(rng.getrandbits(32)), 0, 1, w * transactions)
+        vectors = [dict(zip(names, bits[i * w:i * w + w])) for i in range(transactions)]
         delays = RandomUniformDelay(delay_low, delay_high, delay_seed)
         state = harness.initialize(delays)
         for ti, vec in enumerate(vectors):

@@ -36,10 +36,10 @@ CHOICES = {"protocol": ("rtz", "rto"), "fa": tuple(sorted(FA_VARIANTS)),
 SCALE_SAMPLES = 64
 # the commands that read each option some command would otherwise ignore
 _TARGET_READERS = ("build", "export", "verify", "classify", "fuzz")
+_DELAY_READERS = ("verify", "bench", "scale", "classify")  # the --delay model
 READERS = {"trace": ("verify",), "dot": ("build", "export"),
            "netlist": _TARGET_READERS, "component": _TARGET_READERS,
-           "weights": ("build", "bench"),
-           "delay_table": ("verify", "bench", "scale", "classify")}
+           "weights": ("build", "bench"), "delay_table": _DELAY_READERS}
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CliConfig:
     config = CliConfig()
+    from_file: dict = {}
     if args.config:
         try:
-            config = replace(config, **load_config_file(args.config))
+            from_file = load_config_file(args.config)
+            config = replace(config, **from_file)
         except (OSError, ValueError, TypeError) as e:
             parser.error(str(e))
     overrides = {f.name: getattr(args, f.name) for f in fields(CliConfig)
                  if getattr(args, f.name, None) is not None}
     config = replace(config, **overrides)
+    given = from_file.keys() | overrides.keys()  # a default is not given
     if config.n < 2:
         parser.error(f"--n must be >= 2, got {config.n}")
     for key, allowed in CHOICES.items():
@@ -142,12 +145,23 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
         if getattr(config, key) < 1:
             parser.error(f"--{key} must be >= 1")
     for key, commands in READERS.items():
-        if getattr(config, key) is not None and args.command not in commands:
+        if key in given and args.command not in commands:
             parser.error(f"--{key.replace('_', '-')} is read only by {', '.join(commands)}; "
                          f"{args.command} would ignore it")
     if args.command == "fuzz" and config.delay != CliConfig.delay:
         parser.error(f"fuzz draws random delays from --delay-low/--delay-high; "
                      f"--delay {config.delay} would be ignored")
+    # the options that only some delay models read
+    model = f"{args.command} --delay {config.delay}" if args.command in _DELAY_READERS \
+        else args.command
+    if "delay_table" in given and config.delay not in ("perkind", "pergate"):
+        parser.error(f"--delay-table is read only by --delay perkind and pergate; "
+                     f"{model} would ignore it")
+    for key in ("delay_low", "delay_high"):
+        if key in given and args.command != "fuzz" and not (
+                config.delay == "random" and args.command in _DELAY_READERS):
+            parser.error(f"--{key.replace('_', '-')} is read only by fuzz and by "
+                         f"--delay random; {model} would ignore it")
     return config
 
 

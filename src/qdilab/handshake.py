@@ -113,7 +113,8 @@ class HandshakeHarness:
         self._snapshot = itemgetter(*(r for p in self.outputs for r in p.rails))
         # built once: each input's rail dicts indexed by bit (the spacer at
         # index 2), and by name its spacer dict alone, the constants' rails
-        # per phase, and each phase's target rail pairs and acknowledge level
+        # per phase, the return phase's one simultaneous batch, and each
+        # phase's target rail pairs and acknowledge level
         words = (encode(protocol, 0), encode(protocol, 1), spacer_rails(protocol))
         self._stimuli = {p.name: [dict(zip(p.rails, w)) for w in words] for p in self.inputs}
         self._spacer = {name: ws[2] for name, ws in self._stimuli.items()}
@@ -121,6 +122,9 @@ class HandshakeHarness:
             "data": {r: v for p in self.consts for r, v in zip(p.rails, words[p.const_value])},
             "return": {r: v for p in self.consts for r, v in zip(p.rails, words[2])},
         }
+        self._return_batch = dict(self._const["return"])
+        for rails in self._spacer.values():
+            self._return_batch.update(rails)
         self._targets = {"data": (set(words[:2]), protocol.active_level),
                          "return": ({words[2]}, protocol.spacer_level)}
         # the bit of each (rail1, rail0) pair, None for the spacer and an
@@ -160,7 +164,9 @@ class HandshakeHarness:
                 order: Sequence[Sequence[str]] | None) -> list[Mapping[int, int]]:
         """Stimulus groups: constants first, then the data inputs either as a
         single simultaneous batch or in the caller's arrival order.  A group
-        of one input is that input's prebuilt rail dict, shared, not copied."""
+        of one input is that input's prebuilt rail dict, and the return
+        phase's simultaneous batch is prebuilt too: both are shared, not
+        copied."""
         if phase == "data":
             if values is None:
                 raise TransactionError("data phase needs input values")
@@ -173,6 +179,8 @@ class HandshakeHarness:
                 if bit not in (0, 1):  # a bit of 2 or -1 would index the spacer
                     raise ValueError(f"input {name}: bit must be 0 or 1, got {bit!r}")
                 rails[name] = words[bit]
+        elif order is None:
+            return [self._return_batch]
         else:
             rails = self._spacer
         const = self._const[phase]

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 NetId = int
 
@@ -62,6 +62,16 @@ NEXT_STATE = (
     1, 1, 1, 1, 0, 0, 0, 0,  # INV:  not a
     0, 0, 0, 1, 0, 1, 1, 1,  # C2:   a if a == b else cur
 )
+
+
+def first_excited(codes: Sequence[int]) -> int | None:
+    """The position of the first gate code whose ``NEXT_STATE`` entry
+    differs from its present output (bit 0), or None.  Bits above the
+    table index (the simulator's pending flag) are ignored."""
+    for g, c in enumerate(codes):
+        if NEXT_STATE[c & 31] != c & 1:
+            return g
+    return None
 
 
 @dataclass(frozen=True)
@@ -154,6 +164,17 @@ class Netlist:
         return CompiledNetlist(self)
 
 
+class ResetImage(NamedTuple):
+    """A compiled netlist's reset state at one spacer level: every net's
+    value (input rails at the spacer, every other net at its stored init),
+    every gate's code followed by the spare slot's 0, and the first excited
+    gate, or None when the state is quiescent."""
+
+    values: list[int]
+    code: list[int]
+    excited: int | None
+
+
 class CompiledNetlist:
     """A netlist flattened into per-gate and per-net arrays.
 
@@ -169,9 +190,15 @@ class CompiledNetlist:
     a change of ``n`` flips; the rails of input ports all map to one spare
     slot, ``len(gates)``.  ``env[n]`` is true for those rails.  Gates are
     indexed by position, which validation requires to equal ``Gate.id``.
+
+    The per-gate arrays only seed the reset images: ``reset_image(spacer)``
+    builds the reset values, codes and excited-gate check once per spacer
+    level, on first use, and keeps them here, with the compiled form, so
+    they live exactly as long as the netlist.
     """
 
-    __slots__ = ("kind", "in0", "in1", "out", "fanout", "driver", "env")
+    __slots__ = ("kind", "in0", "in1", "out", "fanout", "driver", "env",
+                 "net_init", "_images")
 
     def __init__(self, netlist: Netlist):
         gates = netlist.gates
@@ -193,6 +220,19 @@ class CompiledNetlist:
         for p in netlist.ports:
             if p.direction == "input":
                 self.env[p.rail1] = self.env[p.rail0] = True
+        self.net_init = netlist.net_init
+        self._images: dict[int, ResetImage] = {}
+
+    def reset_image(self, spacer: int) -> ResetImage:
+        """The reset state with the input rails at ``spacer``.  The image is
+        shared by every caller, so a simulation state copies its lists."""
+        image = self._images.get(spacer)
+        if image is None:
+            values = [spacer if env else init for env, init in zip(self.env, self.net_init)]
+            code = [k | values[a] << 2 | values[b] << 1 | values[o] for k, a, b, o
+                    in zip(self.kind, self.in0, self.in1, self.out)]
+            image = self._images[spacer] = ResetImage(values, code + [0], first_excited(code))
+        return image
 
 
 def validate(netlist: Netlist) -> ValidationReport:

@@ -6,26 +6,42 @@ is initialized, so a seeded random assignment stays fixed for the whole run.
 Scheduling is inertial: a gate output carries at most one pending event, and
 an input change that disagrees with a pending event cancels it and records a
 hazard (a disabled excitation), which is how indication violations become
-observable.
+observable.  ``RandomUniformDelay`` draws its delays with ``uniform_draws``,
+which makes the same ``getrandbits`` calls as ``randint`` without its call
+layers: the same delays, and the generator left in the same state.
 
 Reset computes nothing: ``initialize`` seeds the input rails at the spacer
 level and every other net at its stored init, and raises if any gate is
 excited there (validation already holds each combinational init to the reset
-levels of its inputs, so no relaxation is needed).
+levels of its inputs, so no relaxation is needed).  That state depends only
+on the netlist and the spacer level, not on the delays, so the compiled form
+builds it, with its gate codes and its excited-gate check, once per level
+(``CompiledNetlist.reset_image``); each state copies the image's lists, and
+``initialize`` raises on every call from the image's excited gate.
 
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
-fanout entries and drivers, the per-gate arrays that seed the gate codes, and
-the one ``NEXT_STATE`` table of gate functions).  It is built the first time
+fanout entries and drivers, the per-gate arrays that seed the reset images,
+and the one ``NEXT_STATE`` table of gate functions).  It is built the first time
 a state is initialized over a netlist, not when the netlist is built or
 validated, and is shared by every later state over the same netlist.
 
 Each gate's ``NEXT_STATE`` index, its *code* ``kind | a << 2 | b << 1 |
-cur``, is kept by the state in ``_code`` and built from ``values`` once, at
-construction.  Every commit flips its net's value, so it XORs 1 into the code
-of the net's driver and each fanout entry's mask into the code of the gate
-reading it; a gate's next value is then one table read, ``NEXT_STATE[code]``,
-and its present one ``code & 1``.  This is selective trace (Ulrich, CACM
-1969): only a changed input redoes a gate's work.
+cur``, is kept by the state in ``_code``, copied from the reset image at
+construction, with bit 5 (32) set while the gate's output has an event
+pending.  Every commit flips its net's value, so it XORs each fanout entry's
+mask into the code of the gate reading it, and 33 into the code of the net's
+driver (flip ``cur``, clear the pending flag).  A gate's next value is then
+one table read, ``NEXT_STATE[code & 31]``, and its present one ``code & 1``.
+This is selective trace (Ulrich, CACM 1969): only a changed input redoes a
+gate's work.
+
+A fanout visit reads one more table, ``FIRE``, derived from ``NEXT_STATE``:
+``FIRE[code]`` is set when the gate is excited with nothing pending (it
+schedules ``cur ^ 1``) or has an event pending but is no longer excited (the
+event is disabled and recorded as a hazard); either way the visit flips the
+pending flag.  A pending event's value always differs from ``cur``, so the
+flag stands for the value too, and a disabled event never reschedules in
+the same visit.
 
 Events wait in one of two queues, chosen by each settle from the resolved
 delays, not by an option; both commit in ``(time, net id)`` order.
@@ -46,7 +62,9 @@ delays, not by an option; both commit in ``(time, net id)`` order.
 
 ``_pending[net]`` holds the key of the net's pending event, or -1 (heap keys
 only, between settles).  A queued key that no longer matches it was
-superseded: it is skipped, and neither moves the clock nor counts.
+superseded: it is skipped, and neither moves the clock nor counts.  The
+pending flag says whether a gate has an event; ``_pending`` says which queue
+entry it is.
 
 ``SimState.apply_and_settle`` is the one settle function.  It checks the
 stimuli (environment nets only, each the int 0 or 1), queues their keys at
@@ -69,7 +87,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .encoding import Protocol
-from .netlist import NEXT_STATE, GateKind, Netlist
+from .netlist import NEXT_STATE, GateKind, Netlist, first_excited
 
 
 class SimulationError(Exception):
@@ -88,6 +106,29 @@ class NonQuiescenceError(SimulationError):
 class StimulusError(SimulationError):
     """An assignment targeted a net the environment does not drive, or
     assigned it something other than the int 0 or 1."""
+
+
+# 1 where a gate code, pending flag (32) included, calls for action: an
+# excited gate with nothing pending schedules, and a gate whose pending event
+# no longer matches its function has that event disabled
+FIRE = tuple(NEXT_STATE[k & 31] ^ k & 1 ^ k >> 5 for k in range(64))
+
+
+def uniform_draws(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """``[rng.randint(low, high) for _ in range(count)]``, without the
+    per-draw call layers: the same ``getrandbits(k)`` calls, with the same
+    rejection loop, that ``randint`` makes through ``randrange``, so the
+    draws and the state ``rng`` is left in are the same."""
+    n = high - low + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(low + r)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -141,8 +182,8 @@ class RandomUniformDelay:
     def resolve(self, netlist: Netlist) -> list[int]:
         if self.low < 1 or self.high < self.low:
             raise ValueError(f"bad delay range [{self.low}, {self.high}]")
-        rng = random.Random(self.seed)
-        return [rng.randint(self.low, self.high) for _ in netlist.gates]
+        return uniform_draws(random.Random(self.seed), self.low, self.high,
+                             len(netlist.gates))
 
 
 DelayModel = UnitDelay | TableDelay | RandomUniformDelay
@@ -196,13 +237,13 @@ class SimState:
         self._sched = [d << shift | o << 1 for d, o in zip(delays, compiled.out)]
         # every event is due one unit after its cause: settles run on the
         # per-step lists
-        self._unit = all(d == 1 for d in delays)
-        spacer = protocol.spacer_level
-        self.values = values = [spacer if env else init
-                                for env, init in zip(self._env, netlist.net_init)]
-        # one code per gate, plus the spare slot that input-rail commits flip
-        self._code = [k | values[a] << 2 | values[b] << 1 | values[o] for k, a, b, o
-                      in zip(compiled.kind, compiled.in0, compiled.in1, compiled.out)] + [0]
+        self._unit = delays.count(1) == len(delays)
+        # the reset state, copied from the image shared by every state over
+        # this netlist: one code per gate, plus the spare slot that
+        # input-rail commits flip
+        image = compiled.reset_image(protocol.spacer_level)
+        self.values = image.values[:]
+        self._code = image.code[:]
         self.now = 0
         self.transitions = 0
         self.datapath_nets = 0
@@ -214,16 +255,6 @@ class SimState:
         self._heap: list[int] = []
         self._pending = [-1] * netlist.net_count
         self.default_limit = 10_000 + 200 * max(1, len(netlist.gates))
-
-    # -- event machinery ----------------------------------------------------
-
-    def _excited(self) -> int | None:
-        """The first gate whose output differs from its function of the
-        present net values, or None when no gate is excited."""
-        for g, c in enumerate(self._code[:-1]):  # the spare slot is no gate
-            if NEXT_STATE[c] != c & 1:
-                return g
-        return None
 
     # -- public surface -----------------------------------------------------
 
@@ -295,7 +326,7 @@ class SimState:
                         pending[net] = -1
                         val = key & 1
                         values[net] = val  # a commit always flips its net
-                        code[driver[net]] ^= 1
+                        code[driver[net]] ^= 33  # flip cur, clear pending
                         if net < datapath:
                             last_datapath = t
                         if watched[net] and watch is not None:
@@ -304,21 +335,16 @@ class SimState:
                             trace(t, net, val)
                         for g, mask, o in fanout[net]:
                             k = code[g] ^ mask
+                            if FIRE[k]:
+                                if k & 32:  # the pending event is disabled
+                                    hazards.append(HazardRecord(t, g, o, k & 1 ^ 1, k & 1))
+                                    pending[o] = -1
+                                else:
+                                    p = o << 2 | stamp | (k & 1 ^ 1)
+                                    pending[o] = p
+                                    nxt.append(p)
+                                k ^= 32
                             code[g] = k
-                            tgt = NEXT_STATE[k]
-                            p = pending[o]
-                            if p >= 0:
-                                if p & 1 == tgt:
-                                    continue
-                                hazards.append(HazardRecord(t, g, o, p & 1, tgt))
-                                pending[o] = -1
-                                if tgt == k & 1:
-                                    continue
-                            elif tgt == k & 1:
-                                continue
-                            p = o << 2 | stamp | tgt
-                            pending[o] = p
-                            nxt.append(p)
                     if not nxt:
                         if commits == c_step:
                             t -= 1  # every entry at t was superseded
@@ -339,7 +365,7 @@ class SimState:
                 t = key >> shift
                 val = key & 1
                 values[net] = val  # a commit always flips its net
-                code[driver[net]] ^= 1
+                code[driver[net]] ^= 33  # flip cur, clear pending
                 if net < datapath:
                     last_datapath = t
                 if watched[net] and watch is not None:
@@ -349,21 +375,16 @@ class SimState:
                 base = t << shift
                 for g, mask, o in fanout[net]:
                     k = code[g] ^ mask
+                    if FIRE[k]:
+                        if k & 32:  # the pending event is disabled
+                            hazards.append(HazardRecord(t, g, o, k & 1 ^ 1, k & 1))
+                            pending[o] = -1
+                        else:
+                            p = base + sched[g] + (k & 1 ^ 1)
+                            pending[o] = p
+                            push(heap, p)
+                        k ^= 32
                     code[g] = k
-                    tgt = NEXT_STATE[k]
-                    p = pending[o]
-                    if p >= 0:
-                        if p & 1 == tgt:
-                            continue
-                        hazards.append(HazardRecord(t, g, o, p & 1, tgt))
-                        pending[o] = -1
-                        if tgt == k & 1:
-                            continue
-                    elif tgt == k & 1:
-                        continue
-                    p = base + sched[g] + tgt
-                    pending[o] = p
-                    push(heap, p)
         finally:
             self.now = t
             self.transitions += commits
@@ -386,7 +407,8 @@ class SimState:
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""
-        return max(self._pending, default=-1) < 0 and self._excited() is None
+        # the spare slot is no gate
+        return max(self._pending, default=-1) < 0 and first_excited(self._code[:-1]) is None
 
 
 def initialize(netlist: Netlist, protocol: Protocol,
@@ -394,11 +416,11 @@ def initialize(netlist: Netlist, protocol: Protocol,
     """Build the reset-state simulation at time zero: input rails at the
     spacer level, every other net at its stored init.  That state must
     already be quiescent; reset computes nothing, it only checks."""
-    state = SimState(netlist, protocol, delay_model.resolve(netlist))
-    g = state._excited()
+    delays = delay_model.resolve(netlist)
+    g = netlist.compiled.reset_image(protocol.spacer_level).excited
     if g is not None:
         raise InitializationError(f"reset state is not quiescent under "
                                   f"{protocol.value}: gate {g} "
                                   f"({netlist.gates[g].kind.value}) is excited")
-    return state
+    return SimState(netlist, protocol, delays)
 

@@ -92,6 +92,10 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     negative_weights.write_text(json.dumps({"C2": -3}))
     bad_config = tmp_path / "bad.cfg"
     bad_config.write_text("component = nosuch\n")
+    good_delays = tmp_path / "delays.json"  # read by perkind, ignored by the rest
+    good_delays.write_text(json.dumps({"AND2": 2}))
+    low_config = tmp_path / "low.cfg"
+    low_config.write_text("delay_low = 5\n")
     and2 = tmp_path / "and.json"  # an RTZ netlist cannot reset under RTO
     assert run_inproc("export", "--component", "strong_and2", "--out", str(and2)) == 0
     mult2 = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
@@ -137,6 +141,12 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  *([cmd, "--n", "2", "--delay-table", str(bad_kind)]
                    for cmd in ("build", "export", "fuzz")),
                  *([cmd, "--netlist", str(and2)] for cmd in ("bench", "scale")),
+                 # delay options the chosen delay model does not read
+                 *(["verify", "--n", "2", *delay, "--delay-table", str(good_delays)]
+                   for delay in ([], ["--delay", "random"])),
+                 ["verify", "--n", "2", "--delay-low", "5"],
+                 ["verify", "--n", "2", "--config", str(low_config)],
+                 ["scale", "--n", "2", "--delay-high", "9"],
                  *([cmd, "--component", "strong_and2"] for cmd in ("bench", "scale"))):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
@@ -155,7 +165,10 @@ def test_an_ignored_option_names_the_commands_that_read_it(capsys):
                            "build would ignore it"),
                           (["fuzz", "--delay", "random"],
                            "fuzz draws random delays from --delay-low/--delay-high; "
-                           "--delay random would be ignored")):
+                           "--delay random would be ignored"),
+                          (["verify", "--delay-low", "5"],
+                           "--delay-low is read only by fuzz and by --delay random; "
+                           "verify --delay unit would ignore it")):
         with pytest.raises(SystemExit):
             run_inproc(*argv)
         assert message in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Event-driven simulator: reset, delays, hazards, determinism."""
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import asdict
@@ -15,8 +16,8 @@ from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
 from qdilab.netlist import KIND_CODE, NEXT_STATE, GateKind, NetlistBuilder
 from qdilab.sim import (HazardRecord, InitializationError, NonQuiescenceError,
-                        RandomUniformDelay, StimulusError, TableDelay,
-                        UnitDelay, initialize)
+                        RandomUniformDelay, SimState, StimulusError, TableDelay,
+                        UnitDelay, initialize, uniform_draws)
 
 from reference_kernel import ReferenceKernel
 from test_analysis import dead_end_and2
@@ -62,6 +63,52 @@ def test_initialize_rejects_inconsistent_reset():
     netlist = b.build_unchecked()
     with pytest.raises(InitializationError):
         initialize(netlist, Protocol.RTZ)
+
+
+def test_states_share_no_list_with_each_other_or_the_reset_image():
+    harness = HandshakeHarness(array_multiplier(MultiplierSpec(2, Protocol.RTZ)), Protocol.RTZ)
+    a, b = harness.initialize(), harness.initialize(RandomUniformDelay(1, 16, 3))
+    compiled = harness.netlist.compiled
+    image = compiled.reset_image(Protocol.RTZ.spacer_level)
+    # the compiled form's arrays are read only, and shared by design
+    shared = [getattr(compiled, name) for name in compiled.__slots__]
+    lists = [name for name in SimState.__slots__
+             if isinstance(getattr(a, name), (list, bytearray))
+             and all(getattr(a, name) is not c for c in shared)]
+    assert {"values", "_code", "_pending"} <= set(lists)
+    for name in lists:
+        assert getattr(a, name) is not getattr(b, name), name
+        assert all(getattr(a, name) is not shared for shared in image), name
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_a_reset_after_a_settled_vector_equals_a_fresh_one(protocol):
+    """The reset state is built once per netlist and spacer level; a state
+    that moves must leave it as it was for the next ``initialize``."""
+    netlist = array_multiplier(MultiplierSpec(2, protocol))
+    harness = HandshakeHarness(netlist, protocol)
+    used = harness.initialize()
+    harness.run_phase(used, "data", {p.name: 1 for p in harness.inputs})
+    state = harness.initialize()
+    spacer = protocol.spacer_level
+    env = {r for p in harness.netlist.input_ports + harness.netlist.const_ports
+           for r in p.rails}
+    assert used.values != state.values
+    assert state.values == [spacer if net in env else init
+                            for net, init in enumerate(harness.netlist.net_init)]
+    assert (state.now, state.transitions, state.hazards) == (0, 0, [])
+    assert_codes_match_values(state)
+
+
+def test_a_failed_reset_raises_on_every_call():
+    netlist = strong_and2(Protocol.RTZ)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InitializationError) as exc:
+            initialize(netlist, Protocol.RTO)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert initialize(netlist, Protocol.RTZ).is_quiescent()  # the other level is kept apart
 
 
 def wire_fixture():
@@ -207,6 +254,23 @@ def test_random_delays_are_seed_deterministic():
     assert all(1 <= d <= 16 for d in a)
 
 
+@pytest.mark.parametrize("low, high", [(1, 16), (0, 1), (5, 5), (1, 1000), (0, 2 ** 40)])
+def test_uniform_draws_equal_randint_and_leave_the_same_state(low, high):
+    for seed in range(200):
+        for count in (0, 37):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            expected = [theirs.randint(low, high) for _ in range(count)]
+            assert uniform_draws(ours, low, high, count) == expected, (seed, count)
+            assert ours.getstate() == theirs.getstate(), (seed, count)
+
+
+def test_random_delays_are_randint_draws():
+    netlist = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
+    rng = random.Random(7)
+    assert RandomUniformDelay(1, 16, seed=7).resolve(netlist) == [
+        rng.randint(1, 16) for _ in netlist.gates]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_simulation_is_deterministic_under_any_seed(seed):
@@ -241,14 +305,16 @@ def test_per_net_transition_parity_over_full_cycle(protocol):
 # the kept gate codes
 
 def assert_codes_match_values(state):
-    """Each gate's kept code equals the one recomputed from ``values``, and
-    ``is_quiescent`` agrees with a full ``NEXT_STATE`` scan."""
+    """Each gate's kept code equals the one recomputed from ``values``, with
+    the pending flag (32) set exactly where its output has an event pending,
+    and ``is_quiescent`` agrees with a full ``NEXT_STATE`` scan."""
     v = state.values
     excited = False
     for g in state.netlist.gates:
         code = (KIND_CODE[g.kind] << 3 | v[g.inputs[0]] << 2 | v[g.inputs[-1]] << 1
                 | v[g.output])
-        assert state._code[g.id] == code, g
+        pending = 32 if state._pending[g.output] >= 0 else 0
+        assert state._code[g.id] == code | pending, g
         excited |= NEXT_STATE[code] != v[g.output]
     assert state.is_quiescent() == (not excited and all(p < 0 for p in state._pending))
 
@@ -459,6 +525,34 @@ def test_kernel_matches_the_reference_kernel(case, data):
     table = {g.id: data.draw(st.integers(1, 3)) for g in netlist.gates}
     for delays in (UnitDelay(), TableDelay(table)):
         _run_against_reference(netlist, delays, settles)
+
+
+# one step: the input rails to flip (0 is X, 1 is Y) and the settle's limit
+ONE_GATE_STEPS = [(flip, limit) for flip in ((0,), (1,), (0, 1)) for limit in (0, 1000)]
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+@pytest.mark.parametrize("delays", [UnitDelay(), TableDelay({}, default=2)])
+def test_every_reachable_gate_code_matches_the_reference_kernel(kind, delays):
+    """One gate over two input rails, or over one rail read twice, driven
+    through every sequence of three steps, each flipping one rail or both
+    and settling in full or stopping at a zero limit, so that the next flip
+    lands while the gate's event is pending.  That visits the gate in every
+    state its code can hold, pending flag included, through every mask its
+    inputs can flip; random netlists reach some of those only by chance."""
+    for wiring in [(0,)] if kind is GateKind.INV else [(0, 1), (0, 0)]:
+        b = NetlistBuilder("one")
+        rails = [b.add_input_port(name).rail1 for name in ("X", "Y")]
+        b.add_gate(kind, [rails[i] for i in wiring])
+        netlist = b.build()
+        for steps in itertools.product(ONE_GATE_STEPS, repeat=3):
+            level = [0, 0]  # both rails reset to 0 under RTZ
+            settles = []
+            for flip, limit in steps:
+                for i in flip:
+                    level[i] ^= 1
+                settles.append(({rails[i]: level[i] for i in flip}, limit))
+            _run_against_reference(netlist, delays, settles)
 
 
 def test_a_cancelled_entry_at_t_does_not_commit_its_rescheduled_event():
