@@ -37,9 +37,16 @@ SCALE_SAMPLES = 64
 # the commands that read each option some command would otherwise ignore
 _TARGET_READERS = ("build", "export", "verify", "classify", "fuzz")
 _DELAY_READERS = ("verify", "bench", "scale", "classify")  # the --delay model
+_DRAW_READERS = ("fuzz", *_DELAY_READERS)  # --seed and the random delay range
 READERS = {"trace": ("verify",), "dot": ("build", "export"),
-           "netlist": _TARGET_READERS, "component": _TARGET_READERS,
-           "weights": ("build", "bench"), "delay_table": _DELAY_READERS}
+           "netlist": _TARGET_READERS, "component": _TARGET_READERS, "fa": _TARGET_READERS,
+           "protocol": (*_TARGET_READERS, "scale"), "seed": _DRAW_READERS,
+           "trials": ("fuzz",), "transactions": ("fuzz",), "weights": ("build", "bench"),
+           "delay": _DELAY_READERS, "delay_table": _DELAY_READERS,
+           "delay_low": _DRAW_READERS, "delay_high": _DRAW_READERS}
+# the --delay models that read each option of a --delay reader
+MODEL_READERS = {"delay_table": ("perkind", "pergate"), "delay_low": ("random",),
+                 "delay_high": ("random",)}
 
 
 @dataclass(frozen=True)
@@ -148,20 +155,12 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
         if key in given and args.command not in commands:
             parser.error(f"--{key.replace('_', '-')} is read only by {', '.join(commands)}; "
                          f"{args.command} would ignore it")
-    if args.command == "fuzz" and config.delay != CliConfig.delay:
-        parser.error(f"fuzz draws random delays from --delay-low/--delay-high; "
-                     f"--delay {config.delay} would be ignored")
-    # the options that only some delay models read
-    model = f"{args.command} --delay {config.delay}" if args.command in _DELAY_READERS \
-        else args.command
-    if "delay_table" in given and config.delay not in ("perkind", "pergate"):
-        parser.error(f"--delay-table is read only by --delay perkind and pergate; "
-                     f"{model} would ignore it")
-    for key in ("delay_low", "delay_high"):
-        if key in given and args.command != "fuzz" and not (
-                config.delay == "random" and args.command in _DELAY_READERS):
-            parser.error(f"--{key.replace('_', '-')} is read only by fuzz and by "
-                         f"--delay random; {model} would ignore it")
+    for key, models in MODEL_READERS.items():
+        if key in given and args.command in _DELAY_READERS and config.delay not in models:
+            readers = [c for c in READERS[key] if c not in _DELAY_READERS]
+            readers.append(f"--delay {' and '.join(models)}")
+            parser.error(f"--{key.replace('_', '-')} is read only by {' and by '.join(readers)}; "
+                         f"{args.command} --delay {config.delay} would ignore it")
     return config
 
 

@@ -31,16 +31,6 @@ class PairState(Enum):
     DATA1 = "data1"
     ILLEGAL = "illegal"
 
-    @property
-    def is_data(self) -> bool:
-        return self in (PairState.DATA0, PairState.DATA1)
-
-    @property
-    def bit(self) -> int:
-        if not self.is_data:
-            raise ValueError(f"{self.value} carries no bit")
-        return 1 if self is PairState.DATA1 else 0
-
 
 def encode(protocol: Protocol, bit: int) -> tuple[int, int]:
     """Rail values (rail1, rail0) for a logical bit."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .encoding import PairState, Protocol, decode, encode, spacer_rails
+from .encoding import Protocol, decode, encode, spacer_rails
 from .netlist import DualRailPort, GateKind, Netlist, NetlistBuilder, NetId
 from .sim import DelayModel, HazardRecord, SimState, UnitDelay, initialize
 
@@ -139,9 +139,6 @@ class HandshakeHarness:
 
     # -- decoding helpers ---------------------------------------------------
 
-    def port_state(self, state: SimState, port: DualRailPort) -> PairState:
-        return decode(self.protocol, state.values[port.rail1], state.values[port.rail0])
-
     def _off_target(self, state: SimState, targets: set[tuple[int, int]]) -> list[str]:
         """Names of the output ports whose (rail1, rail0) pair is not in ``targets``."""
         values = state.values
@@ -153,8 +150,8 @@ class HandshakeHarness:
         for p in self.outputs:
             bit = bits[values[p.rail1]][values[p.rail0]]
             if bit is None:
-                raise TransactionError(
-                    f"output {p.name} is {self.port_state(state, p).value}, not data")
+                rails = decode(self.protocol, values[p.rail1], values[p.rail0])
+                raise TransactionError(f"output {p.name} is {rails.value}, not data")
             out[p.name] = bit
         return out
 

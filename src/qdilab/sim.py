@@ -44,27 +44,26 @@ flag stands for the value too, and a disabled event never reschedules in
 the same visit.
 
 Events wait in one of two queues, chosen by each settle from the resolved
-delays, not by an option; both commit in ``(time, net id)`` order.
+delays, not by an option.  Both hold the same keys and commit them in
+``(time, net id)`` order.  An event is one int key ``t << shift | net << 1 |
+value``, with ``shift`` wide enough for any ``net << 1 | value``, so keys sort
+by ``(time, net id, value)``, and gate g excited at t schedules ``(t << shift)
++ _sched[g] + value``.
 
-- The heap serves every delay model.  An event is one int heap key
-  ``t << shift | net << 1 | value``, with ``shift`` wide enough for any
-  ``net << 1 | value``, so keys pop in ``(time, net id, value)`` order.
+- The heap serves every delay model.
 - Per-step lists serve a state whose resolved delays are all 1, while its
   heap is empty.  An event committed at t can then only schedule t + 1, so
-  the settle walks one sorted list of the events due at t and appends what
-  it schedules to the next step's list, which it sorts once and makes the
-  current one.  A list key is ``net << 2 | (t & 1) << 1 | value``: the due
-  time's parity bit keeps apart an entry due at t that was superseded and
-  the event its gate is re-excited to, with the same value, due at t + 1.
-  No event is due later than t + 1, so one bit is enough.  When the limit
-  trips, the live list entries move to the heap as heap keys, and the
-  resumed settle finishes there.
+  the settle walks one sorted list of the keys due at t and appends what it
+  schedules to the next step's list, which it sorts once and makes the
+  current one.  When the limit trips, both lists are poured into the heap
+  as they are, and the resumed settle finishes there.
 
-``_pending[net]`` holds the key of the net's pending event, or -1 (heap keys
-only, between settles).  A queued key that no longer matches it was
-superseded: it is skipped, and neither moves the clock nor counts.  The
-pending flag says whether a gate has an event; ``_pending`` says which queue
-entry it is.
+``_pending[net]`` holds the key of the net's pending event, or -1.  A queued
+key that no longer matches it was committed or superseded: it is skipped, and
+neither moves the clock nor counts.  The key's time keeps apart an entry due
+at t that was superseded and the event its gate is re-excited to, with the
+same value, due at t + 1.  The pending flag says whether a gate has an
+event; ``_pending`` says which queue entry it is.
 
 ``SimState.apply_and_settle`` is the one settle function.  It checks the
 stimuli (environment nets only, each the int 0 or 1), queues their keys at
@@ -231,8 +230,8 @@ class SimState:
         compiled = netlist.compiled
         self._compiled = compiled
         self._env = compiled.env
-        # heap keys are t << shift | net << 1 | value; gate g excited at time
-        # t schedules (t << shift) + _sched[g] + value
+        # event keys are t << shift | net << 1 | value; gate g excited at
+        # time t schedules (t << shift) + _sched[g] + value
         self._shift = shift = netlist.net_count.bit_length() + 1
         self._sched = [d << shift | o << 1 for d, o in zip(delays, compiled.out)]
         # every event is due one unit after its cause: settles run on the
@@ -274,9 +273,7 @@ class SimState:
         t = t0 = self.now
         # a settle resumed after a tripped limit finishes on the heap
         unit = self._unit and not heap
-        # list keys are net << 2 | (t & 1) << 1 | value, heap keys
-        # t << shift | net << 1 | value
-        stamp, step = ((t0 & 1) << 1, 2) if unit else (t0 << shift, 1)
+        base = t0 << shift
         stimuli = []
         for net, value in sorted(assignments.items()):
             if not 0 <= net < len(values) or not env[net]:
@@ -284,15 +281,12 @@ class SimState:
             if value not in (0, 1) or not isinstance(value, int):
                 raise StimulusError(f"net {net} assigned non-bit {value!r}")
             if values[net] != value:
-                stimuli.append(stamp | net << step | value)
+                stimuli.append(base | net << 1 | value)
         # stimuli commit now, in net order, ahead of every gate event (whose
-        # delay is at least one)
-        if unit:
-            for key in stimuli:
-                pending[key >> 2] = key
-        else:
-            for key in stimuli:
-                pending[key >> 1 & net_mask] = key
+        # delay is at least one); a rejected batch queues none of them
+        for key in stimuli:
+            pending[key >> 1 & net_mask] = key
+            if not unit:
                 push(heap, key)
         datapath, last_datapath = self.datapath_nets, self.last_datapath_commit
         hazards = self.hazards
@@ -311,14 +305,17 @@ class SimState:
                 # schedules is due at t + 1 and goes on the next list
                 cur, nxt = stimuli, []
                 while cur:
-                    stamp ^= 2  # the parity bit of t + 1
                     c_step = commits
                     for key in cur:
-                        net = key >> 2
+                        net = key >> 1 & net_mask
                         if pending[net] != key:
                             continue  # superseded entry
                         if commits >= cap:
-                            self._requeue(t, cur, nxt)
+                            # the heap is empty; a resumed settle skips the
+                            # entries that no longer match _pending
+                            heap += cur
+                            heap += nxt
+                            heapq.heapify(heap)
                             if commits == c_step and t > t0:
                                 t -= 1  # nothing has committed at t yet
                             raise NonQuiescenceError(f"no quiescence within {limit} events")
@@ -340,7 +337,7 @@ class SimState:
                                     hazards.append(HazardRecord(t, g, o, k & 1 ^ 1, k & 1))
                                     pending[o] = -1
                                 else:
-                                    p = o << 2 | stamp | (k & 1 ^ 1)
+                                    p = base + sched[g] + (k & 1 ^ 1)
                                     pending[o] = p
                                     nxt.append(p)
                                 k ^= 32
@@ -352,6 +349,7 @@ class SimState:
                     nxt.sort()
                     cur, nxt = nxt, []
                     t += 1
+                    base += 1 << shift
             while heap:
                 key = pop(heap)
                 net = key >> 1 & net_mask
@@ -391,19 +389,6 @@ class SimState:
             self.last_datapath_commit = last_datapath
         return SettleReport(elapsed=t - t0, transitions=commits,
                             hazards=hazards[h0:], steps=commits - len(stimuli))
-
-    def _requeue(self, t: int, due: list[int], after: list[int]) -> None:
-        """Move the live entries of the per-step lists, ``due`` at t and
-        ``after`` it at t + 1, into the (empty) heap as full heap keys; an
-        entry already committed or superseded no longer matches ``_pending``."""
-        pending, heap, shift = self._pending, self._heap, self._shift
-        for when, keys in ((t, due), (t + 1, after)):
-            for key in keys:
-                net = key >> 2
-                if pending[net] == key:
-                    pending[net] = p = when << shift | net << 1 | key & 1
-                    heap.append(p)
-        heapq.heapify(heap)
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""

@@ -147,7 +147,14 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["verify", "--n", "2", "--delay-low", "5"],
                  ["verify", "--n", "2", "--config", str(low_config)],
                  ["scale", "--n", "2", "--delay-high", "9"],
-                 *([cmd, "--component", "strong_and2"] for cmd in ("bench", "scale"))):
+                 *([cmd, "--component", "strong_and2"] for cmd in ("bench", "scale")),
+                 ["build", "--n", "2", "--delay", "pergate"],
+                 ["build", "--n", "2", "--seed", "5"],
+                 ["build", "--n", "2", "--trials", "3"],
+                 ["export", "--n", "2", "--transactions", "3"],
+                 ["fuzz", "--n", "2", "--trials", "1", "--delay", "unit"],
+                 ["bench", "--n", "2", "--protocol", "rto"],
+                 *([cmd, "--n", "2", "--fa", "dims_fa"] for cmd in ("bench", "scale"))):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
@@ -164,8 +171,8 @@ def test_an_ignored_option_names_the_commands_that_read_it(capsys):
                            "--delay-table is read only by verify, bench, scale, classify; "
                            "build would ignore it"),
                           (["fuzz", "--delay", "random"],
-                           "fuzz draws random delays from --delay-low/--delay-high; "
-                           "--delay random would be ignored"),
+                           "--delay is read only by verify, bench, scale, classify; "
+                           "fuzz would ignore it"),
                           (["verify", "--delay-low", "5"],
                            "--delay-low is read only by fuzz and by --delay random; "
                            "verify --delay unit would ignore it")):
@@ -208,7 +215,8 @@ def test_port_names_must_match_the_oracle(tmp_path):
         for command in ("verify", "fuzz"):
             err = io.StringIO()
             with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
-                run_inproc(command, "--netlist", str(path), "--trials", "1")
+                run_inproc(command, "--netlist", str(path),
+                           *(["--trials", "1"] if command == "fuzz" else []))
             assert exc.value.code == 2
             assert message in err.getvalue()
 

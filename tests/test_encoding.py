@@ -1,6 +1,5 @@
 """Dual-rail codeword tables for both return-to-spacer disciplines."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,11 +35,4 @@ def test_protocols_are_rail_complements(r1, r0):
 @given(st.sampled_from(list(Protocol)), st.integers(0, 1))
 def test_encode_decode_round_trip(protocol, bit):
     state = decode(protocol, *encode(protocol, bit))
-    assert state.is_data and state.bit == bit
-
-
-def test_pair_state_bit_only_defined_for_data():
-    assert PairState.DATA1.bit == 1
-    assert PairState.DATA0.bit == 0
-    with pytest.raises(ValueError):
-        _ = PairState.SPACER.bit
+    assert state is (PairState.DATA1 if bit else PairState.DATA0)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qdilab.components import COMPONENTS, strong_and2
-from qdilab.encoding import PairState, Protocol, encode, spacer_rails
+from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
                               build_completion_detector)
 from qdilab.multiplier import MultiplierSpec, array_multiplier
@@ -115,7 +115,8 @@ def test_acknowledge_levels_track_phases(protocol):
     assert harness.decode_outputs(state) == {"Z": 0}
     harness.run_phase(state, "return")
     assert state.values[harness.ackout] == data_level ^ 1
-    assert harness.port_state(state, harness.outputs[0]) is PairState.SPACER
+    z = harness.outputs[0]
+    assert (state.values[z.rail1], state.values[z.rail0]) == spacer_rails(protocol)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -165,7 +166,8 @@ def test_staggered_order_reports_early_movement():
     assert "Cout" in moved
     assert not any(rec.all_complete for rec in report.early)
     harness.run_phase(state, "return", order=[["A"], ["B"], ["Cin"]])
-    assert harness.port_state(state, harness.outputs[0]) is PairState.SPACER
+    out = harness.outputs[0]
+    assert (state.values[out.rail1], state.values[out.rail0]) == spacer_rails(Protocol.RTZ)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

@@ -178,6 +178,18 @@ def test_stimulus_errors():
         state.apply_and_settle({9999: 0})
 
 
+def test_a_rejected_stimulus_batch_queues_nothing():
+    """Every stimulus is checked before any is queued: a bad one after a good
+    one leaves the state as it was, quiescent."""
+    netlist, x = wire_fixture()
+    state = initialize(netlist, Protocol.RTZ)
+    values = state.values[:]
+    with pytest.raises(StimulusError):
+        state.apply_and_settle({x.rail1: 1, 9999: 0})
+    assert state.is_quiescent() and state.values == values
+    assert state.apply_and_settle({}).transitions == 0
+
+
 def test_settle_limit_raises():
     netlist = strong_and2(Protocol.RTZ)
     state = initialize(netlist, Protocol.RTZ)
@@ -592,3 +604,42 @@ def test_a_step_of_superseded_entries_does_not_move_the_clock():
     report = state.apply_and_settle({x.rail1: 1, y.rail1: 0})
     assert (report.elapsed, report.transitions, state.now) == (0, 2, 0)
     assert report.hazards == [HazardRecord(0, 0, z, 1, 0)]
+
+
+def test_a_trip_pours_an_unsorted_next_step_into_the_heap():
+    """Under unit delays, the reader of the lower stimulus rail drives a
+    higher net id than the readers of the higher rail, and the second layer
+    is crossed the same way, three readers to a net, so a step's next list
+    comes out of commit order unsorted.  A limit of 2 trips on the last
+    first-layer net, which nobody reads, with six next-step entries behind
+    three current ones, in an order that pops wrong unless the heap is
+    rebuilt.  A limit that trips anywhere, then a resume with no stimulus,
+    must end where one unbounded settle does, event for event."""
+    b = NetlistBuilder("crossed")
+    x, y = b.add_input_port("X"), b.add_input_port("Y")
+    layer1 = [b.new_net() for _ in range(3)]
+    layer2 = [b.new_net() for _ in range(6)]
+    readers = [(x.rail1, layer1[2:]), (y.rail1, layer1[:2]),
+               (layer1[0], layer2[3:]), (layer1[1], layer2[:3])]
+    for a, outs in readers:
+        for out in outs:
+            b.wire_gate(GateKind.OR2, (a, a), out, init=0)
+    netlist = b.build()
+    assert x.rail1 < y.rail1 < layer1[0] and layer1[-1] < layer2[0]
+    stimulus = {x.rail1: 1, y.rail1: 1}
+
+    def run(*limits):
+        state = initialize(netlist, Protocol.RTZ)
+        trace = []
+        state.trace = lambda t, net, val: trace.append((t, net, val))
+        for assignments, limit in zip((stimulus, {}), limits):
+            try:
+                state.apply_and_settle(assignments, limit)
+            except NonQuiescenceError:
+                pass
+        return trace, state.hazards, state.values, state.now, state.transitions
+
+    whole = run(None)
+    assert len(whole[0]) == 2 + len(layer1) + len(layer2)
+    for limit in range(len(layer1) + len(layer2)):
+        assert run(limit, None) == whole, limit
