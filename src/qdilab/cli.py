@@ -25,7 +25,7 @@ from .analysis import (BenchDesign, Indication, bench_to_csv, benchmark,
 from .components import COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS
 from .encoding import Protocol
 from .multiplier import MultiplierSpec, array_multiplier, product_oracle
-from .netlist import Netlist, NetlistError, from_json, stats, to_dot, to_json
+from .netlist import Netlist, NetlistError, _int, from_json, stats, to_dot, to_json
 from .sim import InitializationError, RandomUniformDelay, TableDelay, UnitDelay
 
 # the values each string option accepts, from flags and config files alike
@@ -47,6 +47,9 @@ READERS = {"trace": ("verify",), "dot": ("build", "export"),
 # the --delay models that read each option of a --delay reader
 MODEL_READERS = {"delay_table": ("perkind", "pergate"), "delay_low": ("random",),
                  "delay_high": ("random",)}
+# the options that pick a circuit, each ignored beside the ones after it
+TARGET_PICKS = {"n": ("component", "netlist"), "fa": ("component", "netlist"),
+                "component": ("netlist",)}
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,11 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
             readers.append(f"--delay {' and '.join(models)}")
             parser.error(f"--{key.replace('_', '-')} is read only by {' and by '.join(readers)}; "
                          f"{args.command} --delay {config.delay} would ignore it")
+    for key, targets in TARGET_PICKS.items():
+        for target in targets:
+            if key in given and target in given:
+                parser.error(f"--{key} picks the circuit too; {args.command} --{target} "
+                             "would ignore it")
     return config
 
 
@@ -171,7 +179,7 @@ def delay_model(config: CliConfig):
         return RandomUniformDelay(config.delay_low, config.delay_high, config.seed)
     if config.delay_table is None:
         raise ValueError(f"delay model {config.delay!r} needs --delay-table")
-    table = _load_table(config.delay_table, int)
+    table = _load_table(config.delay_table, _int)
     default = table.pop("*", 1)
     key = str if config.delay == "perkind" else int  # kind names or gate ids
     return TableDelay({key(k): v for k, v in table.items()}, default)
@@ -187,13 +195,13 @@ def _load_table(path: str, convert) -> dict:
     if not isinstance(table, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key, value in table.items():
-        try:  # a bool is an int to Python, and 2.7 would read as 2
+        try:  # a bool is an int to Python, and _int takes JSON integers only
             ok = not isinstance(value, bool) and math.isfinite(value) and convert(value) == value
         except (TypeError, OverflowError):
             ok = False
         if not ok:
             raise ValueError(f"{path}: value {value!r} of {key!r} is not a "
-                             f"{'whole' if convert is int else 'finite'} number")
+                             f"{'JSON integer' if convert is _int else 'finite number'}")
     return {k: convert(v) for k, v in table.items()}
 
 

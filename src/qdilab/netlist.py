@@ -10,7 +10,9 @@ return-to-zero circuits reset to all-zeros.
 
 Construction goes through :class:`NetlistBuilder`; ``build()`` refuses to hand
 out a netlist that fails structural validation.  Built netlists are treated as
-immutable.
+immutable, so each caches its validation verdict (``Netlist.validation``):
+``build()`` and ``from_json`` fill it, and a handshake harness reads it
+instead of validating its closed loop again.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ class GateKind(str, Enum):
     INV = "INV"
     C2 = "C2"
 
-    @property
-    def arity(self) -> int:
-        return 1 if self is GateKind.INV else 2
+    def __init__(self, value: str):
+        self.arity = 1 if value == "INV" else 2  # the inputs a gate reads
+
+
+_KINDS = {k.value: k for k in GateKind}  # a name, or a member, to its member
 
 
 # Every gate kind's Boolean function, written once: the next output value of
@@ -74,8 +78,7 @@ def first_excited(codes: Sequence[int]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     id: int
     kind: GateKind
     inputs: tuple[NetId, ...]
@@ -163,6 +166,17 @@ class Netlist:
         """The flat form the simulator runs on, built on first use."""
         return CompiledNetlist(self)
 
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The structural validation verdict, computed on first use."""
+        return validate(self)
+
+    def validated(self) -> "Netlist":
+        """This netlist, or :class:`ValidationError` with its cached findings."""
+        if not self.validation.ok:
+            raise ValidationError(self.validation.findings)
+        return self
+
 
 class ResetImage(NamedTuple):
     """A compiled netlist's reset state at one spacer level: every net's
@@ -244,17 +258,19 @@ def validate(netlist: Netlist) -> ValidationReport:
     n = netlist.net_count
     gates = netlist.gates
 
-    for i, g in enumerate(gates):
-        if g.id != i:
+    outs = []  # each gate's output net
+    for i, (gid, kind, ins, out, init) in enumerate(gates):
+        if gid != i:
             # delay tables key gates by id, the simulator by position
-            findings.append(Finding("gate-id", f"gate at position {i} has id {g.id}"))
-        if len(g.inputs) != g.kind.arity:
-            findings.append(Finding("arity", f"gate {g.id} ({g.kind.value}) has {len(g.inputs)} inputs"))
-        for net in (*g.inputs, g.output):
+            findings.append(Finding("gate-id", f"gate at position {i} has id {gid}"))
+        if len(ins) != kind.arity:
+            findings.append(Finding("arity", f"gate {gid} ({kind.value}) has {len(ins)} inputs"))
+        for net in (*ins, out):
             if not 0 <= net < n:
-                findings.append(Finding("net-range", f"gate {g.id} references net {net} outside 0..{n - 1}"))
-        if g.init not in (0, 1):
-            findings.append(Finding("init-value", f"gate {g.id} init {g.init} is not a bit"))
+                findings.append(Finding("net-range", f"gate {gid} references net {net} outside 0..{n - 1}"))
+        if init not in (0, 1):
+            findings.append(Finding("init-value", f"gate {gid} init {init} is not a bit"))
+        outs.append(out)
     names: set[str] = set()
     for p in netlist.ports:
         if p.name in names:
@@ -273,50 +289,58 @@ def validate(netlist: Netlist) -> ValidationReport:
     if any(f.code in ("net-range", "init-value") for f in findings):
         return ValidationReport(findings)  # later checks need in-range ids and bit inits
 
-    drivers: list[list[str]] = [[] for _ in range(n)]
-    for g in gates:
-        drivers[g.output].append(f"gate {g.id}")
-    for p in netlist.ports:
-        if p.direction == "input":
-            for rail in p.rails:
-                drivers[rail].append(f"port {p.name}")
-    for net, who in enumerate(drivers):
-        if len(who) > 1:
-            findings.append(Finding("multi-driver", f"net {net} driven by {', '.join(who)}"))
-        elif not who:
-            findings.append(Finding("undriven", f"net {net} has no driver"))
+    # every net has one driver, a gate or an input-port rail: count them,
+    # and name them only on the nets where the count is not one
+    rails = [(rail, p.name) for p in netlist.ports if p.direction == "input" for rail in p.rails]
+    drivers = [0] * n
+    for net in outs:
+        drivers[net] += 1
+    for net, _ in rails:
+        drivers[net] += 1
+    if drivers.count(1) != n:
+        who: dict[int, list[str]] = {net: [] for net, k in enumerate(drivers) if k > 1}
+        for g in gates:
+            if g.output in who:
+                who[g.output].append(f"gate {g.id}")
+        for net, name in rails:
+            if net in who:
+                who[net].append(f"port {name}")
+        for net, k in enumerate(drivers):
+            if k > 1:
+                findings.append(Finding("multi-driver", f"net {net} driven by {', '.join(who[net])}"))
+            elif not k:
+                findings.append(Finding("undriven", f"net {net} has no driver"))
 
     # init consistency: no gate may be excited at its inputs' reset levels,
     # so a combinational gate resets to its function of them and a C2 whose
     # two inputs agree resets to their level (over disagreeing ones it holds
-    # either init).
-    net_init = netlist.net_init
-    for g in gates:
-        ins = g.inputs
-        if len(ins) == g.kind.arity:
-            expect = NEXT_STATE[KIND_CODE[g.kind] << 3 | net_init[ins[0]] << 2
-                                | net_init[ins[-1]] << 1 | g.init]
-            if g.init != expect:
+    # either init).  The same pass lists the non-C2 gates reading each net.
+    net_init, c2 = netlist.net_init, GateKind.C2
+    comb = []  # the non-C2 gates
+    readers: list[list[int]] = [[] for _ in range(n)]
+    for i, (gid, kind, ins, _, init) in enumerate(gates):
+        if len(ins) == kind.arity:
+            expect = NEXT_STATE[KIND_CODE[kind] << 3 | net_init[ins[0]] << 2
+                                | net_init[ins[-1]] << 1 | init]
+            if init != expect:
                 findings.append(Finding(
                     "init-inconsistent",
-                    f"gate {g.id} ({g.kind.value}) init {g.init} but inputs reset to {expect}"))
-
+                    f"gate {gid} ({kind.value}) init {init} but inputs reset to {expect}"))
+        if kind is not c2:
+            comb.append(i)
+            for net in ins:
+                readers[net].append(i)
     # combinational cycles, by Kahn's peel: a non-C2 gate waits once for
     # each non-C2 driver of each input it reads and is peeled off when none
     # is left; gates never peeled lie on or behind a loop.  A C2 neither
     # waits nor is waited for, so a loop broken by a C2 output is legal.
-    comb = [i for i, g in enumerate(gates) if g.kind is not GateKind.C2]
-    readers: list[list[int]] = [[] for _ in range(n)]
-    for i in comb:
-        for net in gates[i].inputs:
-            readers[net].append(i)
     waits = [0] * len(gates)
     for i in comb:
-        for r in readers[gates[i].output]:
+        for r in readers[outs[i]]:
             waits[r] += 1
     ready = [i for i in comb if not waits[i]]
     for i in ready:  # grows while it is walked
-        for r in readers[gates[i].output]:
+        for r in readers[outs[i]]:
             waits[r] -= 1
             if not waits[r]:
                 ready.append(r)
@@ -359,20 +383,23 @@ class NetlistBuilder:
         inputs' reset levels, which leaves it open only for a C2 over
         disagreeing inputs.
         """
-        kind = GateKind(kind)
+        kind = _KINDS.get(kind) or GateKind(kind)
+        inputs = tuple(inputs)
         if len(inputs) != kind.arity:
             raise NetlistError(f"{kind.value} takes {kind.arity} inputs, got {len(inputs)}")
+        net_init = self._net_init
+        out = len(net_init)  # the fresh output net
         for net in inputs:
-            if not 0 <= net < self.net_count:
+            if not 0 <= net < out:
                 raise NetlistError(f"unknown net {net}")
         if init is None:
-            code = (KIND_CODE[kind] << 3 | self._net_init[inputs[0]] << 2
-                    | self._net_init[inputs[-1]] << 1)
+            code = (KIND_CODE[kind] << 3 | net_init[inputs[0]] << 2
+                    | net_init[inputs[-1]] << 1)
             init = NEXT_STATE[code]
             if NEXT_STATE[code | 1] != init:  # the gate holds either value
                 raise NetlistError("C2 with disagreeing input resets needs an explicit init")
-        out = self.new_net(init)
-        self._gates.append(Gate(len(self._gates), kind, tuple(inputs), out, init))
+        net_init.append(init)
+        self._gates.append(Gate(len(self._gates), kind, inputs, out, init))
         return out
 
     def wire_gate(self, kind: GateKind, inputs: Sequence[NetId], output: NetId, init: int) -> None:
@@ -428,11 +455,7 @@ class NetlistBuilder:
         )
 
     def build(self) -> Netlist:
-        netlist = self._freeze()
-        report = validate(netlist)
-        if not report.ok:
-            raise ValidationError(report.findings)
-        return netlist
+        return self._freeze().validated()
 
     def build_unchecked(self) -> Netlist:
         return self._freeze()
@@ -466,7 +489,7 @@ _DUAL_KIND = {GateKind.AND2: GateKind.OR2, GateKind.OR2: GateKind.AND2,
 
 def dual_of(netlist: Netlist) -> Netlist:
     """Protocol dual: swap AND2/OR2 and complement every reset level."""
-    gates = tuple(replace(g, kind=_DUAL_KIND[g.kind], init=g.init ^ 1) for g in netlist.gates)
+    gates = tuple(g._replace(kind=_DUAL_KIND[g.kind], init=g.init ^ 1) for g in netlist.gates)
     ports = tuple(p if p.direction == "output" else replace(p, init=p.init ^ 1)
                   for p in netlist.ports)
     return Netlist(
@@ -591,11 +614,7 @@ def from_json(text: str) -> Netlist:
                 raise FormatError(f"gate {g.id} references dangling net {net}")
         net_init[g.output] = g.init
 
-    netlist = Netlist(name, net_count, tuple(gates), tuple(ports), tuple(net_init), meta)
-    report = validate(netlist)
-    if not report.ok:
-        raise ValidationError(report.findings)
-    return netlist
+    return Netlist(name, net_count, tuple(gates), tuple(ports), tuple(net_init), meta).validated()
 
 
 def to_dot(netlist: Netlist) -> str:

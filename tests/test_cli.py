@@ -86,6 +86,9 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     fraction_delays.write_text(json.dumps({"AND2": 2.7, "C2": 1}))
     bool_delays = tmp_path / "bool.json"
     bool_delays.write_text(json.dumps({"C2": True}))
+    float_delays = [tmp_path / f"float{i}.json" for i in range(2)]  # whole, but not integers
+    for path, value in zip(float_delays, (1e300, 2.0)):
+        path.write_text(json.dumps({"C2": value}))
     nan_weights = tmp_path / "nan.json"
     nan_weights.write_text(json.dumps({"AND2": float("nan")}))
     negative_weights = tmp_path / "negative.json"
@@ -104,6 +107,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                                       (json.loads(and2.read_text()), {"component": [1]})]):
         bad_meta.append(tmp_path / f"meta{i}.json")
         bad_meta[-1].write_text(json.dumps({**base, "meta": meta}))
+    mult2_path = tmp_path / "m2.json"
+    mult2_path.write_text(json.dumps(mult2))
     numeric_names = []  # a netlist or port name that is a number, not a string
     for i, doc in enumerate(({**mult2, "name": 5},
                              {**mult2, "ports": [{**mult2["ports"][0], "name": 7},
@@ -118,6 +123,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["build", "--n", "2", "--weights", str(null_weights)],
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(fraction_delays)],
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bool_delays)],
+                 *(["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(p)]
+                   for p in float_delays),
                  ["bench", "--n", "2", "--weights", str(nan_weights)],
                  ["build", "--n", "2", "--weights", str(negative_weights)],
                  *(["verify", "--netlist", str(p)] for p in numeric_names),
@@ -154,7 +161,11 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
                  ["export", "--n", "2", "--transactions", "3"],
                  ["fuzz", "--n", "2", "--trials", "1", "--delay", "unit"],
                  ["bench", "--n", "2", "--protocol", "rto"],
-                 *([cmd, "--n", "2", "--fa", "dims_fa"] for cmd in ("bench", "scale"))):
+                 *([cmd, "--n", "2", "--fa", "dims_fa"] for cmd in ("bench", "scale")),
+                 # options that pick another circuit than the one given
+                 ["verify", "--netlist", str(mult2_path), "--n", "3", "--fa", "dims_fa"],
+                 ["classify", "--component", "strong_and2", "--n", "5", "--fa", "dims_fa"],
+                 ["verify", "--netlist", str(mult2_path), "--component", "weak_fa"]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
@@ -175,7 +186,9 @@ def test_an_ignored_option_names_the_commands_that_read_it(capsys):
                            "fuzz would ignore it"),
                           (["verify", "--delay-low", "5"],
                            "--delay-low is read only by fuzz and by --delay random; "
-                           "verify --delay unit would ignore it")):
+                           "verify --delay unit would ignore it"),
+                          (["classify", "--component", "weak_fa", "--n", "3"],
+                           "--n picks the circuit too; classify --component would ignore it")):
         with pytest.raises(SystemExit):
             run_inproc(*argv)
         assert message in capsys.readouterr().err
@@ -250,9 +263,9 @@ def test_fuzz_clean_multiplier(tmp_path):
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("protocol = rto\nn = 3\nseed = 9  # trailing comment\n")
+    cfg.write_text("protocol = rto\nseed = 9  # trailing comment\n")
     values = load_config_file(str(cfg))
-    assert values == {"protocol": "rto", "n": 3, "seed": 9}
+    assert values == {"protocol": "rto", "seed": 9}
     out_a = tmp_path / "a.json"
     assert run_inproc("classify", "--component", "weak_fa", "--config",
                       str(cfg), "--out", str(out_a)) == 0

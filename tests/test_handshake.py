@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+from qdilab.analysis import measure_latencies
 from qdilab.components import COMPONENTS, strong_and2
 from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
                               build_completion_detector)
 from qdilab.multiplier import MultiplierSpec, array_multiplier
-from qdilab.netlist import GateKind, NetlistBuilder
+from qdilab.netlist import GateKind, NetlistBuilder, ValidationError, validate
 from qdilab.sim import RandomUniformDelay, initialize
 
 from test_analysis import dead_end_and2
@@ -32,6 +33,29 @@ def test_detector_gate_budget(protocol, pair_kind):
     assert kinds.count(GateKind.C2) == 7
     assert kinds.count(GateKind.INV) == 1
     assert len(kinds) == 16
+
+
+def test_harness_rejects_an_invalid_base_with_its_findings():
+    b = NetlistBuilder("bad")
+    x, y = b.add_input_port("X"), b.add_input_port("Y")
+    out = b.add_gate(GateKind.AND2, (x.rail1, y.rail1))
+    b.wire_gate(GateKind.OR2, (x.rail0, y.rail0), out, init=0)  # a second driver
+    b.add_output_port("Z", out, x.rail0)
+    base = b.build_unchecked()
+    with pytest.raises(ValidationError) as exc:
+        HandshakeHarness(base, Protocol.RTZ)
+    assert exc.value.findings == validate(base).findings
+    assert [f.code for f in exc.value.findings] == ["multi-driver"]
+
+
+def test_a_built_design_is_validated_once(monkeypatch):
+    """The harness reads the design's cached verdict instead of validating
+    its closed loop again."""
+    calls = []
+    monkeypatch.setattr("qdilab.netlist.validate", lambda n: calls.append(n.name) or validate(n))
+    netlist = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
+    measure_latencies(netlist, Protocol.RTZ)
+    assert calls == [netlist.name]
 
 
 def test_detector_rejects_empty():

@@ -146,6 +146,42 @@ def test_multi_driver_detected():
         b.build()
 
 
+def test_driver_findings_name_every_driver_in_net_order():
+    """Two gates on one net, a gate on an input-port rail, and a net nobody
+    drives: each finding names the drivers, in net order."""
+    b, x, y = small_builder()
+    out = b.add_gate(GateKind.AND2, (x.rail1, y.rail1))
+    b.wire_gate(GateKind.OR2, (x.rail0, y.rail0), out, init=0)
+    b.wire_gate(GateKind.AND2, (x.rail1, y.rail1), y.rail0, init=0)
+    dangling = b.new_net()
+    z = b.add_gate(GateKind.AND2, (x.rail1, dangling))
+    b.add_output_port("Z", out, z)
+    findings = [(f.code, f.message) for f in validate(b.build_unchecked()).findings]
+    assert findings == [("multi-driver", "net 3 driven by gate 2, port Y"),
+                        ("multi-driver", "net 4 driven by gate 0, gate 1"),
+                        ("undriven", "net 5 has no driver")]
+
+
+def test_a_built_netlist_caches_its_verdict(monkeypatch):
+    calls = []
+    monkeypatch.setattr("qdilab.netlist.validate", lambda n: calls.append(n) or validate(n))
+    b, x, y = small_builder()
+    b.add_output_port("Z", b.add_gate(GateKind.AND2, (x.rail1, y.rail1)), x.rail0)
+    netlist = b.build()
+    assert netlist.validated() is netlist and netlist.validation.ok
+    assert calls == [netlist]
+    assert from_json(to_json(netlist)).validation.ok and len(calls) == 2
+
+
+def test_gates_are_immutable():
+    b, x, y = small_builder()
+    b.add_gate(GateKind.AND2, (x.rail1, y.rail1))
+    (gate,) = b.build_unchecked().gates
+    with pytest.raises(AttributeError):
+        gate.init = 1
+    assert gate._replace(init=1).init == 1 and gate.init == 0
+
+
 def test_undriven_net_detected():
     b, x, y = small_builder()
     dangling = b.new_net()
