@@ -12,8 +12,8 @@ from .netlist import (DualRailPort, Gate, GateKind, Netlist, NetlistBuilder,
                       structurally_equal, to_dot, to_json, validate)
 from .sim import (DelayModel, HazardRecord, InitializationError,
                   NonQuiescenceError, RandomUniformDelay, SimState,
-                  SimulationError, StimulusError, TableDelay, UnitDelay,
-                  initialize)
+                  SimulationError, Stimulus, StimulusError, TableDelay,
+                  UnitDelay, initialize)
 from .handshake import (HandshakeHarness, TransactionError, TransactionMetrics,
                         TransactionResult, build_completion_detector)
 from .components import (COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS,

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .encoding import Protocol, decode, encode, spacer_rails
 from .netlist import DualRailPort, GateKind, Netlist, NetlistBuilder, NetId
-from .sim import DelayModel, HazardRecord, SimState, UnitDelay, initialize
+from .sim import DelayModel, HazardRecord, SimState, Stimulus, UnitDelay, initialize
 
 
 class TransactionError(Exception):
@@ -114,20 +114,23 @@ class HandshakeHarness:
                 self._ports_of[rail] += (p,)
         # the output rails' values, flat: (rail1, rail0) of each output port
         self._snapshot = itemgetter(*(r for p in self.outputs for r in p.rails))
-        # built once: each input's rail dicts indexed by bit (the spacer at
-        # index 2), and by name its spacer dict alone, the constants' rails
-        # per phase, the return phase's one simultaneous batch, and each
-        # phase's target rail pairs and acknowledge level
+        # built once and checked once: each input's stimuli indexed by bit
+        # (the spacer at index 2), and by name its spacer stimulus alone, the
+        # constants per phase, the return phase's one simultaneous batch, and
+        # each phase's target rail pairs and acknowledge level
         words = (encode(protocol, 0), encode(protocol, 1), spacer_rails(protocol))
-        self._stimuli = {p.name: [dict(zip(p.rails, w)) for w in words] for p in self.inputs}
+        netlist = self.netlist
+        self._stimuli = {p.name: [Stimulus(netlist, dict(zip(p.rails, w))) for w in words]
+                         for p in self.inputs}
         self._spacer = {name: ws[2] for name, ws in self._stimuli.items()}
         self._const = {
-            "data": {r: v for p in self.consts for r, v in zip(p.rails, words[p.const_value])},
-            "return": {r: v for p in self.consts for r, v in zip(p.rails, words[2])},
+            "data": Stimulus(netlist, {r: v for p in self.consts
+                                       for r, v in zip(p.rails, words[p.const_value])}),
+            "return": Stimulus(netlist, {r: v for p in self.consts
+                                         for r, v in zip(p.rails, words[2])}),
         }
-        self._return_batch = dict(self._const["return"])
-        for rails in self._spacer.values():
-            self._return_batch.update(rails)
+        self._return_batch = Stimulus.join([self._const["return"], *self._spacer.values()])
+        self._spacer_level = protocol.spacer_level
         self._targets = {"data": (set(words[:2]), protocol.active_level),
                          "return": ({words[2]}, protocol.spacer_level)}
         # the bit of each (rail1, rail0) pair, None for the spacer and an
@@ -161,12 +164,13 @@ class HandshakeHarness:
     # -- phase driving ------------------------------------------------------
 
     def _groups(self, phase: str, values: Mapping[str, int] | None,
-                order: Sequence[Sequence[str]] | None) -> list[Mapping[int, int]]:
+                order: Sequence[Sequence[str]] | None) -> list[Stimulus]:
         """Stimulus groups: constants first, then the data inputs either as a
         single simultaneous batch or in the caller's arrival order.  A group
-        of one input is that input's prebuilt rail dict, and the return
+        of one input is that input's prebuilt stimulus, and the return
         phase's simultaneous batch is prebuilt too: both are shared, not
-        copied."""
+        copied.  Any other batch joins prebuilt stimuli, which are checked
+        already."""
         if phase == "data":
             if values is None:
                 raise TransactionError("data phase needs input values")
@@ -186,11 +190,8 @@ class HandshakeHarness:
         const = self._const[phase]
 
         if order is None:
-            batch = dict(const)
-            for r in rails.values():
-                batch.update(r)
-            return [batch]
-        groups: list[Mapping[int, int]] = [const] if const else []
+            return [Stimulus.join([const, *rails.values()])]
+        groups = [const] if const.codes else []
         seen: set[str] = set()
         for names in order:
             for name in names:
@@ -199,7 +200,7 @@ class HandshakeHarness:
                     raise TransactionError(f"arrival order {what} input {name!r}")
                 seen.add(name)
             groups.append(rails[names[0]] if len(names) == 1 else
-                          {r: v for name in names for r, v in rails[name].items()})
+                          Stimulus.join([rails[name] for name in names]))
         if len(seen) < len(rails):
             raise TransactionError(f"arrival order misses inputs {sorted(rails.keys() - seen)}")
         return groups
@@ -226,7 +227,7 @@ class HandshakeHarness:
 
         t0 = state.now
         ports_of = self._ports_of
-        spacer = self.protocol.spacer_level
+        spacer = self._spacer_level
         values_arr = state.values
         datapath = state.datapath_nets = self.datapath_nets
 
@@ -252,9 +253,10 @@ class HandshakeHarness:
         early: list[EarlyRecord] = []
         prev = state.watch, state.watched
         state.watch, state.watched = watch, self._watched
+        settle = state.apply_and_settle
         try:
             for gi, group in enumerate(groups):
-                state.apply_and_settle(group)
+                settle(group)
                 if gi < final and last_move is not None:
                     rails = snapshot(values_arr)
                     if rails != start:
@@ -265,7 +267,7 @@ class HandshakeHarness:
             state.watch, state.watched = prev
         last_datapath = max(t0, state.last_datapath_commit)
 
-        hazards = list(state.hazards[h0:])
+        hazards = state.hazards[h0:]
         if illegal:
             t, name = illegal[0]
             raise TransactionError(f"output {name} hit an illegal codeword at t={t}")
@@ -279,23 +281,15 @@ class HandshakeHarness:
         if ack != ack_expect or values_arr[self.ackin] != ack_expect ^ 1:
             raise TransactionError(
                 f"acknowledge level wrong after {phase} phase: ackout={ack}")
-        return PhaseReport(
-            phase=phase,
-            latency=last_move - t0,
-            elapsed=state.now - t0,
-            transitions=state.transitions - tr0,
-            completed_at=last_move,
-            last_datapath_commit=last_datapath,
-            early=early,
-            hazards=hazards,
-        )
+        return PhaseReport(phase, last_move - t0, state.now - t0, state.transitions - tr0,
+                           last_move, last_datapath, early, hazards)
 
     # -- transactions ---------------------------------------------------------
 
     def run_transaction(self, state: SimState, values: Mapping[str, int]) -> TransactionResult:
         """One complete handshake: data phase then return phase, both settled
         through the closed loop (completion detector and acknowledge checked)."""
-        rails, spacer = state.values, self.protocol.spacer_level
+        rails, spacer = state.values, self._spacer_level
         for p in self.inputs:
             if rails[p.rail1] != spacer or rails[p.rail0] != spacer:
                 raise TransactionError(f"input {p.name} not at spacer at transaction start")

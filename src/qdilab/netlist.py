@@ -204,14 +204,16 @@ class CompiledNetlist:
     a change of ``n`` flips; the rails of input ports all map to one spare
     slot, ``len(gates)``.  ``env[n]`` is true for those rails.  Gates are
     indexed by position, which validation requires to equal ``Gate.id``.
+    ``out_key[g]`` is ``out[g] << 1``, the output net's part of an event key,
+    into which each simulation state ORs the gate's shifted delay.
 
-    The per-gate arrays only seed the reset images: ``reset_image(spacer)``
+    The other per-gate arrays only seed the reset images: ``reset_image(spacer)``
     builds the reset values, codes and excited-gate check once per spacer
     level, on first use, and keeps them here, with the compiled form, so
     they live exactly as long as the netlist.
     """
 
-    __slots__ = ("kind", "in0", "in1", "out", "fanout", "driver", "env",
+    __slots__ = ("kind", "in0", "in1", "out", "out_key", "fanout", "driver", "env",
                  "net_init", "_images")
 
     def __init__(self, netlist: Netlist):
@@ -220,6 +222,7 @@ class CompiledNetlist:
         self.in0 = [g.inputs[0] for g in gates]
         self.in1 = [g.inputs[-1] for g in gates]
         self.out = [g.output for g in gates]
+        self.out_key = [o << 1 for o in self.out]
         fanout: list[list[tuple[int, int, int]]] = [[] for _ in range(netlist.net_count)]
         self.driver = [len(gates)] * netlist.net_count
         for i, (a, b, o) in enumerate(zip(self.in0, self.in1, self.out)):

@@ -22,7 +22,7 @@ builds it, with its gate codes and its excited-gate check, once per level
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
 fanout entries and drivers, the per-gate arrays that seed the reset images,
 and the one ``NEXT_STATE`` table of gate functions).  It is built the first time
-a state is initialized over a netlist, not when the netlist is built or
+a state or a :class:`Stimulus` needs it, not when the netlist is built or
 validated, and is shared by every later state over the same netlist.
 
 Each gate's ``NEXT_STATE`` index, its *code* ``kind | a << 2 | b << 1 |
@@ -48,7 +48,8 @@ delays, not by an option.  Both hold the same keys and commit them in
 ``(time, net id)`` order.  An event is one int key ``t << shift | net << 1 |
 value``, with ``shift`` wide enough for any ``net << 1 | value``, so keys sort
 by ``(time, net id, value)``, and gate g excited at t schedules ``(t << shift)
-+ _sched[g] + value``.
++ sched[g] + value``, where the state's ``sched[g]`` ORs the gate's shifted
+delay into the compiled ``out_key[g]``.
 
 - The heap serves every delay model.
 - Per-step lists serve a state whose resolved delays are all 1, while its
@@ -65,10 +66,18 @@ at t that was superseded and the event its gate is re-excited to, with the
 same value, due at t + 1.  The pending flag says whether a gate has an
 event; ``_pending`` says which queue entry it is.
 
-``SimState.apply_and_settle`` is the one settle function.  It checks the
-stimuli (environment nets only, each the int 0 or 1), queues their keys at
-the current time, ahead of every gate event, commits events until the queue
-is empty, and builds the :class:`SettleReport` from its own counts.
+A :class:`Stimulus` is one batch of assignments, checked once against one
+netlist (environment nets only, each net an int and each value the int 0
+or 1) and kept as sorted ``net << 1 | value`` codes; ``Stimulus.join``
+merges checked batches over disjoint nets without checking them again.
+``SimState.apply_and_settle`` is the one settle function.  It takes a
+stimulus of its own netlist as it is, checks any mapping (or a stimulus of
+another netlist) into one first, queues the codes of the nets it changes
+at the current time, ahead of every gate event, commits events until the
+queue is empty, and builds the :class:`SettleReport` from its own counts.
+The tables a settle only reads or mutates in place (the compiled fanout and
+drivers, the codes, the schedule, the pending keys and the heap) are bound
+once per state and fetched in one load.
 
 Observers: ``trace(t, net, value)`` sees every committed event.  ``watch``
 is called the same way, but only for nets whose ``watched`` flag is set (the
@@ -83,7 +92,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .encoding import Protocol
 from .netlist import NEXT_STATE, GateKind, Netlist, first_excited
@@ -214,6 +223,57 @@ class SettleReport:
 
 
 # --------------------------------------------------------------------------
+# stimuli
+
+class Stimulus:
+    """One batch of environment assignments, checked once against one
+    netlist and kept as the sorted codes ``net << 1 | value``.
+
+    The constructor makes every check a settle needs: each net is an int
+    naming an input rail of ``netlist`` (a bool is the int it equals), and
+    each value is the int 0 or 1; anything else raises
+    :class:`StimulusError`.  A settle on a state over the same netlist takes
+    the codes as they are, so a batch driven many times is checked once.
+    """
+
+    __slots__ = ("netlist", "codes")
+
+    def __init__(self, netlist: Netlist, assignments: Mapping[int, int] | Stimulus):
+        items = list(assignments.items())
+        for net, _ in items:
+            if not isinstance(net, int):
+                raise StimulusError(f"net {net!r} is not environment-driven")
+        env = netlist.compiled.env
+        codes = []
+        for net, value in sorted(items):
+            if not 0 <= net < len(env) or not env[net]:
+                raise StimulusError(f"net {net} is not environment-driven")
+            if value not in (0, 1) or not isinstance(value, int):
+                raise StimulusError(f"net {net} assigned non-bit {value!r}")
+            codes.append(net << 1 | value)
+        self.netlist = netlist
+        self.codes = tuple(codes)
+
+    @classmethod
+    def join(cls, parts: Sequence[Stimulus]) -> Stimulus:
+        """One batch of every assignment in ``parts`` (one or more), which
+        must be built for one netlist and drive disjoint nets; nothing is
+        checked again."""
+        joined = object.__new__(cls)
+        joined.netlist = netlist = parts[0].netlist
+        joined.codes = codes = tuple(sorted(c for p in parts for c in p.codes))
+        if any(p.netlist is not netlist for p in parts):
+            raise ValueError("cannot join stimuli built for different netlists")
+        if len({c >> 1 for c in codes}) != len(codes):
+            raise ValueError("joined stimuli drive one net twice")
+        return joined
+
+    def items(self) -> list[tuple[int, int]]:
+        """The ``(net, value)`` assignments, in net order."""
+        return [(c >> 1, c & 1) for c in self.codes]
+
+
+# --------------------------------------------------------------------------
 # state
 
 class SimState:
@@ -221,19 +281,18 @@ class SimState:
 
     __slots__ = ("netlist", "protocol", "values", "now", "transitions",
                  "datapath_nets", "last_datapath_commit", "hazards", "watch",
-                 "watched", "trace", "_compiled", "_env", "_code", "_sched",
-                 "_shift", "_unit", "_heap", "_pending", "default_limit")
+                 "watched", "trace", "_env", "_code", "_unit", "_pending",
+                 "_tables", "default_limit")
 
     def __init__(self, netlist: Netlist, protocol: Protocol, delays: list[int]):
         self.netlist = netlist
         self.protocol = protocol
         compiled = netlist.compiled
-        self._compiled = compiled
         self._env = compiled.env
         # event keys are t << shift | net << 1 | value; gate g excited at
-        # time t schedules (t << shift) + _sched[g] + value
-        self._shift = shift = netlist.net_count.bit_length() + 1
-        self._sched = [d << shift | o << 1 for d, o in zip(delays, compiled.out)]
+        # time t schedules (t << shift) + sched[g] + value
+        shift = netlist.net_count.bit_length() + 1
+        sched = [d << shift | o for d, o in zip(delays, compiled.out_key)]
         # every event is due one unit after its cause: settles run on the
         # per-step lists
         self._unit = delays.count(1) == len(delays)
@@ -251,51 +310,51 @@ class SimState:
         self.watch: Callable[[int, int, int], None] | None = None
         self.watched = bytearray(netlist.net_count)
         self.trace: Callable[[int, int, int], None] | None = None
-        self._heap: list[int] = []
         self._pending = [-1] * netlist.net_count
+        # what every settle reads and nothing rebinds, fetched in one load:
+        # the state's lists in it (codes, pending keys, the heap of queued
+        # keys) are only ever mutated in place
+        self._tables = (compiled.fanout, compiled.driver, self._code, sched,
+                        self._pending, [], shift, (1 << shift - 1) - 1,
+                        heapq.heappop, heapq.heappush)
         self.default_limit = 10_000 + 200 * max(1, len(netlist.gates))
 
     # -- public surface -----------------------------------------------------
 
-    def apply_and_settle(self, assignments: Mapping[int, int],
+    def apply_and_settle(self, assignments: Stimulus | Mapping[int, int],
                          limit: int | None = None) -> SettleReport:
         """Drive environment nets at the current time, then commit queued
         events in (time, net id) order, stimuli first, until the queue is
         empty.  Past ``limit`` gate events (stimuli do not count) it raises
-        :class:`NonQuiescenceError` with the next event queued for a later call."""
-        heap = self._heap
-        pending = self._pending
+        :class:`NonQuiescenceError` with the next event queued for a later call.
+
+        ``assignments`` is a :class:`Stimulus` built for this state's netlist,
+        taken as it is, or any mapping of net to value (or a stimulus built
+        for another netlist), checked into a :class:`Stimulus` first."""
+        if type(assignments) is Stimulus and assignments.netlist is self.netlist:
+            stimulus = assignments
+        else:
+            stimulus = Stimulus(self.netlist, assignments)
+        fanout, driver, code, sched, pending, heap, shift, net_mask, pop, push = self._tables
         values = self.values
-        env = self._env
-        shift = self._shift
-        net_mask = (1 << shift - 1) - 1
-        pop, push = heapq.heappop, heapq.heappush
         t = t0 = self.now
         # a settle resumed after a tripped limit finishes on the heap
         unit = self._unit and not heap
         base = t0 << shift
-        stimuli = []
-        for net, value in sorted(assignments.items()):
-            if not 0 <= net < len(values) or not env[net]:
-                raise StimulusError(f"net {net} is not environment-driven")
-            if value not in (0, 1) or not isinstance(value, int):
-                raise StimulusError(f"net {net} assigned non-bit {value!r}")
-            if values[net] != value:
-                stimuli.append(base | net << 1 | value)
         # stimuli commit now, in net order, ahead of every gate event (whose
-        # delay is at least one); a rejected batch queues none of them
-        for key in stimuli:
-            pending[key >> 1 & net_mask] = key
-            if not unit:
+        # delay is at least one)
+        stimuli = []
+        for c in stimulus.codes:
+            if values[c >> 1] != c & 1:
+                pending[c >> 1] = key = base | c
+                stimuli.append(key)
+        if not unit:
+            for key in stimuli:
                 push(heap, key)
         datapath, last_datapath = self.datapath_nets, self.last_datapath_commit
         hazards = self.hazards
         h0 = len(hazards)
         watched, watch, trace = self.watched, self.watch, self.trace
-        c = self._compiled
-        fanout, driver = c.fanout, c.driver
-        code = self._code
-        sched = self._sched
         limit = self.default_limit if limit is None else limit
         cap = limit + len(stimuli)
         commits = 0
@@ -387,8 +446,7 @@ class SimState:
             self.now = t
             self.transitions += commits
             self.last_datapath_commit = last_datapath
-        return SettleReport(elapsed=t - t0, transitions=commits,
-                            hazards=hazards[h0:], steps=commits - len(stimuli))
+        return SettleReport(t - t0, commits, hazards[h0:], commits - len(stimuli))
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""

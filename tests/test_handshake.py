@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from qdilab.analysis import measure_latencies
-from qdilab.components import COMPONENTS, strong_and2
+from qdilab.analysis import classify_indication, exhaustive_verify, measure_latencies
+from qdilab.components import COMPONENTS, ripple_carry_adder, strong_and2
 from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
                               build_completion_detector)
-from qdilab.multiplier import MultiplierSpec, array_multiplier
+from qdilab.multiplier import MultiplierSpec, array_multiplier, product_oracle
 from qdilab.netlist import GateKind, NetlistBuilder, ValidationError, validate
-from qdilab.sim import RandomUniformDelay, initialize
+from qdilab.sim import RandomUniformDelay, Stimulus, initialize
 
 from test_analysis import dead_end_and2
 
@@ -56,6 +56,38 @@ def test_a_built_design_is_validated_once(monkeypatch):
     netlist = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
     measure_latencies(netlist, Protocol.RTZ)
     assert calls == [netlist.name]
+
+
+def count_stimulus_checks(monkeypatch) -> list[int]:
+    """One entry per :class:`Stimulus` built by checking a mapping."""
+    checks: list[int] = []
+    check = Stimulus.__init__
+
+    def counting(self, netlist, assignments):
+        checks.append(1)
+        check(self, netlist, assignments)
+    monkeypatch.setattr(Stimulus, "__init__", counting)
+    return checks
+
+
+@pytest.mark.parametrize("run", ["classify", "verify"])
+def test_each_harness_stimulus_is_checked_once(monkeypatch, run):
+    """The harness checks its stimuli when it is built; the settles of a
+    classification (38,400 on rca2_weak) and the per-vector joins of a
+    verify check none again."""
+    checks = count_stimulus_checks(monkeypatch)
+    if run == "classify":
+        netlist, protocol = ripple_carry_adder(Protocol.RTO, 2, "weak_fa"), Protocol.RTO
+    else:
+        netlist, protocol = array_multiplier(MultiplierSpec(2, Protocol.RTZ)), Protocol.RTZ
+    HandshakeHarness(netlist, protocol)
+    built = len(checks)
+    assert built > 0
+    if run == "classify":
+        assert classify_indication(netlist, protocol, mode="exhaustive").scenarios == 3840
+    else:
+        assert exhaustive_verify(netlist, protocol, product_oracle(2)).ok
+    assert len(checks) == 2 * built
 
 
 def test_detector_rejects_empty():

@@ -16,8 +16,8 @@ from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
 from qdilab.netlist import KIND_CODE, NEXT_STATE, GateKind, NetlistBuilder
 from qdilab.sim import (HazardRecord, InitializationError, NonQuiescenceError,
-                        RandomUniformDelay, SimState, StimulusError, TableDelay,
-                        UnitDelay, initialize, uniform_draws)
+                        RandomUniformDelay, SimState, Stimulus, StimulusError,
+                        TableDelay, UnitDelay, initialize, uniform_draws)
 
 from reference_kernel import ReferenceKernel
 from test_analysis import dead_end_and2
@@ -165,29 +165,71 @@ def test_cancelled_excitation_is_recorded_as_hazard():
 
 
 def test_stimulus_errors():
+    """Every bad batch raises :class:`StimulusError`, whether it is checked
+    into a :class:`Stimulus` or handed to a settle as a mapping; a net that
+    is not an int is no environment net."""
     netlist, x = wire_fixture()
     state = initialize(netlist, Protocol.RTZ)
     gate_out = netlist.gates[0].output
-    with pytest.raises(StimulusError):
-        state.apply_and_settle({gate_out: 1})
-    with pytest.raises(StimulusError):
-        state.apply_and_settle({x.rail1: 2})
-    with pytest.raises(StimulusError):
-        state.apply_and_settle({x.rail1: 1.0})  # equal to 1, but not a bit
-    with pytest.raises(StimulusError):
-        state.apply_and_settle({9999: 0})
+    for bad in ({gate_out: 1}, {x.rail1: 2},
+                {x.rail1: 1.0},  # equal to 1, but not a bit
+                {9999: 0}, {"a": 1},
+                {0.0: 1},  # net 0 is an input rail
+                {x.rail1: 1, "a": 0}, {None: 1}):
+        with pytest.raises(StimulusError, match="environment-driven|non-bit"):
+            Stimulus(netlist, bad)
+        with pytest.raises(StimulusError, match="environment-driven|non-bit"):
+            state.apply_and_settle(bad)
+    with pytest.raises(StimulusError, match="net 'a' is not environment-driven"):
+        state.apply_and_settle({x.rail1: 1, "a": 0})
+    # a bool is the int it equals: True is net 1, an input rail here
+    assert 1 in x.rails
+    assert Stimulus(netlist, {True: 1, False: 0}).codes == (0, 3)
+    assert state.apply_and_settle({True: 0}).transitions == 0
+
+
+def two_port_fixture():
+    """The wire fixture's input port plus a second one, whose rails take
+    the net ids that the wire fixture gives its gates."""
+    b = NetlistBuilder("two")
+    x, y = b.add_input_port("IN"), b.add_input_port("Y")
+    b.add_output_port("Z", b.add_gate(GateKind.AND2, (x.rail1, y.rail1)), x.rail0)
+    return b.build(), y
 
 
 def test_a_rejected_stimulus_batch_queues_nothing():
     """Every stimulus is checked before any is queued: a bad one after a good
-    one leaves the state as it was, quiescent."""
+    one leaves the state as it was, quiescent.  A :class:`Stimulus` built for
+    another netlist is checked again, against this one."""
     netlist, x = wire_fixture()
-    state = initialize(netlist, Protocol.RTZ)
-    values = state.values[:]
-    with pytest.raises(StimulusError):
-        state.apply_and_settle({x.rail1: 1, 9999: 0})
-    assert state.is_quiescent() and state.values == values
-    assert state.apply_and_settle({}).transitions == 0
+    other, y = two_port_fixture()
+    assert not netlist.compiled.env[y.rail1]  # the wire fixture's gate output
+    for batch in ({x.rail1: 1, 9999: 0}, Stimulus(other, {x.rail1: 1, y.rail1: 0})):
+        state = initialize(netlist, Protocol.RTZ)
+        values = state.values[:]
+        with pytest.raises(StimulusError, match="is not environment-driven"):
+            state.apply_and_settle(batch)
+        assert state.is_quiescent() and state.values == values
+        assert state.apply_and_settle({}).transitions == 0
+
+
+def test_a_foreign_stimulus_on_shared_input_rails_settles_like_its_mapping():
+    netlist, x = wire_fixture()
+    other, _ = two_port_fixture()
+    reports = [asdict(initialize(netlist, Protocol.RTZ).apply_and_settle(batch))
+               for batch in ({x.rail1: 1}, Stimulus(other, {x.rail1: 1}))]
+    assert reports[0] == reports[1] and reports[0]["transitions"] == 2
+
+
+def test_joined_stimuli_must_share_a_netlist_and_drive_disjoint_nets():
+    netlist, x = wire_fixture()
+    other, _ = two_port_fixture()
+    a, b = Stimulus(netlist, {x.rail1: 1}), Stimulus(netlist, {x.rail0: 0})
+    assert Stimulus.join([b, a]).items() == sorted({x.rail1: 1, x.rail0: 0}.items())
+    with pytest.raises(ValueError, match="one net twice"):
+        Stimulus.join([a, Stimulus(netlist, {x.rail1: 0})])
+    with pytest.raises(ValueError, match="different netlists"):
+        Stimulus.join([a, Stimulus(other, {x.rail0: 0})])
 
 
 def test_settle_limit_raises():
@@ -537,6 +579,30 @@ def test_kernel_matches_the_reference_kernel(case, data):
     table = {g.id: data.draw(st.integers(1, 3)) for g in netlist.gates}
     for delays in (UnitDelay(), TableDelay(table)):
         _run_against_reference(netlist, delays, settles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(), st.data())
+def test_a_mapping_and_its_stimulus_settle_identically(case, data):
+    """A settle checks a mapping into a :class:`Stimulus` and takes one
+    built for its netlist as it is: the two give the same reports, trace,
+    hazards, values and time, through tripped limits and resumes."""
+    netlist, settles = case
+    table = {g.id: data.draw(st.integers(1, 3)) for g in netlist.gates}
+    for delays in (UnitDelay(), TableDelay(table)):
+        runs = []
+        for form in (dict, lambda assignments: Stimulus(netlist, assignments)):
+            state = initialize(netlist, Protocol.RTZ, delays)
+            trace = []
+            state.trace = lambda t, net, val: trace.append((t, net, val))
+            outcomes = []
+            for assignments, limit in settles:
+                try:
+                    outcomes.append(asdict(state.apply_and_settle(form(assignments), limit)))
+                except NonQuiescenceError:
+                    outcomes.append("no quiescence")
+            runs.append((outcomes, trace, state.hazards, state.values, state.now))
+        assert runs[0] == runs[1]
 
 
 # one step: the input rails to flip (0 is X, 1 is Y) and the settle's limit
