@@ -7,7 +7,7 @@ relative cycle-time/power figures.
 """
 
 from .encoding import PairState, Protocol, decode, encode
-from .netlist import (DualRailPort, Gate, GateKind, Netlist, NetlistBuilder,
+from .netlist import (Cell, DualRailPort, Gate, GateKind, Netlist, NetlistBuilder,
                       NetlistError, ValidationError, dual_of, from_json, stats,
                       structurally_equal, to_dot, to_json, validate)
 from .sim import (DelayModel, HazardRecord, InitializationError,

@@ -268,13 +268,13 @@ def orphan_scan(netlist: Netlist, protocol: Protocol, oracle: Oracle,
     rng = random.Random(seed)
     for trial in range(trials):
         delay_seed = rng.getrandbits(32)
-        # one draw for all the vectors, vector by vector, input by input
-        w = len(names)
-        bits = uniform_draws(random.Random(rng.getrandbits(32)), 0, 1, w * transactions)
-        vectors = [dict(zip(names, bits[i * w:i * w + w])) for i in range(transactions)]
+        # the trial's own generator draws each vector as its transaction
+        # starts, so no trial holds more than one vector's bits
+        draw = random.Random(rng.getrandbits(32))
         delays = RandomUniformDelay(delay_low, delay_high, delay_seed)
         state = harness.initialize(delays)
-        for ti, vec in enumerate(vectors):
+        for ti in range(transactions):
+            vec = dict(zip(names, uniform_draws(draw, 0, 1, len(names))))
             try:
                 res = harness.run_transaction(state, vec)
             except (TransactionError, SimulationError) as e:

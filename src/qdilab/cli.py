@@ -261,20 +261,26 @@ def _write_artifacts(config: CliConfig, netlist: Netlist, indent: str = "") -> b
 
 
 class _Tracer:
-    """Tees committed events into a time,net,value CSV."""
+    """Tees committed events into a time,net,value CSV.  The file is created
+    or truncated at the first mark, which comes before the first vector's
+    transaction, so a run that stops before that leaves it as it was."""
 
     def __init__(self, path: str):
-        self._fh = open(path, "w")
-        self._fh.write("time,net,value\n")
+        self._path = path
+        self._fh = None
 
     def mark(self, label: str) -> None:
+        if self._fh is None:
+            self._fh = open(self._path, "w")
+            self._fh.write("time,net,value\n")
         self._fh.write(f"# {label}\n")
 
     def __call__(self, t: int, net: int, value: int) -> None:
         self._fh.write(f"{t},{net},{value}\n")
 
     def close(self) -> None:
-        self._fh.close()
+        if self._fh is not None:
+            self._fh.close()
 
 
 # ---------------------------------------------------------------------------

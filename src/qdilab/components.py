@@ -20,14 +20,24 @@ Three blocks ship:
   rails keep the full minterm structure and therefore still indicate every
   input.  Weakly indicating, which is what makes cascades fast: a carry hop
   costs two gate delays instead of three.
+
+Each ``emit_*`` function is the only definition of its block.  The
+standalone builders (``strong_and2``, ``dims_full_adder``,
+``weak_full_adder``) call it once into a netlist of their own; ``cell(name,
+protocol)`` turns that netlist into a :class:`~qdilab.netlist.Cell`, built
+and validated once per process and protocol, and the ripple-carry adder and
+the array multiplier copy it as one instance per block
+(``NetlistBuilder.add_instance``), net for net what the ``emit_*`` call
+would have added.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Mapping, Sequence
 
 from .encoding import Protocol
-from .netlist import GateKind, Netlist, NetlistBuilder, NetId
+from .netlist import Cell, GateKind, Netlist, NetlistBuilder, NetId
 
 Rails = tuple[NetId, NetId]  # (rail1, rail0)
 
@@ -141,14 +151,32 @@ def weak_full_adder(protocol: Protocol) -> Netlist:
                        emit_weak_full_adder, ("Sum", "Cout"))
 
 
+CELLS: dict[str, Callable[[Protocol], Netlist]] = {
+    "strong_and2": strong_and2,
+    "dims_fa": dims_full_adder,
+    "weak_fa": weak_full_adder,
+}
+
+
+@cache
+def cell(name: str, protocol: Protocol) -> Cell:
+    """The block ``name`` of ``CELLS`` under ``protocol``, as a cell: its
+    standalone netlist, built and validated on the first call and shared by
+    every later one (at most one cell per block and protocol)."""
+    return Cell(CELLS[name](protocol))
+
+
 def ripple_carry_adder(protocol: Protocol, width: int,
                        fa_variant: str = "dims_fa") -> Netlist:
-    """Chain of full adders; cascading two strongly indicating stages already
-    degrades the whole to weak indication, since the low sum can complete
-    before the high operands arrive."""
+    """Chain of full adders, one instance of the ``fa_variant`` cell per bit;
+    cascading two strongly indicating stages already degrades the whole to
+    weak indication, since the low sum can complete before the high operands
+    arrive."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    emit = FA_VARIANTS[fa_variant]
+    if fa_variant not in FA_VARIANTS:
+        raise ValueError(f"unknown full-adder variant {fa_variant!r}")
+    fa = cell(fa_variant, protocol)
     b = NetlistBuilder(f"rca{width}_{fa_variant}_{protocol.value}",
                        {"component": f"rca{width}", "protocol": protocol.value,
                         "fa_variant": fa_variant})
@@ -158,7 +186,7 @@ def ripple_carry_adder(protocol: Protocol, width: int,
     cin = b.add_input_port("Cin", init=s)
     carry = cin.rails
     for i in range(width):
-        sum_rails, carry = emit(b, protocol, a[i].rails, bp[i].rails, carry)
+        sum_rails, carry = b.add_instance(fa, (a[i].rails, bp[i].rails, carry))
         b.add_output_port(f"S{i}", *sum_rails)
     b.add_output_port("Cout", *carry)
     return b.build()
@@ -185,9 +213,7 @@ def rca_oracle(width: int) -> Callable[[Mapping[str, int]], dict[str, int]]:
 
 
 COMPONENTS: dict[str, Callable[[Protocol], Netlist]] = {
-    "strong_and2": strong_and2,
-    "dims_fa": dims_full_adder,
-    "weak_fa": weak_full_adder,
+    **CELLS,
     "rca2_dims": lambda p: ripple_carry_adder(p, 2, "dims_fa"),
     "rca2_weak": lambda p: ripple_carry_adder(p, 2, "weak_fa"),
 }

@@ -12,7 +12,7 @@ their sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Mapping, Sequence
 
 from .encoding import Protocol, decode, encode, spacer_rails
@@ -41,6 +41,11 @@ def build_completion_detector(builder: NetlistBuilder, ports: Sequence[DualRailP
     ackout = builder.reduce_tree(GateKind.C2, per_pair)
     ackin = builder.add_gate(GateKind.INV, (ackout,))
     return ackout, ackin
+
+
+def _pairs(rails: tuple[int, ...]):
+    """The (rail1, rail0) pairs of a flat output-rail snapshot, port by port."""
+    return zip(rails[::2], rails[1::2])
 
 
 @dataclass(frozen=True)
@@ -114,15 +119,16 @@ class HandshakeHarness:
                 self._ports_of[rail] += (p,)
         # the output rails' values, flat: (rail1, rail0) of each output port
         self._snapshot = itemgetter(*(r for p in self.outputs for r in p.rails))
-        # built once and checked once: each input's stimuli indexed by bit
-        # (the spacer at index 2), and by name its spacer stimulus alone, the
-        # constants per phase, the return phase's one simultaneous batch, and
-        # each phase's target rail pairs and acknowledge level
+        # built once and checked once: each input's data stimuli keyed by
+        # bit, and its spacer stimulus, the constants per phase, the return
+        # phase's one simultaneous batch, and each phase's target rail pairs
+        # and acknowledge level
         words = (encode(protocol, 0), encode(protocol, 1), spacer_rails(protocol))
         netlist = self.netlist
-        self._stimuli = {p.name: [Stimulus(netlist, dict(zip(p.rails, w))) for w in words]
-                         for p in self.inputs}
-        self._spacer = {name: ws[2] for name, ws in self._stimuli.items()}
+        self._stimuli = {p.name: {bit: Stimulus(netlist, dict(zip(p.rails, words[bit])))
+                                  for bit in (0, 1)} for p in self.inputs}
+        self._spacer = {p.name: Stimulus(netlist, dict(zip(p.rails, words[2])))
+                        for p in self.inputs}
         self._const = {
             "data": Stimulus(netlist, {r: v for p in self.consts
                                        for r, v in zip(p.rails, words[p.const_value])}),
@@ -145,10 +151,10 @@ class HandshakeHarness:
 
     # -- decoding helpers ---------------------------------------------------
 
-    def _off_target(self, state: SimState, targets: set[tuple[int, int]]) -> list[str]:
-        """Names of the output ports whose (rail1, rail0) pair is not in ``targets``."""
-        values = state.values
-        return [p.name for p in self.outputs if (values[p.rail1], values[p.rail0]) not in targets]
+    def _off_target(self, rails: tuple[int, ...], targets: set[tuple[int, int]]) -> list[str]:
+        """Names of the output ports whose (rail1, rail0) pair in the output
+        rail snapshot ``rails`` is not in ``targets``."""
+        return [p.name for p, pair in zip(self.outputs, _pairs(rails)) if pair not in targets]
 
     def decode_outputs(self, state: SimState) -> dict[str, int]:
         values, bits = state.values, self._bit
@@ -172,17 +178,14 @@ class HandshakeHarness:
         copied.  Any other batch joins prebuilt stimuli, which are checked
         already."""
         if phase == "data":
-            if values is None:
-                raise TransactionError("data phase needs input values")
-            missing = [p.name for p in self.inputs if p.name not in values]
-            if missing:
-                raise TransactionError(f"missing values for inputs {missing}")
-            rails = {}
-            for name, words in self._stimuli.items():
-                bit = values[name]
-                if bit not in (0, 1):  # a bit of 2 or -1 would index the spacer
-                    raise ValueError(f"input {name}: bit must be 0 or 1, got {bit!r}")
-                rails[name] = words[bit]
+            # ``index`` refuses a float such as 1.0, which the bit keys
+            # would take for 1, and the keys refuse every other int
+            try:
+                rails = {name: words[index(values[name])]
+                         for name, words in self._stimuli.items()}
+            except (KeyError, TypeError):
+                self._reject(values)
+                raise
         elif order is None:
             return [self._return_batch]
         else:
@@ -204,6 +207,23 @@ class HandshakeHarness:
         if len(seen) < len(rails):
             raise TransactionError(f"arrival order misses inputs {sorted(rails.keys() - seen)}")
         return groups
+
+    def _reject(self, values: Mapping[str, int] | None) -> None:
+        """Raise the error for data-phase ``values`` that the stimulus lookup
+        refused: no values, then missing inputs, then the first value that
+        is not an integer 0 or 1 (a bool is the int it equals, and a float
+        is refused)."""
+        if values is None:
+            raise TransactionError("data phase needs input values")
+        missing = [p.name for p in self.inputs if p.name not in values]
+        if missing:
+            raise TransactionError(f"missing values for inputs {missing}")
+        for name, words in self._stimuli.items():
+            bit = values[name]
+            try:
+                words[index(bit)]
+            except (KeyError, TypeError):
+                raise ValueError(f"input {name}: bit must be 0 or 1, got {bit!r}") from None
 
     def run_phase(self, state: SimState, phase: str,
                   values: Mapping[str, int] | None = None,
@@ -262,7 +282,7 @@ class HandshakeHarness:
                     if rails != start:
                         moved = tuple(p.name for i, p in enumerate(self.outputs)
                                       if rails[2 * i:2 * i + 2] != start[2 * i:2 * i + 2])
-                        early.append(EarlyRecord(gi, moved, not self._off_target(state, targets)))
+                        early.append(EarlyRecord(gi, moved, targets.issuperset(_pairs(rails))))
         finally:
             state.watch, state.watched = prev
         last_datapath = max(t0, state.last_datapath_commit)
@@ -274,9 +294,10 @@ class HandshakeHarness:
         for h in hazards:
             if h.net < datapath:
                 raise TransactionError(f"datapath hazard: {h.description}")
-        bad = self._off_target(state, targets)
-        if bad or last_move is None:
-            raise TransactionError(f"{phase} phase left outputs incomplete: {bad}")
+        rails = snapshot(values_arr)
+        if last_move is None or not targets.issuperset(_pairs(rails)):
+            raise TransactionError(f"{phase} phase left outputs incomplete: "
+                                   f"{self._off_target(rails, targets)}")
         ack = values_arr[self.ackout]
         if ack != ack_expect or values_arr[self.ackin] != ack_expect ^ 1:
             raise TransactionError(

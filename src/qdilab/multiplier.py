@@ -8,6 +8,13 @@ remaining sums and final carry into the high product bits.  The n carry
 inputs that the structure leaves open are tied to logical 0 through
 dedicated constant ports, which the environment cycles between spacer and
 data like any other input so the C-elements behind them keep handshaking.
+
+Every block is one instance of a cached cell (``components.cell``): the
+``strong_and2`` cell and the ``fa_variant`` full-adder cell of the protocol,
+each built by its ``emit_*`` function and validated once per process, then
+copied with ``NetlistBuilder.add_instance``.  The netlist is the one that
+emitting every block's gates in the same order gives, and ``build()``
+validates it whole, once.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .components import FA_VARIANTS, emit_strong_and2
+from .components import FA_VARIANTS, cell
 from .encoding import Protocol
 from .netlist import Netlist, NetlistBuilder
 
@@ -40,7 +47,8 @@ class MultiplierSpec:
 def array_multiplier(spec: MultiplierSpec) -> Netlist:
     n = spec.n
     protocol = spec.protocol
-    emit_fa = FA_VARIANTS[spec.fa_variant]
+    and2 = cell("strong_and2", protocol)
+    fa = cell(spec.fa_variant, protocol)
     b = NetlistBuilder(spec.name, {
         "n": n,
         "protocol": protocol.value,
@@ -61,7 +69,7 @@ def array_multiplier(spec: MultiplierSpec) -> Netlist:
         return port.rails
 
     # pp[i][j] = A_j AND B_i, weight 2^(i+j)
-    pp = [[emit_strong_and2(b, protocol, a[j].rails, bp[i].rails)
+    pp = [[b.add_instance(and2, (a[j].rails, bp[i].rails))[0]
            for j in range(n)] for i in range(n)]
 
     products = [pp[0][0]]
@@ -85,7 +93,7 @@ def array_multiplier(spec: MultiplierSpec) -> Netlist:
                     x, y, cin = sums_above[j + 1], pp[i][j], carry
                 else:
                     x, y, cin = carry_above, pp[i][n - 1], carry
-            s_rails, carry = emit_fa(b, protocol, x, y, cin)
+            s_rails, carry = b.add_instance(fa, (x, y, cin))
             sums.append(s_rails)
         products.append(sums[0])
         sums_above, carry_above = sums, carry

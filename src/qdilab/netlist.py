@@ -9,10 +9,12 @@ circuits using the return-to-one discipline reset to an all-ones spacer while
 return-to-zero circuits reset to all-zeros.
 
 Construction goes through :class:`NetlistBuilder`; ``build()`` refuses to hand
-out a netlist that fails structural validation.  Built netlists are treated as
-immutable, so each caches its validation verdict (``Netlist.validation``):
-``build()`` and ``from_json`` fill it, and a handshake harness reads it
-instead of validating its closed loop again.
+out a netlist that fails structural validation.  A builder can also copy a
+whole validated block, a :class:`Cell`, as one instance
+(``NetlistBuilder.add_instance``) instead of adding its gates one by one.
+Built netlists are treated as immutable, so each caches its validation
+verdict (``Netlist.validation``): ``build()`` and ``from_json`` fill it, and
+a handshake harness reads it instead of validating its closed loop again.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 NetId = int
@@ -353,6 +356,45 @@ def validate(netlist: Netlist) -> ValidationReport:
     return ValidationReport(findings)
 
 
+def _inputs_getter(inputs: tuple[NetId, ...]) -> Callable[[Sequence[NetId]], tuple[NetId, ...]]:
+    """A function from a net table to the table's entries at ``inputs``, as a tuple."""
+    if len(inputs) == 1:
+        (a,) = inputs
+        return lambda table: (table[a],)
+    return itemgetter(*inputs)
+
+
+class Cell:
+    """A validated block in the layout ``NetlistBuilder.add_instance`` copies.
+
+    The layout is checked once, here: the rails of the input ports (no
+    constants) are nets ``0..2k-1`` in port order, gate ``i`` drives net
+    ``2k + i``, and there is no other net.  A net table of the instance's
+    ``2k`` driving rails followed by one fresh net per gate then renumbers
+    every net, so each gate's copy template is its kind, a getter of its
+    renumbered inputs from that table, and its stored init.  Raises
+    :class:`ValidationError` for a netlist that fails validation and
+    :class:`NetlistError` for one in another layout.
+    """
+
+    __slots__ = ("name", "levels", "inits", "outputs", "_template")
+
+    def __init__(self, netlist: Netlist):
+        gates = netlist.validated().gates
+        inputs = [p for p in netlist.ports if p.direction == "input"]
+        k = 2 * len(inputs)
+        if (any(p.is_const or p.rails != (2 * j, 2 * j + 1) for j, p in enumerate(inputs))
+                or netlist.net_count != k + len(gates)
+                or any(g.output != k + i for i, g in enumerate(gates))):
+            raise NetlistError(f"cell {netlist.name!r} is not laid out as its input "
+                               "rails, then one net per gate in gate order")
+        self.name = netlist.name
+        self.levels = netlist.net_init[:k]  # the reset level of each input rail
+        self.inits = netlist.net_init[k:]  # each gate's init, in gate order
+        self.outputs = tuple(p.rails for p in netlist.output_ports)
+        self._template = tuple((g.kind, _inputs_getter(g.inputs), g.init) for g in gates)
+
+
 class NetlistBuilder:
     """Accumulates gates and ports, then emits a validated Netlist."""
 
@@ -404,6 +446,39 @@ class NetlistBuilder:
         net_init.append(init)
         self._gates.append(Gate(len(self._gates), kind, inputs, out, init))
         return out
+
+    def add_instance(self, cell: Cell, inputs: Sequence[tuple[NetId, NetId]]
+                     ) -> list[tuple[NetId, NetId]]:
+        """Copy ``cell``'s gates onto existing rails and return the rails of
+        its output ports, renumbered.
+
+        ``inputs`` gives one ``(rail1, rail0)`` pair per input port of the
+        cell, in port order; each gate gets one fresh output net, in gate
+        order, and keeps the cell's stored init.  Those inits hold because
+        every driving rail must reset to the level of the cell input it
+        replaces, which is checked once per instance.
+        """
+        table = [net for rails in inputs for net in rails]
+        net_init = self._net_init
+        base = len(net_init)  # the first gate's fresh output net
+        if len(table) != len(cell.levels) or any(len(rails) != 2 for rails in inputs):
+            raise NetlistError(f"cell {cell.name} takes {len(cell.levels) // 2} rail pairs, "
+                               f"got {list(inputs)}")
+        for net, level in zip(table, cell.levels):
+            if not 0 <= net < base:
+                raise NetlistError(f"unknown net {net}")
+            if net_init[net] != level:
+                raise NetlistError(f"cell {cell.name} needs inputs that reset to "
+                                   f"{level}; net {net} resets to {net_init[net]}")
+        outs = range(base, base + len(cell.inits))
+        table.extend(outs)
+        gates = self._gates
+        gid = len(gates) - base  # a gate's id is its output net plus gid
+        new = tuple.__new__  # a Gate without the Python-level NamedTuple constructor
+        gates.extend([new(Gate, (out + gid, kind, ins(table), out, init))
+                      for out, (kind, ins, init) in zip(outs, cell._template)])
+        net_init.extend(cell.inits)
+        return [(table[r1], table[r0]) for r1, r0 in cell.outputs]
 
     def wire_gate(self, kind: GateKind, inputs: Sequence[NetId], output: NetId, init: int) -> None:
         """Low-level manual wiring onto an existing net.  Unlike ``add_gate``

@@ -12,7 +12,7 @@ from qdilab.encoding import Protocol
 from qdilab.multiplier import (MultiplierSpec, array_multiplier, input_vector,
                                product_oracle)
 from qdilab.netlist import GateKind, NetlistBuilder
-from qdilab.sim import TableDelay
+from qdilab.sim import TableDelay, uniform_draws
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +135,24 @@ def test_orphan_scan_catches_unacknowledged_branch():
                          trials=40, seed=3, transactions=8)
     assert not report.ok
     assert any(v.kind == "post-completion" for v in report.violations)
+
+
+def test_orphan_scan_draws_one_vector_per_transaction(monkeypatch):
+    """Each transaction draws its own bits as it starts, so a trial never
+    holds more than one vector (a huge --transactions starts at once)."""
+    from qdilab import analysis
+    requests = []
+
+    def draws(rng, low, high, count):
+        requests.append(count)
+        return uniform_draws(rng, low, high, count)
+
+    monkeypatch.setattr(analysis, "uniform_draws", draws)
+    report = orphan_scan(weak_full_adder(Protocol.RTZ), Protocol.RTZ,
+                         COMPONENT_ORACLES["weak_fa"], trials=1, seed=5,
+                         transactions=50)
+    assert report.ok
+    assert requests == [3] * 50
 
 
 def test_orphan_scan_is_seed_deterministic():

@@ -322,6 +322,21 @@ def test_trace_csv(tmp_path):
                for r in rows)
 
 
+def test_a_verify_that_exits_2_leaves_an_existing_trace_alone(tmp_path):
+    """Usage errors found before the first vector write no trace: a delay
+    table the model needs, and an RTZ netlist that cannot reset under RTO."""
+    trace = tmp_path / "t.csv"
+    saved = tmp_path / "and.json"
+    assert run_inproc("export", "--component", "strong_and2", "--out", str(saved)) == 0
+    trace.write_text("time,net,value\n0,1,1\n")
+    for argv in (["--n", "2", "--delay", "perkind"],
+                 ["--netlist", str(saved), "--protocol", "rto"]):
+        with pytest.raises(SystemExit) as exc:
+            run_inproc("verify", *argv, "--trace", str(trace))
+        assert exc.value.code == 2
+        assert trace.read_text() == "time,net,value\n0,1,1\n"
+
+
 def test_bench_writes_csv_and_json(tmp_path):
     out = tmp_path / "bench.csv"
     assert run_inproc("bench", "--n", "2", "--out", str(out)) == 0

@@ -1,16 +1,19 @@
 """Indicating gate library: truth tables, budgets, duality, merge-gate structure."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from qdilab.components import (COMPONENTS, dims_full_adder, ripple_carry_adder,
+from qdilab.components import (CELLS, COMPONENTS, cell, dims_full_adder,
+                               emit_dims_full_adder, emit_strong_and2,
+                               emit_weak_full_adder, ripple_carry_adder,
                                strong_and2, weak_full_adder)
 from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
-from qdilab.netlist import (GateKind, NetlistBuilder, dual_of, stats,
-                            structurally_equal)
+from qdilab.netlist import (GateKind, NetlistBuilder, NetlistError, dual_of,
+                            stats, structurally_equal, to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -161,3 +164,74 @@ def test_merge_gate_check_flags_a_sabotaged_or():
     z0 = b.add_gate(GateKind.C2, (x.rail0, y.rail0))
     b.add_output_port("Z", z1, z0)
     assert merge_gates_with_two_active_inputs(b.build(), Protocol.RTZ) == [(3, 0)]
+
+
+# ---------------------------------------------------------------------------
+# cells and instances
+
+# The first 16 hex digits of the SHA-256 of ``to_json`` of the ripple-carry
+# adders of widths 1 to 3, both variants under both protocols: a change to
+# how the chain is assembled must give the same netlists, net for net.
+RCA_DIGESTS = {
+    "rca1_dims_fa_rto": "453dc862f910c398",
+    "rca1_dims_fa_rtz": "10ebcf82909ec614",
+    "rca1_weak_fa_rto": "c73ea8bbec45a533",
+    "rca1_weak_fa_rtz": "34372b5a31b9590a",
+    "rca2_dims_fa_rto": "8d99a0eb82092efe",
+    "rca2_dims_fa_rtz": "943c3dca6ff1cad6",
+    "rca2_weak_fa_rto": "0bee72d0ba566d12",
+    "rca2_weak_fa_rtz": "bba9325d1f3870f2",
+    "rca3_dims_fa_rto": "59d34e9561b639a4",
+    "rca3_dims_fa_rtz": "c1e1aec7f5635cc5",
+    "rca3_weak_fa_rto": "cf53511bddf73503",
+    "rca3_weak_fa_rtz": "33d30525681efaea",
+}
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("variant", ["dims_fa", "weak_fa"])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_ripple_carry_adders_are_pinned(width, variant, protocol):
+    netlist = ripple_carry_adder(protocol, width, variant)
+    digest = hashlib.sha256(to_json(netlist).encode()).hexdigest()[:16]
+    assert digest == RCA_DIGESTS[netlist.name]
+
+
+CELL_EMITTERS = {"strong_and2": (("X", "Y"), emit_strong_and2),
+                 "dims_fa": (("A", "B", "Cin"), emit_dims_full_adder),
+                 "weak_fa": (("A", "B", "Cin"), emit_weak_full_adder)}
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_an_instance_adds_what_the_emit_function_adds(name, protocol):
+    """One instance in a fresh builder is the block its ``emit_*`` function
+    adds to another, behind a port and a gate that shift every net and gate
+    id, with the inputs fed in reverse port order."""
+    in_names, emit = CELL_EMITTERS[name]
+    built, outputs = [], []
+    for add in (lambda b, rails: b.add_instance(cell(name, protocol), rails),
+                lambda b, rails: emit(b, protocol, *rails)):
+        b = NetlistBuilder(name)
+        w = b.add_input_port("W", init=protocol.spacer_level)
+        b.add_gate(GateKind.OR2, w.rails)
+        rails = [b.add_input_port(n, init=protocol.spacer_level).rails for n in in_names]
+        outs = add(b, rails[::-1])
+        outputs.append([outs] if isinstance(outs[0], int) else list(outs))
+        built.append(b.build())
+    assert outputs[0] == outputs[1]
+    assert structurally_equal(*built)
+
+
+def test_an_instance_needs_rail_pairs_that_reset_to_the_cell_inputs():
+    and2 = cell("strong_and2", Protocol.RTZ)
+    b = NetlistBuilder("x")
+    x = b.add_input_port("X", init=0)
+    y = b.add_input_port("Y", init=1)  # an RTO spacer
+    with pytest.raises(NetlistError, match="reset to 0; net 2 resets to 1"):
+        b.add_instance(and2, (x.rails, y.rails))
+    with pytest.raises(NetlistError, match="takes 2 rail pairs"):
+        b.add_instance(and2, (x.rails,))
+    with pytest.raises(NetlistError, match="unknown net 4"):
+        b.add_instance(and2, (x.rails, (4, 5)))
+    assert b.net_count == 4 and not b.build().gates  # nothing was added

@@ -51,6 +51,7 @@ def test_harness_rejects_an_invalid_base_with_its_findings():
 def test_a_built_design_is_validated_once(monkeypatch):
     """The harness reads the design's cached verdict instead of validating
     its closed loop again."""
+    array_multiplier(MultiplierSpec(2, Protocol.RTZ))  # builds its cells, once per process
     calls = []
     monkeypatch.setattr("qdilab.netlist.validate", lambda n: calls.append(n.name) or validate(n))
     netlist = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
@@ -208,6 +209,15 @@ def test_data_phase_requires_all_inputs():
         harness.run_phase(state, "data", {"X": 1})
     with pytest.raises(TransactionError):
         harness.run_phase(state, "data", None)
+    with pytest.raises(TransactionError, match=r"missing values for inputs \['Y'\]"):
+        harness.run_phase(state, "data", {"X": 1.0})  # reported before the bad bit
+
+
+def test_a_bool_data_value_is_the_bit_it_equals():
+    harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)
+    runs = [harness.run_transaction(harness.initialize(), values)
+            for values in ({"X": True, "Y": False}, {"X": 1, "Y": 0})]
+    assert runs[0] == runs[1] and runs[0].outputs == {"Z": 0}
 
 
 def test_staggered_order_reports_early_movement():
@@ -241,7 +251,7 @@ def test_illegal_codeword_on_a_shared_rail_is_caught(protocol):
         harness.run_phase(state, "data", {"X": 1, "Y": 1})
 
 
-@pytest.mark.parametrize("bit", [2, -1, None])
+@pytest.mark.parametrize("bit", [2, -1, None, 1.0])
 def test_a_data_value_that_is_not_a_bit_is_rejected(bit):
     """A value outside {0, 1} raises before any rail moves."""
     harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)

@@ -1,5 +1,6 @@
 """Array multiplier generation: structure, scaling, and arithmetic."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -102,3 +103,39 @@ def test_multiplier_json_round_trip():
     assert restored == netlist
     assert restored.metadata["n"] == 3
     assert restored.metadata["fa_variant"] == "dims_fa"
+
+
+# The first 16 hex digits of the SHA-256 of ``to_json`` of every multiplier
+# from 2x2 to 6x6, both adder variants under both protocols: a change to how
+# the array is assembled must give the same netlists, net for net.
+NETLIST_DIGESTS = {
+    "mult2x2_dims_fa_rto": "258b65edfcdd2354",
+    "mult2x2_dims_fa_rtz": "8d6e5b974773ba7d",
+    "mult2x2_weak_fa_rto": "e460908a92cce568",
+    "mult2x2_weak_fa_rtz": "23ae3d24cda6075b",
+    "mult3x3_dims_fa_rto": "d3da5fd9b8c00f65",
+    "mult3x3_dims_fa_rtz": "f961200a6778b4b1",
+    "mult3x3_weak_fa_rto": "26579315e826d51c",
+    "mult3x3_weak_fa_rtz": "e44433ffab685a13",
+    "mult4x4_dims_fa_rto": "e61de4ec9095f40b",
+    "mult4x4_dims_fa_rtz": "19d182524f2ca72e",
+    "mult4x4_weak_fa_rto": "4dd8bc44d4921b97",
+    "mult4x4_weak_fa_rtz": "893ed1bf33814862",
+    "mult5x5_dims_fa_rto": "444241f03f7f240e",
+    "mult5x5_dims_fa_rtz": "e9055f1107dd5f33",
+    "mult5x5_weak_fa_rto": "5cc429a8d929a7b0",
+    "mult5x5_weak_fa_rtz": "f8c01aae59848396",
+    "mult6x6_dims_fa_rto": "294474367678ff2d",
+    "mult6x6_dims_fa_rtz": "3aba169df5a72849",
+    "mult6x6_weak_fa_rto": "2a44e8493ec3402c",
+    "mult6x6_weak_fa_rtz": "02c5aaeb8347a6b8",
+}
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("variant", ["dims_fa", "weak_fa"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generated_netlists_are_pinned(n, variant, protocol):
+    netlist = array_multiplier(MultiplierSpec(n, protocol, variant))
+    digest = hashlib.sha256(to_json(netlist).encode()).hexdigest()[:16]
+    assert digest == NETLIST_DIGESTS[netlist.name]

@@ -12,7 +12,7 @@ from qdilab.components import COMPONENTS, ripple_carry_adder
 from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
-from qdilab.netlist import (KIND_CODE, NEXT_STATE, FormatError, GateKind,
+from qdilab.netlist import (KIND_CODE, NEXT_STATE, Cell, FormatError, GateKind,
                             NetlistBuilder, NetlistError, ValidationError,
                             dual_of, from_json, stats, structurally_equal,
                             to_dot, to_json, validate)
@@ -70,6 +70,58 @@ def test_add_gate_rejects_wrong_arity():
         b.add_gate(GateKind.INV, (x.rail1, y.rail1))
     with pytest.raises(NetlistError):
         b.add_gate(GateKind.AND2, (x.rail1,))
+
+
+# ---------------------------------------------------------------------------
+# cells and instances
+
+def test_an_instance_renumbers_one_and_two_input_gates():
+    """An instance of a cell with an inverter and an AND2 equals adding the
+    same gates on the instance's rails by hand."""
+    b, x, y = small_builder()
+    inv = b.add_gate(GateKind.INV, (x.rail1,))
+    b.add_output_port("Z", b.add_gate(GateKind.AND2, (inv, y.rail0)), inv)
+    block = Cell(b.build())
+    built = []
+    for by_hand in (False, True):
+        h = NetlistBuilder("host")
+        h.add_gate(GateKind.INV, (h.add_input_port("W").rail0,))
+        p, q = h.add_input_port("P"), h.add_input_port("Q")
+        if by_hand:
+            inv = h.add_gate(GateKind.INV, (q.rail1,))
+            outs = [(h.add_gate(GateKind.AND2, (inv, p.rail0)), inv)]
+        else:
+            outs = h.add_instance(block, (q.rails, p.rails))
+        h.add_output_port("Z", *outs[0])
+        built.append(h.build())
+    assert structurally_equal(*built)
+
+
+def _wired_out_of_order(b, x, y):
+    first, second = b.new_net(), b.new_net()
+    b.wire_gate(GateKind.C2, (x.rail1, y.rail1), second, 0)
+    b.wire_gate(GateKind.C2, (x.rail0, y.rail0), first, 0)
+    return second, first
+
+
+def _port_after_a_gate(b, x, y):
+    z1 = b.add_gate(GateKind.C2, (x.rail1, y.rail1))
+    late = b.add_input_port("V")
+    return z1, b.add_gate(GateKind.C2, (late.rail0, y.rail0))
+
+
+def _constant_input(b, x, y):
+    k = b.add_const_port("K", 0)
+    return b.add_gate(GateKind.C2, (x.rail1, k.rail1)), b.add_gate(GateKind.C2, (y.rail0, k.rail0))
+
+
+@pytest.mark.parametrize("emit", [_wired_out_of_order, _port_after_a_gate, _constant_input])
+def test_a_cell_must_be_laid_out_inputs_then_gates(emit):
+    b, x, y = small_builder()
+    b.add_output_port("Z", *emit(b, x, y))
+    netlist = b.build()  # valid, but not in the layout an instance copies
+    with pytest.raises(NetlistError, match="is not laid out as its input rails"):
+        Cell(netlist)
 
 
 # ---------------------------------------------------------------------------
