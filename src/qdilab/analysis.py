@@ -118,7 +118,8 @@ def classify_indication(netlist: Netlist, protocol: Protocol,
     if mode == "exhaustive":
         orders = [tuple([n] for n in perm) for perm in itertools.permutations(names)]
     elif mode == "holdback":
-        orders = [tuple([[m for m in names if m != h], [h]]) for h in names]
+        # the rest first, then h; a one-input design has no rest
+        orders = [tuple(g for g in ([m for m in names if m != h], [h]) if g) for h in names]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

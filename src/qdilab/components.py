@@ -117,10 +117,7 @@ def emit_weak_full_adder(b: NetlistBuilder, protocol: Protocol,
     return (sum1, sum0), (cout1, cout0)
 
 
-FA_VARIANTS: dict[str, Callable] = {
-    "dims_fa": emit_dims_full_adder,
-    "weak_fa": emit_weak_full_adder,
-}
+FA_VARIANTS = ("dims_fa", "weak_fa")  # the full-adder blocks of ``CELLS``
 
 
 def _standalone(name: str, protocol: Protocol, in_names: Sequence[str],

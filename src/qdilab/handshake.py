@@ -197,6 +197,8 @@ class HandshakeHarness:
         groups = [const] if const.codes else []
         seen: set[str] = set()
         for names in order:
+            if not names:
+                raise TransactionError("arrival order has an empty group")
             for name in names:
                 if name in seen or name not in rails:
                     what = "repeats" if name in seen else "names unknown"

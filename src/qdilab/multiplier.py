@@ -1,13 +1,17 @@
 """Parametric N x N dual-rail array multiplier generator.
 
 The array follows the classic partial-product / ripple structure: n^2
-strongly indicating AND blocks form the partial products, and n*(n-1) full
-adders arranged in n-1 rows reduce them.  Row carries ripple left-to-right;
-each row's low sum drops out as a product bit, and the last row spills the
-remaining sums and final carry into the high product bits.  The n carry
-inputs that the structure leaves open are tied to logical 0 through
-dedicated constant ports, which the environment cycles between spacer and
-data like any other input so the C-elements behind them keep handshaking.
+strongly indicating AND blocks form the partial products ``pp[i][j] = A_j
+AND B_i``, and n-1 rows of n full adders add them up, one rule per row.
+Row 0's sums are ``pp[0]`` itself.  Row i (1 <= i < n) starts from a fresh
+constant-zero carry and ripples it through n-1 full adders over
+``(above[j + 1], pp[i][j], carry)``, where ``above`` are the sums of row i-1;
+its top cell then adds ``(pp[1][n-1], carry, 0)`` in row 1 and ``(carry out
+of row i-1, pp[i][n-1], carry)`` after that.  The row's first sum is product
+bit i (``pp[0][0]`` is bit 0), and the last row's other sums and carry are
+the high product bits.  The n constant-zero carry inputs are dedicated
+constant ports, which the environment cycles between spacer and data like
+any other input so the C-elements behind them keep handshaking.
 
 Every block is one instance of a cached cell (``components.cell``): the
 ``strong_and2`` cell and the ``fa_variant`` full-adder cell of the protocol,
@@ -20,6 +24,7 @@ validates it whole, once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Mapping
 
 from .components import FA_VARIANTS, cell
@@ -60,45 +65,28 @@ def array_multiplier(spec: MultiplierSpec) -> Netlist:
     s = protocol.spacer_level
     a = [b.add_input_port(f"A{j}", init=s) for j in range(n)]
     bp = [b.add_input_port(f"B{i}", init=s) for i in range(n)]
-    cc_count = 0
+    cc = count()
 
     def zero():
-        nonlocal cc_count
-        port = b.add_const_port(f"CC{cc_count}", 0, init=s)
-        cc_count += 1
-        return port.rails
+        return b.add_const_port(f"CC{next(cc)}", 0, init=s).rails
 
     # pp[i][j] = A_j AND B_i, weight 2^(i+j)
     pp = [[b.add_instance(and2, (a[j].rails, bp[i].rails))[0]
            for j in range(n)] for i in range(n)]
 
-    products = [pp[0][0]]
-    sums_above = None  # row i-1 sums s(i-1, 0..n-1)
-    carry_above = None  # row i-1 final carry c(i-1, n-1)
+    products = []
+    above = pp[0]  # row 0's sums; a later row's n sums are followed by its carry
     for i in range(1, n):
+        products.append(above[0])  # product bit i-1
         sums = []
-        carry = None
-        for j in range(n):
-            if i == 1:
-                if j == 0:
-                    x, y, cin = pp[0][1], pp[1][0], zero()
-                elif j < n - 1:
-                    x, y, cin = pp[0][j + 1], pp[1][j], carry
-                else:
-                    x, y, cin = pp[1][n - 1], carry, zero()
-            else:
-                if j == 0:
-                    x, y, cin = sums_above[1], pp[i][0], zero()
-                elif j < n - 1:
-                    x, y, cin = sums_above[j + 1], pp[i][j], carry
-                else:
-                    x, y, cin = carry_above, pp[i][n - 1], carry
-            s_rails, carry = b.add_instance(fa, (x, y, cin))
-            sums.append(s_rails)
-        products.append(sums[0])
-        sums_above, carry_above = sums, carry
-    products.extend(sums_above[1:])
-    products.append(carry_above)
+        carry = zero()
+        for j in range(n - 1):
+            rails, carry = b.add_instance(fa, (above[j + 1], pp[i][j], carry))
+            sums.append(rails)
+        top = (pp[1][n - 1], carry, zero()) if i == 1 else (above[n], pp[i][n - 1], carry)
+        sums += b.add_instance(fa, top)  # the top sum, then the row's carry
+        above = sums
+    products += above
 
     for k, rails in enumerate(products):
         b.add_output_port(f"P{k}", *rails)

@@ -81,8 +81,7 @@ def first_excited(codes: Sequence[int]) -> int | None:
     return None
 
 
-class Gate(NamedTuple):
-    id: int
+class Gate(NamedTuple):  # a gate's id is its position in ``Netlist.gates``
     kind: GateKind
     inputs: tuple[NetId, ...]
     output: NetId
@@ -137,14 +136,18 @@ class Netlist:
 
     ``net_init`` records the reset value of every net: gate outputs from the
     gate's stored init, port-driven rails from the owning port's init level.
+    Its length is the net count.
     """
 
     name: str
-    net_count: int
     gates: tuple[Gate, ...]
     ports: tuple[DualRailPort, ...]
     net_init: tuple[int, ...]
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def net_count(self) -> int:
+        return len(self.net_init)
 
     @property
     def input_ports(self) -> list[DualRailPort]:
@@ -206,7 +209,7 @@ class CompiledNetlist:
     net.  ``driver[n]`` is the gate driving net ``n``, whose ``cur`` bit (1)
     a change of ``n`` flips; the rails of input ports all map to one spare
     slot, ``len(gates)``.  ``env[n]`` is true for those rails.  Gates are
-    indexed by position, which validation requires to equal ``Gate.id``.
+    indexed by position, which is their id.
     ``out_key[g]`` is ``out[g] << 1``, the output net's part of an event key,
     into which each simulation state ORs the gate's shifted delay.
 
@@ -256,19 +259,16 @@ class CompiledNetlist:
 
 
 def validate(netlist: Netlist) -> ValidationReport:
-    """Structural checks: gate ids equal to positions, arity, net ranges,
-    unique port names, port directions, bit-valued inits and constants,
-    single drivers, init consistency, and acyclicity of the combinational
-    subgraph (every feedback loop must pass through a C2)."""
+    """Structural checks: arity, net ranges, unique port names, port
+    directions, bit-valued inits and constants, single drivers, init
+    consistency, and acyclicity of the combinational subgraph (every
+    feedback loop must pass through a C2).  Gates are named by position."""
     findings: list[Finding] = []
     n = netlist.net_count
     gates = netlist.gates
 
     outs = []  # each gate's output net
-    for i, (gid, kind, ins, out, init) in enumerate(gates):
-        if gid != i:
-            # delay tables key gates by id, the simulator by position
-            findings.append(Finding("gate-id", f"gate at position {i} has id {gid}"))
+    for gid, (kind, ins, out, init) in enumerate(gates):
         if len(ins) != kind.arity:
             findings.append(Finding("arity", f"gate {gid} ({kind.value}) has {len(ins)} inputs"))
         for net in (*ins, out):
@@ -305,9 +305,9 @@ def validate(netlist: Netlist) -> ValidationReport:
         drivers[net] += 1
     if drivers.count(1) != n:
         who: dict[int, list[str]] = {net: [] for net, k in enumerate(drivers) if k > 1}
-        for g in gates:
-            if g.output in who:
-                who[g.output].append(f"gate {g.id}")
+        for gid, net in enumerate(outs):
+            if net in who:
+                who[net].append(f"gate {gid}")
         for net, name in rails:
             if net in who:
                 who[net].append(f"port {name}")
@@ -324,14 +324,14 @@ def validate(netlist: Netlist) -> ValidationReport:
     net_init, c2 = netlist.net_init, GateKind.C2
     comb = []  # the non-C2 gates
     readers: list[list[int]] = [[] for _ in range(n)]
-    for i, (gid, kind, ins, _, init) in enumerate(gates):
+    for i, (kind, ins, _, init) in enumerate(gates):
         if len(ins) == kind.arity:
             expect = NEXT_STATE[KIND_CODE[kind] << 3 | net_init[ins[0]] << 2
                                 | net_init[ins[-1]] << 1 | init]
             if init != expect:
                 findings.append(Finding(
                     "init-inconsistent",
-                    f"gate {gid} ({kind.value}) init {init} but inputs reset to {expect}"))
+                    f"gate {i} ({kind.value}) init {init} but inputs reset to {expect}"))
         if kind is not c2:
             comb.append(i)
             for net in ins:
@@ -350,7 +350,7 @@ def validate(netlist: Netlist) -> ValidationReport:
             waits[r] -= 1
             if not waits[r]:
                 ready.append(r)
-    stuck = [gates[i].id for i, w in enumerate(waits) if w]
+    stuck = [i for i, w in enumerate(waits) if w]
     if stuck:
         findings.append(Finding("comb-cycle", f"gates {stuck} lie on or behind a combinational cycle"))
     return ValidationReport(findings)
@@ -444,7 +444,7 @@ class NetlistBuilder:
             if NEXT_STATE[code | 1] != init:  # the gate holds either value
                 raise NetlistError("C2 with disagreeing input resets needs an explicit init")
         net_init.append(init)
-        self._gates.append(Gate(len(self._gates), kind, inputs, out, init))
+        self._gates.append(Gate(kind, inputs, out, init))
         return out
 
     def add_instance(self, cell: Cell, inputs: Sequence[tuple[NetId, NetId]]
@@ -472,11 +472,9 @@ class NetlistBuilder:
                                    f"{level}; net {net} resets to {net_init[net]}")
         outs = range(base, base + len(cell.inits))
         table.extend(outs)
-        gates = self._gates
-        gid = len(gates) - base  # a gate's id is its output net plus gid
         new = tuple.__new__  # a Gate without the Python-level NamedTuple constructor
-        gates.extend([new(Gate, (out + gid, kind, ins(table), out, init))
-                      for out, (kind, ins, init) in zip(outs, cell._template)])
+        self._gates.extend([new(Gate, (kind, ins(table), out, init))
+                            for out, (kind, ins, init) in zip(outs, cell._template)])
         net_init.extend(cell.inits)
         return [(table[r1], table[r0]) for r1, r0 in cell.outputs]
 
@@ -485,7 +483,7 @@ class NetlistBuilder:
         this can express structural violations; validation still gets the
         final say at ``build()`` time."""
         kind = GateKind(kind)
-        self._gates.append(Gate(len(self._gates), kind, tuple(inputs), output, init))
+        self._gates.append(Gate(kind, tuple(inputs), output, init))
         if 0 <= output < self.net_count:
             self._net_init[output] = init
 
@@ -504,7 +502,7 @@ class NetlistBuilder:
         self._ports.append(port)
         return port
 
-    def reduce_tree(self, kind: GateKind, nets: Sequence[NetId], init: int | None = None) -> NetId:
+    def reduce_tree(self, kind: GateKind, nets: Sequence[NetId]) -> NetId:
         """Balanced binary reduction of ``nets`` with 2-input gates of ``kind``.
 
         A single net is returned unchanged; k nets cost exactly k-1 gates at
@@ -515,7 +513,7 @@ class NetlistBuilder:
             raise NetlistError("reduce_tree needs at least one net")
         level = list(nets)
         while len(level) > 1:
-            nxt = [self.add_gate(kind, (level[i], level[i + 1]), init)
+            nxt = [self.add_gate(kind, (level[i], level[i + 1]))
                    for i in range(0, len(level) - 1, 2)]
             if len(level) % 2:
                 nxt.append(level[-1])
@@ -525,7 +523,6 @@ class NetlistBuilder:
     def _freeze(self) -> Netlist:
         return Netlist(
             name=self.name,
-            net_count=self.net_count,
             gates=tuple(self._gates),
             ports=tuple(self._ports),
             net_init=tuple(self._net_init),
@@ -557,8 +554,7 @@ def stats(netlist: Netlist, weights: dict[str, float] | None = None) -> NetlistS
 
 def structurally_equal(a: Netlist, b: Netlist) -> bool:
     """Equality over gates, ports, and reset levels, ignoring name/metadata."""
-    return (a.net_count == b.net_count and a.gates == b.gates
-            and a.ports == b.ports and a.net_init == b.net_init)
+    return a.gates == b.gates and a.ports == b.ports and a.net_init == b.net_init
 
 
 _DUAL_KIND = {GateKind.AND2: GateKind.OR2, GateKind.OR2: GateKind.AND2,
@@ -572,7 +568,6 @@ def dual_of(netlist: Netlist) -> Netlist:
                   for p in netlist.ports)
     return Netlist(
         name=netlist.name,
-        net_count=netlist.net_count,
         gates=gates,
         ports=ports,
         net_init=tuple(v ^ 1 for v in netlist.net_init),
@@ -588,9 +583,9 @@ def to_json(netlist: Netlist) -> str:
         "name": netlist.name,
         "net_count": netlist.net_count,
         "gates": [
-            {"id": g.id, "kind": g.kind.value, "inputs": list(g.inputs),
+            {"id": gid, "kind": g.kind.value, "inputs": list(g.inputs),
              "output": g.output, "init": g.init}
-            for g in netlist.gates
+            for gid, g in enumerate(netlist.gates)
         ],
         "ports": [_port_doc(p) for p in netlist.ports],
         "meta": netlist.metadata,
@@ -624,8 +619,10 @@ def _str(value) -> str:
 def _gate_from_doc(i: int, g: dict) -> Gate:
     if not isinstance(g["inputs"], list):
         raise TypeError(f"inputs must be a list, got {g['inputs']!r}")
-    return Gate(_int(g.get("id", i)), GateKind(g["kind"]), tuple(map(_int, g["inputs"])),
-                _int(g["output"]), _int(g["init"]))
+    if "id" in g and _int(g["id"]) != i:
+        raise ValueError(f"id {g['id']} is not its position {i}")
+    return Gate(GateKind(g["kind"]), tuple(map(_int, g["inputs"])), _int(g["output"]),
+                _int(g["init"]))
 
 
 def _port_from_doc(_i: int, p: dict) -> DualRailPort:
@@ -686,20 +683,20 @@ def from_json(text: str) -> Netlist:
                 if not 0 <= rail < net_count:
                     raise FormatError(f"port {p.name} references dangling net {rail}")
                 net_init[rail] = p.init
-    for g in gates:
+    for gid, g in enumerate(gates):
         for net in (*g.inputs, g.output):
             if not 0 <= net < net_count:
-                raise FormatError(f"gate {g.id} references dangling net {net}")
+                raise FormatError(f"gate {gid} references dangling net {net}")
         net_init[g.output] = g.init
 
-    return Netlist(name, net_count, tuple(gates), tuple(ports), tuple(net_init), meta).validated()
+    return Netlist(name, tuple(gates), tuple(ports), tuple(net_init), meta).validated()
 
 
 def to_dot(netlist: Netlist) -> str:
     """Graphviz rendering: one node per gate and per port, one edge per net
-    consumer.  Ordering follows gate ids and port declaration order so the
-    output is byte-stable."""
-    driver_node = {g.output: f"g{g.id}" for g in netlist.gates}
+    consumer.  Ordering follows gate positions and port declaration order so
+    the output is byte-stable."""
+    driver_node = {g.output: f"g{gid}" for gid, g in enumerate(netlist.gates)}
     driver_node.update((rail, f"p_{p.name}") for p in netlist.ports
                        if p.direction == "input" for rail in p.rails)
 
@@ -710,13 +707,13 @@ def to_dot(netlist: Netlist) -> str:
         if p.is_const:
             label = f"{p.name}={p.const_value}"
         lines.append(f'  p_{p.name} [shape={shape} label="{label}"];')
-    for g in netlist.gates:
-        lines.append(f'  g{g.id} [shape=box label="{g.kind.value}#{g.id}"];')
-    for g in netlist.gates:
+    for gid, g in enumerate(netlist.gates):
+        lines.append(f'  g{gid} [shape=box label="{g.kind.value}#{gid}"];')
+    for gid, g in enumerate(netlist.gates):
         for net in g.inputs:
             src = driver_node.get(net)
             if src is not None:
-                lines.append(f'  {src} -> g{g.id} [label="n{net}"];')
+                lines.append(f'  {src} -> g{gid} [label="n{net}"];')
     for p in netlist.ports:
         if p.direction == "output":
             for net in (p.rail1, p.rail0):

@@ -126,8 +126,11 @@ def uniform_draws(rng: random.Random, low: int, high: int, count: int) -> list[i
     """``[rng.randint(low, high) for _ in range(count)]``, without the
     per-draw call layers: the same ``getrandbits(k)`` calls, with the same
     rejection loop, that ``randint`` makes through ``randrange``, so the
-    draws and the state ``rng`` is left in are the same."""
+    draws and the state ``rng`` is left in are the same, and an empty
+    range raises ``ValueError`` unless no draw is asked for."""
     n = high - low + 1
+    if n < 1 and count > 0:
+        raise ValueError(f"empty range [{low}, {high}]")
     k = n.bit_length()
     getrandbits = rng.getrandbits
     out = []
@@ -151,8 +154,8 @@ class UnitDelay:
 @dataclass(frozen=True)
 class TableDelay:
     """Per-gate delays from a table keyed by kind name (``"AND2"``) or by
-    gate id; a gate's own entry wins over its kind's, and a gate named by
-    neither gets ``default``."""
+    gate id (its position); a gate's own entry wins over its kind's, and a
+    gate named by neither gets ``default``."""
 
     table: Mapping[str | int, int]
     default: int = 1
@@ -171,8 +174,8 @@ class TableDelay:
             raise ValueError(f"delay table names gates {unknown}, outside "
                              f"0..{len(gates) - 1}")
         table = self.table
-        delays = [int(table.get(g.id, table.get(g.kind.value, self.default)))
-                  for g in gates]
+        delays = [int(table.get(gid, table.get(g.kind.value, self.default)))
+                  for gid, g in enumerate(gates)]
         for d in delays:
             if d < 1:
                 raise ValueError(f"gate delays must be >= 1, got {d}")
@@ -279,16 +282,13 @@ class Stimulus:
 class SimState:
     """Mutable simulation state over one immutable netlist."""
 
-    __slots__ = ("netlist", "protocol", "values", "now", "transitions",
-                 "datapath_nets", "last_datapath_commit", "hazards", "watch",
-                 "watched", "trace", "_env", "_code", "_unit", "_pending",
-                 "_tables", "default_limit")
+    __slots__ = ("netlist", "values", "now", "transitions", "datapath_nets",
+                 "last_datapath_commit", "hazards", "watch", "watched", "trace",
+                 "_code", "_unit", "_pending", "_tables", "default_limit")
 
     def __init__(self, netlist: Netlist, protocol: Protocol, delays: list[int]):
         self.netlist = netlist
-        self.protocol = protocol
         compiled = netlist.compiled
-        self._env = compiled.env
         # event keys are t << shift | net << 1 | value; gate g excited at
         # time t schedules (t << shift) + sched[g] + value
         shift = netlist.net_count.bit_length() + 1

@@ -66,18 +66,18 @@ class ReferenceKernel:
             self.now = t
             self.values[net] = value
             self.trace.append((t, net, value))
-            for g in self.gates:
+            for gid, g in enumerate(self.gates):
                 if net in g.inputs:
-                    self._excite(g, t)
+                    self._excite(gid, g, t)
         return SettleReport(elapsed=self.now - t0, transitions=commits,
                             hazards=self.hazards[h0:], steps=commits - stimuli)
 
-    def _excite(self, g, t: int) -> None:
+    def _excite(self, gid: int, g, t: int) -> None:
         v = self.values
         target = next_value(g.kind, v[g.inputs[0]], v[g.inputs[-1]], v[g.output])
         pending = self.pending.get(g.output)
         if pending is not None and pending[1] != target:
-            self.hazards.append(HazardRecord(t, g.id, g.output, pending[1], target))
+            self.hazards.append(HazardRecord(t, gid, g.output, pending[1], target))
             del self.pending[g.output]
         if target != v[g.output] and g.output not in self.pending:
-            self.pending[g.output] = (t + self.delays[g.id], target)
+            self.pending[g.output] = (t + self.delays[gid], target)

@@ -86,6 +86,19 @@ def test_holdback_mode_on_wide_inputs():
     assert verdict.scenarios == (1 << 8) * 8  # codewords x held-back inputs
 
 
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_holdback_on_one_input_agrees_with_exhaustive(protocol):
+    """With one input there is nothing to hold back behind: each codeword
+    is one scenario, the input arriving alone, in either mode."""
+    b = NetlistBuilder("buffer")
+    x = b.add_input_port("X", init=protocol.spacer_level)
+    b.add_output_port("Z", *(b.add_gate(GateKind.C2, (r, r)) for r in x.rails))
+    netlist = b.build()
+    verdicts = [classify_indication(netlist, protocol, mode=mode)
+                for mode in ("exhaustive", "holdback")]
+    assert [(v.verdict, v.scenarios) for v in verdicts] == [(Indication.STRONG, 2)] * 2
+
+
 def test_classifier_mode_validation():
     with pytest.raises(ValueError):
         classify_indication(strong_and2(Protocol.RTZ), Protocol.RTZ,

@@ -131,13 +131,13 @@ def merge_gates_with_two_active_inputs(netlist, protocol):
     harness = HandshakeHarness(netlist, protocol)
     state = harness.initialize()
     merge = GateKind.OR2 if protocol is Protocol.RTZ else GateKind.AND2
-    merges = [g for g in netlist.gates if g.kind is merge]
+    merges = [(gid, g) for gid, g in enumerate(netlist.gates) if g.kind is merge]
     active = protocol.active_level
     names = [p.name for p in harness.inputs]
     found = []
     for code in range(1 << len(names)):
         harness.run_phase(state, "data", {n: code >> i & 1 for i, n in enumerate(names)})
-        found += [(code, g.id) for g in merges
+        found += [(code, gid) for gid, g in merges
                   if all(state.values[net] == active for net in g.inputs)]
         harness.run_phase(state, "return")
     return found

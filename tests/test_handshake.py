@@ -272,10 +272,11 @@ def test_an_unknown_phase_is_rejected():
 @pytest.mark.parametrize("order,message", [
     ([["X"], ["X"]], "arrival order repeats input 'X'"),
     ([["X"], ["Q"]], "arrival order names unknown input 'Q'"),
+    ([[], ["X"], ["Y"]], "arrival order has an empty group"),
 ])
 def test_a_bad_arrival_order_is_rejected(order, message):
-    """An order that names an input twice, or names no input of the design,
-    raises before any rail moves."""
+    """An order that names an input twice, names no input of the design,
+    or has an empty group raises before any rail moves."""
     harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)
     state = harness.initialize()
     before = list(state.values)

@@ -106,8 +106,9 @@ def test_multiplier_json_round_trip():
 
 
 # The first 16 hex digits of the SHA-256 of ``to_json`` of every multiplier
-# from 2x2 to 6x6, both adder variants under both protocols: a change to how
-# the array is assembled must give the same netlists, net for net.
+# from 2x2 to 8x8 (every width the scale sweep builds), both adder variants
+# under both protocols: a change to how the array is assembled must give the
+# same netlists, net for net.
 NETLIST_DIGESTS = {
     "mult2x2_dims_fa_rto": "258b65edfcdd2354",
     "mult2x2_dims_fa_rtz": "8d6e5b974773ba7d",
@@ -129,12 +130,20 @@ NETLIST_DIGESTS = {
     "mult6x6_dims_fa_rtz": "3aba169df5a72849",
     "mult6x6_weak_fa_rto": "2a44e8493ec3402c",
     "mult6x6_weak_fa_rtz": "02c5aaeb8347a6b8",
+    "mult7x7_dims_fa_rto": "3d8134250b604ade",
+    "mult7x7_dims_fa_rtz": "e492c67f68cce52b",
+    "mult7x7_weak_fa_rto": "bdace437cafbbe18",
+    "mult7x7_weak_fa_rtz": "c573ae3a6c0f6ced",
+    "mult8x8_dims_fa_rto": "96908b8f529ac992",
+    "mult8x8_dims_fa_rtz": "c5e53ef02abee8f9",
+    "mult8x8_weak_fa_rto": "7a42036fca18ec38",
+    "mult8x8_weak_fa_rtz": "77d6803ef6077f3f",
 }
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
 @pytest.mark.parametrize("variant", ["dims_fa", "weak_fa"])
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_generated_netlists_are_pinned(n, variant, protocol):
     netlist = array_multiplier(MultiplierSpec(n, protocol, variant))
     digest = hashlib.sha256(to_json(netlist).encode()).hexdigest()[:16]

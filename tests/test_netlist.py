@@ -47,7 +47,8 @@ def test_builder_assigns_ids_and_derives_inits():
     n_inv = b.add_gate(GateKind.INV, (n_and,))
     b.add_output_port("Z", n_inv, n_and)
     netlist = b.build()
-    assert [g.id for g in netlist.gates] == [0, 1]
+    # a gate's id is its position: the order the gates were added in
+    assert [g.output for g in netlist.gates] == [n_and, n_inv] == [4, 5]
     # ports reset to 0, so AND resets to 0 and the INV above it to 1
     assert netlist.gates[0].init == 0
     assert netlist.gates[1].init == 1
@@ -140,19 +141,19 @@ def check_fanout_and_driver(netlist):
         for g, mask, out in fanout:
             entries[g, net] = (mask, out)
     expected = {}
-    for g in netlist.gates:
+    for gid, g in enumerate(netlist.gates):
         first, last = g.inputs[0], g.inputs[-1]
-        expected[g.id, first] = (4 | (2 if last == first else 0), g.output)
-        expected[g.id, last] = (2 | (4 if last == first else 0), g.output)
+        expected[gid, first] = (4 | (2 if last == first else 0), g.output)
+        expected[gid, last] = (2 | (4 if last == first else 0), g.output)
     assert entries == expected
-    for g in netlist.gates:
+    for gid, g in enumerate(netlist.gates):
         bits = 0
         for net in set(g.inputs):
-            bits |= entries[g.id, net][0]
+            bits |= entries[gid, net][0]
         assert bits == 6, g  # an inverter's second index bit repeats its first
     drivers = [len(netlist.gates)] * netlist.net_count
-    for g in netlist.gates:
-        drivers[g.output] = g.id
+    for gid, g in enumerate(netlist.gates):
+        drivers[g.output] = gid
     rails = {r for p in netlist.input_ports + netlist.const_ports for r in p.rails}
     assert {n for n, d in enumerate(drivers) if d == len(netlist.gates)} == rails
     assert compiled.driver == drivers
@@ -427,9 +428,17 @@ def test_permuted_gate_ids_are_rejected():
     doc = json.loads(to_json(ripple_carry_adder(Protocol.RTZ, 1, "weak_fa")))
     g0, g1 = doc["gates"][0], doc["gates"][1]
     g0["id"], g1["id"] = g1["id"], g0["id"]
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(FormatError, match=r"^gate entry 0: id 1 is not its position 0$"):
         from_json(json.dumps(doc))
-    assert {f.code for f in exc.value.findings} == {"gate-id"}
+
+
+def test_gate_ids_may_be_left_out_and_are_written_back():
+    """A gate's id is its position, so a document may omit it."""
+    text = to_json(ripple_carry_adder(Protocol.RTZ, 1, "weak_fa"))
+    doc = json.loads(text)
+    for g in doc["gates"]:
+        del g["id"]
+    assert to_json(from_json(json.dumps(doc))) == text
 
 
 def test_from_json_validates_semantics():

@@ -318,6 +318,19 @@ def test_uniform_draws_equal_randint_and_leave_the_same_state(low, high):
             assert ours.getstate() == theirs.getstate(), (seed, count)
 
 
+@pytest.mark.parametrize("low,high", [(1, 0), (5, 2)])
+def test_uniform_draws_refuse_an_empty_range_as_randint_does(low, high):
+    """An empty range raises before any draw, where a rejection loop would
+    never end; with no draw asked for, it returns [] and draws nothing."""
+    ours, theirs = random.Random(1), random.Random(1)
+    with pytest.raises(ValueError):
+        theirs.randint(low, high)
+    with pytest.raises(ValueError, match=f"empty range \\[{low}, {high}\\]"):
+        uniform_draws(ours, low, high, 1)
+    assert uniform_draws(ours, low, high, 0) == []
+    assert ours.getstate() == theirs.getstate()
+
+
 def test_random_delays_are_randint_draws():
     netlist = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
     rng = random.Random(7)
@@ -351,7 +364,7 @@ def test_per_net_transition_parity_over_full_cycle(protocol):
     state.apply_and_settle({x.rail1: active, y.rail1: active})
     state.apply_and_settle({x.rail1: spacer, y.rail1: spacer})
     for net in range(netlist.net_count):
-        expected = spacer if state._env[net] else netlist.net_init[net]
+        expected = spacer if netlist.compiled.env[net] else netlist.net_init[net]
         assert state.values[net] == expected
 
 
@@ -364,11 +377,11 @@ def assert_codes_match_values(state):
     and ``is_quiescent`` agrees with a full ``NEXT_STATE`` scan."""
     v = state.values
     excited = False
-    for g in state.netlist.gates:
+    for gid, g in enumerate(state.netlist.gates):
         code = (KIND_CODE[g.kind] << 3 | v[g.inputs[0]] << 2 | v[g.inputs[-1]] << 1
                 | v[g.output])
         pending = 32 if state._pending[g.output] >= 0 else 0
-        assert state._code[g.id] == code | pending, g
+        assert state._code[gid] == code | pending, g
         excited |= NEXT_STATE[code] != v[g.output]
     assert state.is_quiescent() == (not excited and all(p < 0 for p in state._pending))
 
@@ -576,7 +589,7 @@ def test_kernel_matches_the_reference_kernel(case, data):
     heap; both must match the reference in traces, hazards, values, time
     and every report field, through tripped limits and resumes."""
     netlist, settles = case
-    table = {g.id: data.draw(st.integers(1, 3)) for g in netlist.gates}
+    table = {gid: data.draw(st.integers(1, 3)) for gid in range(len(netlist.gates))}
     for delays in (UnitDelay(), TableDelay(table)):
         _run_against_reference(netlist, delays, settles)
 
@@ -588,7 +601,7 @@ def test_a_mapping_and_its_stimulus_settle_identically(case, data):
     built for its netlist as it is: the two give the same reports, trace,
     hazards, values and time, through tripped limits and resumes."""
     netlist, settles = case
-    table = {g.id: data.draw(st.integers(1, 3)) for g in netlist.gates}
+    table = {gid: data.draw(st.integers(1, 3)) for gid in range(len(netlist.gates))}
     for delays in (UnitDelay(), TableDelay(table)):
         runs = []
         for form in (dict, lambda assignments: Stimulus(netlist, assignments)):
