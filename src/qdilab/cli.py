@@ -181,8 +181,16 @@ def delay_model(config: CliConfig):
         raise ValueError(f"delay model {config.delay!r} needs --delay-table")
     table = _load_table(config.delay_table, _int)
     default = table.pop("*", 1)
-    key = str if config.delay == "perkind" else int  # kind names or gate ids
+    key = str if config.delay == "perkind" else _gate_id  # kind names or gate ids
     return TableDelay({key(k): v for k, v in table.items()}, default)
+
+
+def _gate_id(key: str) -> int:
+    """A pergate delay table key as the gate id it names."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"pergate delay table key {key!r} is not a gate id") from None
 
 
 def load_weights(config: CliConfig) -> dict[str, float] | None:

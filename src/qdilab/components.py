@@ -28,7 +28,8 @@ protocol)`` turns that netlist into a :class:`~qdilab.netlist.Cell`, built
 and validated once per process and protocol, and the ripple-carry adder and
 the array multiplier copy it as one instance per block
 (``NetlistBuilder.add_instance``), net for net what the ``emit_*`` call
-would have added.
+would have added.  Every instance keeps its builder's vouch, so ``build()``
+does not validate the assembled design gate by gate.
 """
 
 from __future__ import annotations

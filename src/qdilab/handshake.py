@@ -97,15 +97,12 @@ class HandshakeHarness:
         if not base.output_ports:
             raise ValueError("harness needs at least one output port")
         self.protocol = protocol
-        # the detector's gates read existing nets and drive fresh ones, so
-        # the closed loop is valid exactly when the base is, whose verdict
-        # a built netlist has cached
         builder = NetlistBuilder.from_netlist(base.validated(), name=base.name + "+cd")
         self.datapath_nets = builder.net_count  # nets below this id are datapath
         self.ackout, self.ackin = build_completion_detector(
             builder, base.output_ports, protocol)
         builder.metadata["harness"] = "closed-loop-cd"
-        self.netlist = builder.build_unchecked()
+        self.netlist = builder.build()
         self.inputs = self.netlist.input_ports
         self.consts = self.netlist.const_ports
         self.outputs = self.netlist.output_ports

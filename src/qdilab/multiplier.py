@@ -17,8 +17,9 @@ Every block is one instance of a cached cell (``components.cell``): the
 ``strong_and2`` cell and the ``fa_variant`` full-adder cell of the protocol,
 each built by its ``emit_*`` function and validated once per process, then
 copied with ``NetlistBuilder.add_instance``.  The netlist is the one that
-emitting every block's gates in the same order gives, and ``build()``
-validates it whole, once.
+emitting every block's gates in the same order gives.  Its builder vouches
+for it, so ``build()`` checks its ports and net count instead of running
+``validate`` over every gate.
 """
 
 from __future__ import annotations

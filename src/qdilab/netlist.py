@@ -12,9 +12,12 @@ Construction goes through :class:`NetlistBuilder`; ``build()`` refuses to hand
 out a netlist that fails structural validation.  A builder can also copy a
 whole validated block, a :class:`Cell`, as one instance
 (``NetlistBuilder.add_instance``) instead of adding its gates one by one.
+A builder whose every step already checked what ``validate`` would check of
+it vouches for its netlist, and ``build()`` then checks only the ports and
+the net count; any other builder's netlist goes through ``validate`` whole.
 Built netlists are treated as immutable, so each caches its validation
 verdict (``Netlist.validation``): ``build()`` and ``from_json`` fill it, and
-a handshake harness reads it instead of validating its closed loop again.
+``NetlistBuilder.from_netlist`` reads it to vouch for the copied base.
 """
 
 from __future__ import annotations
@@ -258,6 +261,28 @@ class CompiledNetlist:
         return image
 
 
+def _port_findings(ports: Sequence[DualRailPort], n: int) -> list[Finding]:
+    """The port checks of ``validate``, over ``n`` nets: unique names, known
+    directions, bit inits and constants, and two distinct rails in range."""
+    findings: list[Finding] = []
+    names: set[str] = set()
+    for p in ports:
+        if p.name in names:
+            findings.append(Finding("port-name", f"port name {p.name!r} is used twice"))
+        names.add(p.name)
+        if p.direction not in ("input", "output"):
+            findings.append(Finding("port-dir", f"port {p.name} has direction {p.direction!r}"))
+        if p.init not in (0, 1) or p.const_value not in (None, 0, 1):
+            findings.append(Finding("init-value", f"port {p.name} init {p.init} or "
+                                    f"constant {p.const_value} is not a bit"))
+        for rail in p.rails:
+            if not 0 <= rail < n:
+                findings.append(Finding("net-range", f"port {p.name} references net {rail} outside 0..{n - 1}"))
+        if p.rail1 == p.rail0:
+            findings.append(Finding("port-rails", f"port {p.name} uses one net for both rails"))
+    return findings
+
+
 def validate(netlist: Netlist) -> ValidationReport:
     """Structural checks: arity, net ranges, unique port names, port
     directions, bit-valued inits and constants, single drivers, init
@@ -277,21 +302,7 @@ def validate(netlist: Netlist) -> ValidationReport:
         if init not in (0, 1):
             findings.append(Finding("init-value", f"gate {gid} init {init} is not a bit"))
         outs.append(out)
-    names: set[str] = set()
-    for p in netlist.ports:
-        if p.name in names:
-            findings.append(Finding("port-name", f"port name {p.name!r} is used twice"))
-        names.add(p.name)
-        if p.direction not in ("input", "output"):
-            findings.append(Finding("port-dir", f"port {p.name} has direction {p.direction!r}"))
-        if p.init not in (0, 1) or p.const_value not in (None, 0, 1):
-            findings.append(Finding("init-value", f"port {p.name} init {p.init} or "
-                                    f"constant {p.const_value} is not a bit"))
-        for rail in p.rails:
-            if not 0 <= rail < n:
-                findings.append(Finding("net-range", f"port {p.name} references net {rail} outside 0..{n - 1}"))
-        if p.rail1 == p.rail0:
-            findings.append(Finding("port-rails", f"port {p.name} uses one net for both rails"))
+    findings += _port_findings(netlist.ports, n)
     if any(f.code in ("net-range", "init-value") for f in findings):
         return ValidationReport(findings)  # later checks need in-range ids and bit inits
 
@@ -396,7 +407,24 @@ class Cell:
 
 
 class NetlistBuilder:
-    """Accumulates gates and ports, then emits a validated Netlist."""
+    """Accumulates gates and ports, then emits a validated Netlist.
+
+    The builder vouches for its netlist while every step checked, as it went,
+    what ``validate`` would check of what it added: ``add_gate`` with a
+    derived init, ``add_instance`` of a validated cell, ``new_net`` and the
+    ``add_*_port`` methods with bit inits, and ``from_netlist`` of a base
+    whose cached verdict is ok.  Each gate and input rail they add drives
+    one fresh net, and each gate reads only older nets or, inside an
+    instance, the instance's own, so no net has two drivers and every
+    combinational cycle would lie inside a block that was validated.
+    ``build()`` then checks the rest in O(ports): ``validate``'s port checks
+    (``_port_findings``), and one driver for every net (the net count is
+    twice the input ports plus the gates, which a stray ``new_net`` breaks).
+    ``wire_gate``, an explicit gate init, a net init that is not a bit, and
+    ``from_netlist`` of a base not yet validated, or invalid, drop the
+    vouch, and ``build()`` runs ``validate`` instead, so an invalid netlist
+    raises the same findings either way.
+    """
 
     def __init__(self, name: str = "", metadata: dict | None = None):
         self.name = name
@@ -404,6 +432,7 @@ class NetlistBuilder:
         self._gates: list[Gate] = []
         self._ports: list[DualRailPort] = []
         self._net_init: list[int] = []
+        self._vouched = True
 
     @classmethod
     def from_netlist(cls, base: Netlist, name: str | None = None) -> "NetlistBuilder":
@@ -411,6 +440,8 @@ class NetlistBuilder:
         b._gates = list(base.gates)
         b._ports = list(base.ports)
         b._net_init = list(base.net_init)
+        verdict = vars(base).get("validation")  # cached, never computed here
+        b._vouched = verdict is not None and verdict.ok
         return b
 
     @property
@@ -418,6 +449,8 @@ class NetlistBuilder:
         return len(self._net_init)
 
     def new_net(self, init: int = 0) -> NetId:
+        if type(init) is not int or init not in (0, 1):
+            self._vouched = False  # leave a net init that is not a bit to validate
         self._net_init.append(init)
         return len(self._net_init) - 1
 
@@ -426,7 +459,7 @@ class NetlistBuilder:
 
         ``init`` may be omitted: it is then read from ``NEXT_STATE`` at the
         inputs' reset levels, which leaves it open only for a C2 over
-        disagreeing inputs.
+        disagreeing inputs.  An explicit init drops the builder's vouch.
         """
         kind = _KINDS.get(kind) or GateKind(kind)
         inputs = tuple(inputs)
@@ -443,6 +476,8 @@ class NetlistBuilder:
             init = NEXT_STATE[code]
             if NEXT_STATE[code | 1] != init:  # the gate holds either value
                 raise NetlistError("C2 with disagreeing input resets needs an explicit init")
+        else:
+            self._vouched = False  # an explicit init goes to validate
         net_init.append(init)
         self._gates.append(Gate(kind, inputs, out, init))
         return out
@@ -456,7 +491,8 @@ class NetlistBuilder:
         cell, in port order; each gate gets one fresh output net, in gate
         order, and keeps the cell's stored init.  Those inits hold because
         every driving rail must reset to the level of the cell input it
-        replaces, which is checked once per instance.
+        replaces, which is checked once per instance, so an instance keeps
+        the builder's vouch.
         """
         table = [net for rails in inputs for net in rails]
         net_init = self._net_init
@@ -480,8 +516,9 @@ class NetlistBuilder:
 
     def wire_gate(self, kind: GateKind, inputs: Sequence[NetId], output: NetId, init: int) -> None:
         """Low-level manual wiring onto an existing net.  Unlike ``add_gate``
-        this can express structural violations; validation still gets the
-        final say at ``build()`` time."""
+        this can express structural violations, so it drops the builder's
+        vouch and ``build()`` runs ``validate``."""
+        self._vouched = False
         kind = GateKind(kind)
         self._gates.append(Gate(kind, tuple(inputs), output, init))
         if 0 <= output < self.net_count:
@@ -530,7 +567,15 @@ class NetlistBuilder:
         )
 
     def build(self) -> Netlist:
-        return self._freeze().validated()
+        """The netlist, or :class:`ValidationError` with ``validate``'s findings."""
+        netlist = self._freeze()
+        ports, n = self._ports, len(self._net_init)
+        inputs = sum(p.direction == "input" for p in ports)
+        if (self._vouched and n == 2 * inputs + len(self._gates)  # no stray new_net
+                and not _port_findings(ports, n)):
+            netlist.validation = ValidationReport()  # what validate would report
+            return netlist
+        return netlist.validated()
 
     def build_unchecked(self) -> Netlist:
         return self._freeze()

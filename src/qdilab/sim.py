@@ -92,7 +92,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .encoding import Protocol
 from .netlist import NEXT_STATE, GateKind, Netlist, first_excited
@@ -155,7 +155,8 @@ class UnitDelay:
 class TableDelay:
     """Per-gate delays from a table keyed by kind name (``"AND2"``) or by
     gate id (its position); a gate's own entry wins over its kind's, and a
-    gate named by neither gets ``default``."""
+    gate named by neither gets ``default``.  Every delay in the table, and
+    the default, must be at least 1, whether or not a design uses it."""
 
     table: Mapping[str | int, int]
     default: int = 1
@@ -165,6 +166,7 @@ class TableDelay:
         unknown = [k for k in self.table if isinstance(k, str) and k not in kinds]
         if unknown:
             raise ValueError(f"unknown gate kinds in delay table: {unknown}")
+        _at_least_one(map(int, (*self.table.values(), self.default)))
 
     def resolve(self, netlist: Netlist) -> list[int]:
         gates = netlist.gates
@@ -176,10 +178,14 @@ class TableDelay:
         table = self.table
         delays = [int(table.get(gid, table.get(g.kind.value, self.default)))
                   for gid, g in enumerate(gates)]
-        for d in delays:
-            if d < 1:
-                raise ValueError(f"gate delays must be >= 1, got {d}")
+        _at_least_one(delays)  # the table is the caller's, who may have changed it
         return delays
+
+
+def _at_least_one(delays: Iterable[int]) -> None:
+    for d in delays:
+        if d < 1:
+            raise ValueError(f"gate delays must be >= 1, got {d}")
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ def test_classify_non_indicating_netlist_exits_one(tmp_path):
     assert run_inproc("classify", "--netlist", str(path)) == 1
 
 
-def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
+def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     doc = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
     del doc["gates"][0]["inputs"]
     bad_netlist = tmp_path / "bad.json"
@@ -76,6 +76,11 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     bad_kind.write_text(json.dumps({"AND": 3}))
     bad_gate = tmp_path / "gates.json"
     bad_gate.write_text(json.dumps({"100000": 3}))
+    kind_as_gate = tmp_path / "kind_as_gate.json"  # a kind name in a pergate table
+    kind_as_gate.write_text(json.dumps({"AND2": 3}))
+    unused_zero = [tmp_path / f"zero{i}.json" for i in range(2)]  # strong_and2 has no AND2
+    for path, table in zip(unused_zero, ({"AND2": 0}, {"*": 0, "C2": 1, "OR2": 1, "INV": 1})):
+        path.write_text(json.dumps(table))
     bad_value = tmp_path / "value.json"
     bad_value.write_text(json.dumps({"AND2": [1]}))
     list_weights = tmp_path / "list.json"
@@ -118,6 +123,9 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
     for argv in (["verify", "--netlist", str(bad_netlist)],
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_kind)],
                  ["verify", "--n", "2", "--delay", "pergate", "--delay-table", str(bad_gate)],
+                 ["verify", "--n", "2", "--delay", "pergate", "--delay-table", str(kind_as_gate)],
+                 *(["classify", "--component", "strong_and2", "--delay", "perkind",
+                    "--delay-table", str(p)] for p in unused_zero),
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(bad_value)],
                  ["build", "--n", "2", "--weights", str(list_weights)],
                  ["build", "--n", "2", "--weights", str(null_weights)],
@@ -170,6 +178,7 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path):
             run_inproc(*argv)
         assert exc.value.code == 2
     assert not (tmp_path / "t.csv").exists() and not (tmp_path / "m.dot").exists()
+    assert "pergate delay table key 'AND2' is not a gate id" in capsys.readouterr().err
 
 
 def test_an_ignored_option_names_the_commands_that_read_it(capsys):

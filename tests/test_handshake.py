@@ -48,15 +48,18 @@ def test_harness_rejects_an_invalid_base_with_its_findings():
     assert [f.code for f in exc.value.findings] == ["multi-driver"]
 
 
-def test_a_built_design_is_validated_once(monkeypatch):
-    """The harness reads the design's cached verdict instead of validating
-    its closed loop again."""
-    array_multiplier(MultiplierSpec(2, Protocol.RTZ))  # builds its cells, once per process
+def test_a_generated_design_and_its_harness_skip_validate(monkeypatch):
+    """A multiplier assembled from validated cells, and the closed loop its
+    harness adds to it, carry their builders' vouch: neither runs
+    ``validate``, and both are what ``validate`` accepts."""
     calls = []
     monkeypatch.setattr("qdilab.netlist.validate", lambda n: calls.append(n.name) or validate(n))
     netlist = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
+    harness = HandshakeHarness(netlist, Protocol.RTZ)
     measure_latencies(netlist, Protocol.RTZ)
-    assert calls == [netlist.name]
+    assert calls == []
+    assert netlist.validation.ok and harness.netlist.validation.ok
+    assert validate(netlist).ok and validate(harness.netlist).ok
 
 
 def count_stimulus_checks(monkeypatch) -> list[int]:

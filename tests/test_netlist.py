@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdilab import components
 from qdilab.components import COMPONENTS, ripple_carry_adder
 from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
@@ -220,10 +221,16 @@ def test_a_built_netlist_caches_its_verdict(monkeypatch):
     monkeypatch.setattr("qdilab.netlist.validate", lambda n: calls.append(n) or validate(n))
     b, x, y = small_builder()
     b.add_output_port("Z", b.add_gate(GateKind.AND2, (x.rail1, y.rail1)), x.rail0)
-    netlist = b.build()
-    assert netlist.validated() is netlist and netlist.validation.ok
-    assert calls == [netlist]
-    assert from_json(to_json(netlist)).validation.ok and len(calls) == 2
+    netlist = b.build()  # the builder vouches for it
+    assert netlist.validated() is netlist and netlist.validation.ok and calls == []
+    loaded = from_json(to_json(netlist))
+    assert loaded.validated() is loaded and loaded.validation.ok and calls == [loaded]
+    b.wire_gate(GateKind.OR2, (x.rail0, y.rail0), b.new_net(), init=0)
+    wired = b.build()  # wire_gate dropped the vouch
+    assert wired.validated() is wired and wired.validation.ok and calls == [loaded, wired]
+    odd = NetlistBuilder("odd")
+    odd.add_input_port("A", 1.0)  # passes the port check, but is no int bit
+    assert odd.build().validation.ok and calls == [loaded, wired, odd.build_unchecked()]
 
 
 def test_gates_are_immutable():
@@ -291,6 +298,121 @@ def test_init_inconsistency_detected():
     b.wire_gate(GateKind.AND2, (x.rail1, y.rail1), out, init=1)  # ...inputs say 0
     b.add_output_port("Z", out, x.rail0)
     assert "init-inconsistent" in codes(b.build_unchecked())
+
+
+# ---------------------------------------------------------------------------
+# the builder's vouch: build() skips validate only where it would find nothing
+
+FLAWS = ("port name", "port init", "constant", "gate init", "new_net", "wiring",
+         "output rails", "base")
+
+
+def builder_program(data, flaws=(None, *FLAWS), prefix: str = "P") -> NetlistBuilder:
+    """A random builder program with at most one kind of flaw, drawn from
+    ``flaws``: a repeated port name; a port init or constant that is not a
+    bit; explicit gate inits; a bare ``new_net``; ``wire_gate``, onto such a
+    net (every one, in the end) or any other; output rails that are equal or
+    out of range; or ``from_netlist`` of another program's netlist, with or
+    without its verdict cached, whose flaw is in its gates.  Every program
+    adds ports, gates with derived inits and instances of the library cells;
+    a step the builder refuses with :class:`NetlistError` is skipped."""
+    draw = data.draw
+    flaw = draw(st.sampled_from(flaws))
+    bit = st.integers(0, 1)
+
+    def maybe(kind, usual, rare):  # the rare draw only in a program with that flaw
+        return draw(usual | rare if flaw == kind else usual)
+
+    if flaw == "base" or "base" in flaws and not draw(st.integers(0, 3)):
+        inner = ("gate init", "wiring") if flaw == "base" else (None,)
+        base = builder_program(data, inner, "Q").build_unchecked()
+        if flaw != "base" or draw(st.booleans()):
+            _ = base.validation  # computes and caches the verdict
+        b = NetlistBuilder.from_netlist(base)
+        pairs = [p.rails for p in base.ports]  # rail pairs an instance may be wired to
+    else:
+        b = NetlistBuilder("program")
+        pairs = []
+    for i in range(draw(st.integers(0 if pairs else 1, 3))):
+        name = f"{prefix}{maybe('port name', st.just(i), st.integers(0, i))}"
+        init = maybe("port init", bit, st.sampled_from([-1, 2]))
+        if flaw == "constant" or not draw(st.integers(0, 3)):
+            port = b.add_const_port(name, maybe("constant", bit, st.just(2)), init)
+        else:
+            port = b.add_input_port(name, init)
+        pairs.append(port.rails)
+    steps = ["gate", "instance"] + {"new_net": ["new_net"],
+                                    "wiring": ["new_net", "wire_gate"]}.get(flaw, [])
+    bare = []  # the nets new_net made that no gate drives yet
+
+    def wire(output):
+        kind = draw(st.sampled_from(list(GateKind)))
+        ins = [draw(st.integers(0, b.net_count - 1)) for _ in range(kind.arity)]
+        b.wire_gate(kind, ins, output, draw(bit))
+
+    for _ in range(draw(st.integers(0, 10))):
+        n = b.net_count
+        step = draw(st.sampled_from(steps))
+        try:
+            if step == "gate":
+                kind = draw(st.sampled_from(list(GateKind)))
+                ins = [draw(st.integers(0, n - 1)) for _ in range(kind.arity)]
+                init = maybe("gate init", st.none(), st.sampled_from([0, 1, 2]))
+                pairs.append((b.add_gate(kind, ins, init), draw(st.integers(0, n - 1))))
+            elif step == "instance":
+                cell = components.cell(draw(st.sampled_from(sorted(components.CELLS))),
+                                       draw(st.sampled_from(list(Protocol))))
+                ins = [draw(st.sampled_from(pairs)) for _ in range(len(cell.levels) // 2)]
+                pairs += b.add_instance(cell, ins)
+            elif step == "wire_gate":
+                wire(bare.pop() if bare else draw(st.integers(-1, n)))
+            else:
+                bare.append(b.new_net(draw(bit | st.just(2))))
+        except NetlistError:
+            pass
+    if flaw == "wiring":
+        for net in bare:  # close every loop left open
+            wire(net)
+    for k in range(draw(st.integers(1, 2))):
+        odd = st.sampled_from([(0, 0), (-1, 0), (0, b.net_count)])  # equal, or out of range
+        rails = maybe("output rails", st.sampled_from(pairs), odd)
+        b.add_output_port(f"{prefix}out{k}", *rails)
+    return b
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_build_raises_exactly_what_validate_finds(data):
+    """Whether or not the builder vouches, ``build()`` returns the netlist
+    exactly when ``validate`` finds nothing in it, and otherwise raises
+    :class:`ValidationError` with ``validate``'s findings, in order."""
+    b = builder_program(data)
+    expected = validate(b.build_unchecked()).findings
+    try:
+        netlist = b.build()
+    except ValidationError as e:
+        assert e.findings == expected != []
+    else:
+        assert expected == [] and netlist.validation.ok
+        assert structurally_equal(netlist, b.build_unchecked())
+
+
+# Every public method of the builder, sorted by what it does to the vouch.
+# A method that keeps it checks, as it goes, what validate would check of
+# what it adds (or drops the vouch where it cannot, as add_gate does for any
+# explicit init); build() relies on that.
+KEEPS_THE_VOUCH = {"new_net", "add_gate", "add_instance", "add_input_port",
+                   "add_const_port", "add_output_port", "reduce_tree", "from_netlist",
+                   "build", "build_unchecked"}
+DROPS_THE_VOUCH = {"wire_gate"}
+
+
+def test_every_builder_method_is_sorted_by_the_vouch():
+    """A new mutator must say which it does before it can skip validation."""
+    public = {name for name, value in vars(NetlistBuilder).items()
+              if not name.startswith("_") and not isinstance(value, property)}
+    assert public == KEEPS_THE_VOUCH | DROPS_THE_VOUCH
+    assert not KEEPS_THE_VOUCH & DROPS_THE_VOUCH
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,20 @@ def test_delay_models_resolve_per_gate():
         initialize(netlist, Protocol.RTZ, TableDelay({0: 0}, default=1))
 
 
+def test_delay_tables_reject_delays_below_one_even_unused():
+    """A table's every delay and its default must be at least 1, whether or
+    not the design has a gate that reads them."""
+    for table, default in (({"AND2": 0}, 1), ({7: -2}, 1), ({"C2": 2}, 0)):
+        with pytest.raises(ValueError, match="gate delays must be >= 1"):
+            TableDelay(table, default)
+    netlist, _ = wire_fixture()
+    table = {"AND2": 2}
+    delay = TableDelay(table)
+    table["AND2"] = 0  # the model keeps the caller's table, not a copy
+    with pytest.raises(ValueError, match="gate delays must be >= 1, got 0"):
+        delay.resolve(netlist)
+
+
 def test_delay_tables_reject_unknown_keys():
     netlist, _ = wire_fixture()
     with pytest.raises(ValueError, match="AND"):
