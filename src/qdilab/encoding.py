@@ -32,9 +32,14 @@ class PairState(Enum):
     ILLEGAL = "illegal"
 
 
+def is_bit(value) -> bool:
+    """Whether ``value`` is the int 0 or 1 (a bool is the int it equals)."""
+    return isinstance(value, int) and value in (0, 1)
+
+
 def encode(protocol: Protocol, bit: int) -> tuple[int, int]:
     """Rail values (rail1, rail0) for a logical bit."""
-    if bit not in (0, 1):
+    if not is_bit(bit):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     if protocol is Protocol.RTZ:
         return (bit, bit ^ 1)

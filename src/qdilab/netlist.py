@@ -4,9 +4,9 @@ A netlist is a flat list of gates over densely numbered integer nets.  Only
 four primitives exist: 2-input AND/OR, an inverter, and the Muller C-element
 (C2), which is kept as a sequential primitive rather than being expanded into
 combinational feedback.  Every net is driven by exactly one gate or one
-environment-facing port rail.  Gate reset values are stored explicitly because
-circuits using the return-to-one discipline reset to an all-ones spacer while
-return-to-zero circuits reset to all-zeros.
+environment-facing port rail.  Each net's reset level is stored once, in
+``Netlist.net_init``: return-to-one circuits reset to an all-ones spacer and
+return-to-zero circuits to all-zeros.
 
 Construction goes through :class:`NetlistBuilder`; ``build()`` refuses to hand
 out a netlist that fails structural validation.  A builder can also copy a
@@ -23,11 +23,13 @@ verdict (``Netlist.validation``): ``build()`` and ``from_json`` fill it, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
+
+from .encoding import is_bit
 
 NetId = int
 
@@ -84,11 +86,10 @@ def first_excited(codes: Sequence[int]) -> int | None:
     return None
 
 
-class Gate(NamedTuple):  # a gate's id is its position in ``Netlist.gates``
+class Gate(NamedTuple):  # id: position in ``Netlist.gates``; reset level: ``net_init[output]``
     kind: GateKind
     inputs: tuple[NetId, ...]
     output: NetId
-    init: int  # reset value of the output net
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ class DualRailPort:
     rail1: NetId
     rail0: NetId
     const_value: int | None = None  # set for environment-tied constants
-    init: int = 0  # reset level of the rails (input/const ports only)
 
     @property
     def is_const(self) -> bool:
@@ -137,9 +137,9 @@ class NetlistStats:
 class Netlist:
     """Immutable-after-build gate network.
 
-    ``net_init`` records the reset value of every net: gate outputs from the
-    gate's stored init, port-driven rails from the owning port's init level.
-    Its length is the net count.
+    ``net_init`` is the one record of every net's reset level: a gate's
+    output resets to ``net_init[gate.output]`` and an input port's rails to
+    ``net_init[port.rail1]``.  Its length is the net count.
     """
 
     name: str
@@ -189,7 +189,7 @@ class Netlist:
 
 class ResetImage(NamedTuple):
     """A compiled netlist's reset state at one spacer level: every net's
-    value (input rails at the spacer, every other net at its stored init),
+    value (input rails at the spacer, every other net at its ``net_init``),
     every gate's code followed by the spare slot's 0, and the first excited
     gate, or None when the state is quiescent."""
 
@@ -201,40 +201,37 @@ class ResetImage(NamedTuple):
 class CompiledNetlist:
     """A netlist flattened into per-gate and per-net arrays.
 
-    Gate ``g`` computes ``NEXT_STATE[kind[g] | v[in0[g]] << 2 | v[in1[g]] << 1
-    | v[out[g]]]`` over net values ``v``; ``kind`` already holds the shifted
-    kind code, and an inverter's ``in1`` repeats its ``in0``.  That index is
-    the gate's *code*, and the simulator keeps it up to date instead of
+    Gate ``g`` with inputs ``(a, b)`` (an inverter's ``b`` repeats its
+    ``a``) and output ``o`` computes ``NEXT_STATE[KIND_CODE[kind] << 3 |
+    v[a] << 2 | v[b] << 1 | v[o]]`` over net values ``v``.  That index is the
+    gate's *code*, and the simulator keeps it up to date instead of
     rebuilding it: ``fanout[n]`` lists, in gate order, one ``(gate, mask,
     out)`` entry per gate reading net ``n``, where ``mask`` holds the index
-    bits that ``n`` sets (4 for ``in0``, 2 for ``in1``, 6 when the gate reads
+    bits that ``n`` sets (4 for ``a``, 2 for ``b``, 6 when the gate reads
     ``n`` on both, as every inverter does) and ``out`` is the gate's output
     net.  ``driver[n]`` is the gate driving net ``n``, whose ``cur`` bit (1)
     a change of ``n`` flips; the rails of input ports all map to one spare
     slot, ``len(gates)``.  ``env[n]`` is true for those rails.  Gates are
     indexed by position, which is their id.
-    ``out_key[g]`` is ``out[g] << 1``, the output net's part of an event key,
+    ``out_key[g]`` is ``o << 1``, the output net's part of an event key,
     into which each simulation state ORs the gate's shifted delay.
 
-    The other per-gate arrays only seed the reset images: ``reset_image(spacer)``
-    builds the reset values, codes and excited-gate check once per spacer
-    level, on first use, and keeps them here, with the compiled form, so
-    they live exactly as long as the netlist.
+    ``gates`` and ``net_init`` are the netlist's own and only seed the reset
+    images: ``reset_image(spacer)`` builds the reset values, codes and
+    excited-gate check once per spacer level, on first use, and keeps them
+    here, with the compiled form, so they live exactly as long as the netlist.
     """
 
-    __slots__ = ("kind", "in0", "in1", "out", "out_key", "fanout", "driver", "env",
-                 "net_init", "_images")
+    __slots__ = ("gates", "net_init", "out_key", "fanout", "driver", "env", "_images")
 
     def __init__(self, netlist: Netlist):
-        gates = netlist.gates
-        self.kind = [KIND_CODE[g.kind] << 3 for g in gates]
-        self.in0 = [g.inputs[0] for g in gates]
-        self.in1 = [g.inputs[-1] for g in gates]
-        self.out = [g.output for g in gates]
-        self.out_key = [o << 1 for o in self.out]
+        self.gates = gates = netlist.gates
+        self.net_init = netlist.net_init
+        self.out_key = [g.output << 1 for g in gates]
         fanout: list[list[tuple[int, int, int]]] = [[] for _ in range(netlist.net_count)]
         self.driver = [len(gates)] * netlist.net_count
-        for i, (a, b, o) in enumerate(zip(self.in0, self.in1, self.out)):
+        for i, (_, ins, o) in enumerate(gates):
+            a, b = ins[0], ins[-1]
             if a == b:
                 fanout[a].append((i, 6, o))
             else:
@@ -246,7 +243,6 @@ class CompiledNetlist:
         for p in netlist.ports:
             if p.direction == "input":
                 self.env[p.rail1] = self.env[p.rail0] = True
-        self.net_init = netlist.net_init
         self._images: dict[int, ResetImage] = {}
 
     def reset_image(self, spacer: int) -> ResetImage:
@@ -255,16 +251,18 @@ class CompiledNetlist:
         image = self._images.get(spacer)
         if image is None:
             values = [spacer if env else init for env, init in zip(self.env, self.net_init)]
-            code = [k | values[a] << 2 | values[b] << 1 | values[o] for k, a, b, o
-                    in zip(self.kind, self.in0, self.in1, self.out)]
+            code = [KIND_CODE[kind] << 3 | values[ins[0]] << 2 | values[ins[-1]] << 1
+                    | values[o] for kind, ins, o in self.gates]
             image = self._images[spacer] = ResetImage(values, code + [0], first_excited(code))
         return image
 
 
-def _port_findings(ports: Sequence[DualRailPort], n: int) -> list[Finding]:
-    """The port checks of ``validate``, over ``n`` nets: unique names, known
-    directions, bit inits and constants, and two distinct rails in range."""
+def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> list[Finding]:
+    """The port checks of ``validate``: unique names, known directions, bit
+    constants, two distinct rails in range and, on an input port, rails
+    that reset to one level (the port's one ``"init"`` in JSON)."""
     findings: list[Finding] = []
+    n = len(net_init)
     names: set[str] = set()
     for p in ports:
         if p.name in names:
@@ -272,39 +270,41 @@ def _port_findings(ports: Sequence[DualRailPort], n: int) -> list[Finding]:
         names.add(p.name)
         if p.direction not in ("input", "output"):
             findings.append(Finding("port-dir", f"port {p.name} has direction {p.direction!r}"))
-        if p.init not in (0, 1) or p.const_value not in (None, 0, 1):
-            findings.append(Finding("init-value", f"port {p.name} init {p.init} or "
-                                    f"constant {p.const_value} is not a bit"))
-        for rail in p.rails:
-            if not 0 <= rail < n:
-                findings.append(Finding("net-range", f"port {p.name} references net {rail} outside 0..{n - 1}"))
+        if p.const_value is not None and not is_bit(p.const_value):
+            findings.append(Finding("init-value", f"port {p.name} constant {p.const_value} is not a bit"))
+        outside = [rail for rail in p.rails if not 0 <= rail < n]
+        for rail in outside:
+            findings.append(Finding("net-range", f"port {p.name} references net {rail} outside 0..{n - 1}"))
         if p.rail1 == p.rail0:
             findings.append(Finding("port-rails", f"port {p.name} uses one net for both rails"))
+        elif p.direction == "input" and not outside and net_init[p.rail1] != net_init[p.rail0]:
+            findings.append(Finding("init-value", f"port {p.name} rails reset to "
+                                    f"{net_init[p.rail1]} and {net_init[p.rail0]}"))
     return findings
 
 
 def validate(netlist: Netlist) -> ValidationReport:
-    """Structural checks: arity, net ranges, unique port names, port
-    directions, bit-valued inits and constants, single drivers, init
-    consistency, and acyclicity of the combinational subgraph (every
-    feedback loop must pass through a C2).  Gates are named by position."""
-    findings: list[Finding] = []
-    n = netlist.net_count
-    gates = netlist.gates
+    """Structural checks: bit reset levels, arity, net ranges, the port
+    checks of ``_port_findings``, single drivers, init consistency, and
+    acyclicity of the combinational subgraph (every feedback loop must pass
+    through a C2).  Gates are named by position."""
+    net_init, gates = netlist.net_init, netlist.gates
+    n = len(net_init)
+    findings = [Finding("init-value", f"net {net} resets to {level}, not a bit")
+                for net, level in enumerate(net_init) if not is_bit(level)]
+    bit_levels = not findings
 
     outs = []  # each gate's output net
-    for gid, (kind, ins, out, init) in enumerate(gates):
+    for gid, (kind, ins, out) in enumerate(gates):
         if len(ins) != kind.arity:
             findings.append(Finding("arity", f"gate {gid} ({kind.value}) has {len(ins)} inputs"))
         for net in (*ins, out):
             if not 0 <= net < n:
                 findings.append(Finding("net-range", f"gate {gid} references net {net} outside 0..{n - 1}"))
-        if init not in (0, 1):
-            findings.append(Finding("init-value", f"gate {gid} init {init} is not a bit"))
         outs.append(out)
-    findings += _port_findings(netlist.ports, n)
-    if any(f.code in ("net-range", "init-value") for f in findings):
-        return ValidationReport(findings)  # later checks need in-range ids and bit inits
+    findings += _port_findings(netlist.ports, net_init)
+    if not bit_levels or any(f.code == "net-range" for f in findings):
+        return ValidationReport(findings)  # later checks need in-range ids and bit levels
 
     # every net has one driver, a gate or an input-port rail: count them,
     # and name them only on the nets where the count is not one
@@ -332,11 +332,12 @@ def validate(netlist: Netlist) -> ValidationReport:
     # so a combinational gate resets to its function of them and a C2 whose
     # two inputs agree resets to their level (over disagreeing ones it holds
     # either init).  The same pass lists the non-C2 gates reading each net.
-    net_init, c2 = netlist.net_init, GateKind.C2
+    c2 = GateKind.C2
     comb = []  # the non-C2 gates
     readers: list[list[int]] = [[] for _ in range(n)]
-    for i, (kind, ins, _, init) in enumerate(gates):
+    for i, (kind, ins, out) in enumerate(gates):
         if len(ins) == kind.arity:
+            init = net_init[out]
             expect = NEXT_STATE[KIND_CODE[kind] << 3 | net_init[ins[0]] << 2
                                 | net_init[ins[-1]] << 1 | init]
             if init != expect:
@@ -382,8 +383,9 @@ class Cell:
     constants) are nets ``0..2k-1`` in port order, gate ``i`` drives net
     ``2k + i``, and there is no other net.  A net table of the instance's
     ``2k`` driving rails followed by one fresh net per gate then renumbers
-    every net, so each gate's copy template is its kind, a getter of its
-    renumbered inputs from that table, and its stored init.  Raises
+    every net, so each gate's copy template is its kind and a getter of its
+    renumbered inputs from that table; ``inits`` holds the gates' reset
+    levels, in gate order, which the fresh nets take.  Raises
     :class:`ValidationError` for a netlist that fails validation and
     :class:`NetlistError` for one in another layout.
     """
@@ -403,7 +405,7 @@ class Cell:
         self.levels = netlist.net_init[:k]  # the reset level of each input rail
         self.inits = netlist.net_init[k:]  # each gate's init, in gate order
         self.outputs = tuple(p.rails for p in netlist.output_ports)
-        self._template = tuple((g.kind, _inputs_getter(g.inputs), g.init) for g in gates)
+        self._template = tuple((g.kind, _inputs_getter(g.inputs)) for g in gates)
 
 
 class NetlistBuilder:
@@ -449,7 +451,7 @@ class NetlistBuilder:
         return len(self._net_init)
 
     def new_net(self, init: int = 0) -> NetId:
-        if type(init) is not int or init not in (0, 1):
+        if not is_bit(init):
             self._vouched = False  # leave a net init that is not a bit to validate
         self._net_init.append(init)
         return len(self._net_init) - 1
@@ -458,8 +460,9 @@ class NetlistBuilder:
         """Append a gate on a fresh output net and return that net.
 
         ``init`` may be omitted: it is then read from ``NEXT_STATE`` at the
-        inputs' reset levels, which leaves it open only for a C2 over
-        disagreeing inputs.  An explicit init drops the builder's vouch.
+        inputs' reset levels, which must be bits, and is left open only for
+        a C2 over disagreeing inputs.  An explicit init drops the builder's
+        vouch.
         """
         kind = _KINDS.get(kind) or GateKind(kind)
         inputs = tuple(inputs)
@@ -470,6 +473,8 @@ class NetlistBuilder:
         for net in inputs:
             if not 0 <= net < out:
                 raise NetlistError(f"unknown net {net}")
+            if init is None and not is_bit(net_init[net]):
+                raise NetlistError(f"net {net} resets to {net_init[net]!r}, not a bit")
         if init is None:
             code = (KIND_CODE[kind] << 3 | net_init[inputs[0]] << 2
                     | net_init[inputs[-1]] << 1)
@@ -479,7 +484,7 @@ class NetlistBuilder:
         else:
             self._vouched = False  # an explicit init goes to validate
         net_init.append(init)
-        self._gates.append(Gate(kind, inputs, out, init))
+        self._gates.append(Gate(kind, inputs, out))
         return out
 
     def add_instance(self, cell: Cell, inputs: Sequence[tuple[NetId, NetId]]
@@ -489,7 +494,7 @@ class NetlistBuilder:
 
         ``inputs`` gives one ``(rail1, rail0)`` pair per input port of the
         cell, in port order; each gate gets one fresh output net, in gate
-        order, and keeps the cell's stored init.  Those inits hold because
+        order, which resets to the cell gate's level.  Those levels hold because
         every driving rail must reset to the level of the cell input it
         replaces, which is checked once per instance, so an instance keeps
         the builder's vouch.
@@ -509,8 +514,8 @@ class NetlistBuilder:
         outs = range(base, base + len(cell.inits))
         table.extend(outs)
         new = tuple.__new__  # a Gate without the Python-level NamedTuple constructor
-        self._gates.extend([new(Gate, (kind, ins(table), out, init))
-                            for out, (kind, ins, init) in zip(outs, cell._template)])
+        self._gates.extend([new(Gate, (kind, ins(table), out))
+                            for out, (kind, ins) in zip(outs, cell._template)])
         net_init.extend(cell.inits)
         return [(table[r1], table[r0]) for r1, r0 in cell.outputs]
 
@@ -520,17 +525,17 @@ class NetlistBuilder:
         vouch and ``build()`` runs ``validate``."""
         self._vouched = False
         kind = GateKind(kind)
-        self._gates.append(Gate(kind, tuple(inputs), output, init))
+        self._gates.append(Gate(kind, tuple(inputs), output))
         if 0 <= output < self.net_count:
             self._net_init[output] = init
 
     def add_input_port(self, name: str, init: int = 0) -> DualRailPort:
-        port = DualRailPort(name, "input", self.new_net(init), self.new_net(init), None, init)
+        port = DualRailPort(name, "input", self.new_net(init), self.new_net(init))
         self._ports.append(port)
         return port
 
     def add_const_port(self, name: str, value: int, init: int = 0) -> DualRailPort:
-        port = DualRailPort(name, "input", self.new_net(init), self.new_net(init), value, init)
+        port = DualRailPort(name, "input", self.new_net(init), self.new_net(init), value)
         self._ports.append(port)
         return port
 
@@ -558,13 +563,8 @@ class NetlistBuilder:
         return level[0]
 
     def _freeze(self) -> Netlist:
-        return Netlist(
-            name=self.name,
-            gates=tuple(self._gates),
-            ports=tuple(self._ports),
-            net_init=tuple(self._net_init),
-            metadata=dict(self.metadata),
-        )
+        return Netlist(self.name, tuple(self._gates), tuple(self._ports),
+                       tuple(self._net_init), dict(self.metadata))
 
     def build(self) -> Netlist:
         """The netlist, or :class:`ValidationError` with ``validate``'s findings."""
@@ -572,7 +572,7 @@ class NetlistBuilder:
         ports, n = self._ports, len(self._net_init)
         inputs = sum(p.direction == "input" for p in ports)
         if (self._vouched and n == 2 * inputs + len(self._gates)  # no stray new_net
-                and not _port_findings(ports, n)):
+                and not _port_findings(ports, self._net_init)):
             netlist.validation = ValidationReport()  # what validate would report
             return netlist
         return netlist.validated()
@@ -607,17 +607,11 @@ _DUAL_KIND = {GateKind.AND2: GateKind.OR2, GateKind.OR2: GateKind.AND2,
 
 
 def dual_of(netlist: Netlist) -> Netlist:
-    """Protocol dual: swap AND2/OR2 and complement every reset level."""
-    gates = tuple(g._replace(kind=_DUAL_KIND[g.kind], init=g.init ^ 1) for g in netlist.gates)
-    ports = tuple(p if p.direction == "output" else replace(p, init=p.init ^ 1)
-                  for p in netlist.ports)
-    return Netlist(
-        name=netlist.name,
-        gates=gates,
-        ports=ports,
-        net_init=tuple(v ^ 1 for v in netlist.net_init),
-        metadata=dict(netlist.metadata),
-    )
+    """Protocol dual: swap AND2/OR2 and complement every reset level; the
+    ports are the same."""
+    gates = tuple(Gate(_DUAL_KIND[kind], ins, out) for kind, ins, out in netlist.gates)
+    return Netlist(netlist.name, gates, netlist.ports, tuple(v ^ 1 for v in netlist.net_init),
+                   dict(netlist.metadata))
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +623,21 @@ def to_json(netlist: Netlist) -> str:
         "net_count": netlist.net_count,
         "gates": [
             {"id": gid, "kind": g.kind.value, "inputs": list(g.inputs),
-             "output": g.output, "init": g.init}
+             "output": g.output, "init": netlist.net_init[g.output]}
             for gid, g in enumerate(netlist.gates)
         ],
-        "ports": [_port_doc(p) for p in netlist.ports],
+        "ports": [_port_doc(p, netlist.net_init) for p in netlist.ports],
         "meta": netlist.metadata,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _port_doc(p: DualRailPort) -> dict:
+def _port_doc(p: DualRailPort, net_init: Sequence[int]) -> dict:
     doc = {"name": p.name, "dir": p.direction, "rail1": p.rail1, "rail0": p.rail0}
     if p.const_value is not None:
         doc["const_value"] = p.const_value
     if p.direction == "input":
-        doc["init"] = p.init
+        doc["init"] = net_init[p.rail1]
     return doc
 
 
@@ -661,26 +655,24 @@ def _str(value) -> str:
     return value
 
 
-def _gate_from_doc(i: int, g: dict) -> Gate:
+def _gate_from_doc(i: int, g: dict) -> tuple[Gate, int]:
     if not isinstance(g["inputs"], list):
         raise TypeError(f"inputs must be a list, got {g['inputs']!r}")
     if "id" in g and _int(g["id"]) != i:
         raise ValueError(f"id {g['id']} is not its position {i}")
-    return Gate(GateKind(g["kind"]), tuple(map(_int, g["inputs"])), _int(g["output"]),
-                _int(g["init"]))
+    return (Gate(GateKind(g["kind"]), tuple(map(_int, g["inputs"])), _int(g["output"])),
+            _int(g["init"]))
 
 
-def _port_from_doc(_i: int, p: dict) -> DualRailPort:
-    return DualRailPort(
-        name=_str(p["name"]), direction=_str(p["dir"]),
-        rail1=_int(p["rail1"]), rail0=_int(p["rail0"]),
-        const_value=(_int(p["const_value"]) if "const_value" in p else None),
-        init=_int(p.get("init", 0)),
-    )
+def _port_from_doc(_i: int, p: dict) -> tuple[DualRailPort, int]:
+    return (DualRailPort(_str(p["name"]), _str(p["dir"]), _int(p["rail1"]), _int(p["rail0"]),
+                         _int(p["const_value"]) if "const_value" in p else None),
+            _int(p.get("init", 0)))
 
 
-def _entries(docs, what: str, load: Callable[[int, dict], object]) -> list:
-    """Load a list of gate or port objects, naming the entry that is malformed."""
+def _entries(docs, what: str, load: Callable[[int, dict], tuple]) -> list[tuple]:
+    """Load a list of gate or port entries, each an object and the reset
+    level its document gives, naming the entry that is malformed."""
     if not isinstance(docs, list):
         raise FormatError(f"{what}s must be a list")
     out = []
@@ -716,25 +708,26 @@ def from_json(text: str) -> Netlist:
     gates = _entries(gate_docs, "gate", _gate_from_doc)
     ports = _entries(port_docs, "port", _port_from_doc)
     # every net has exactly one driver: a gate output or an input-port rail
-    drivers = len(gates) + 2 * sum(p.direction == "input" for p in ports)
+    drivers = len(gates) + 2 * sum(p.direction == "input" for p, _ in ports)
     if not 0 <= net_count <= drivers:
         raise FormatError(f"net_count {net_count} outside 0..{drivers}, the "
                           "number of gate outputs and input rails")
 
     net_init = [0] * net_count
-    for p in ports:
+    for p, init in ports:
         if p.direction == "input":
             for rail in p.rails:
                 if not 0 <= rail < net_count:
                     raise FormatError(f"port {p.name} references dangling net {rail}")
-                net_init[rail] = p.init
-    for gid, g in enumerate(gates):
+                net_init[rail] = init
+    for gid, (g, init) in enumerate(gates):
         for net in (*g.inputs, g.output):
             if not 0 <= net < net_count:
                 raise FormatError(f"gate {gid} references dangling net {net}")
-        net_init[g.output] = g.init
+        net_init[g.output] = init
 
-    return Netlist(name, tuple(gates), tuple(ports), tuple(net_init), meta).validated()
+    return Netlist(name, tuple(g for g, _ in gates), tuple(p for p, _ in ports),
+                   tuple(net_init), meta).validated()
 
 
 def to_dot(netlist: Netlist) -> str:

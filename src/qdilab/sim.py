@@ -11,7 +11,7 @@ which makes the same ``getrandbits`` calls as ``randint`` without its call
 layers: the same delays, and the generator left in the same state.
 
 Reset computes nothing: ``initialize`` seeds the input rails at the spacer
-level and every other net at its stored init, and raises if any gate is
+level and every other net at its ``net_init`` level, and raises if any gate is
 excited there (validation already holds each combinational init to the reset
 levels of its inputs, so no relaxation is needed).  That state depends only
 on the netlist and the spacer level, not on the delays, so the compiled form
@@ -94,7 +94,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .encoding import Protocol
+from .encoding import Protocol, is_bit
 from .netlist import NEXT_STATE, GateKind, Netlist, first_excited
 
 
@@ -257,7 +257,7 @@ class Stimulus:
         for net, value in sorted(items):
             if not 0 <= net < len(env) or not env[net]:
                 raise StimulusError(f"net {net} is not environment-driven")
-            if value not in (0, 1) or not isinstance(value, int):
+            if not is_bit(value):
                 raise StimulusError(f"net {net} assigned non-bit {value!r}")
             codes.append(net << 1 | value)
         self.netlist = netlist
@@ -463,7 +463,7 @@ class SimState:
 def initialize(netlist: Netlist, protocol: Protocol,
                delay_model: DelayModel = UnitDelay()) -> SimState:
     """Build the reset-state simulation at time zero: input rails at the
-    spacer level, every other net at its stored init.  That state must
+    spacer level, every other net at its ``net_init`` level.  That state must
     already be quiescent; reset computes nothing, it only checks."""
     delays = delay_model.resolve(netlist)
     g = netlist.compiled.reset_image(protocol.spacer_level).excited

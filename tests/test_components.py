@@ -13,7 +13,7 @@ from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
 from qdilab.netlist import (GateKind, NetlistBuilder, NetlistError, dual_of,
-                            stats, structurally_equal, to_json)
+                            stats, structurally_equal, to_dot, to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +169,23 @@ def test_merge_gate_check_flags_a_sabotaged_or():
 # ---------------------------------------------------------------------------
 # cells and instances
 
-# The first 16 hex digits of the SHA-256 of ``to_json`` of the ripple-carry
-# adders of widths 1 to 3, both variants under both protocols: a change to
-# how the chain is assembled must give the same netlists, net for net.
+# The first 16 hex digits of the SHA-256 of ``to_json`` and of ``to_dot`` of
+# the ripple-carry adders of widths 1 to 3, both variants under both
+# protocols: a change to how the chain is assembled must give the same
+# netlists, net for net.
 RCA_DIGESTS = {
-    "rca1_dims_fa_rto": "453dc862f910c398",
-    "rca1_dims_fa_rtz": "10ebcf82909ec614",
-    "rca1_weak_fa_rto": "c73ea8bbec45a533",
-    "rca1_weak_fa_rtz": "34372b5a31b9590a",
-    "rca2_dims_fa_rto": "8d99a0eb82092efe",
-    "rca2_dims_fa_rtz": "943c3dca6ff1cad6",
-    "rca2_weak_fa_rto": "0bee72d0ba566d12",
-    "rca2_weak_fa_rtz": "bba9325d1f3870f2",
-    "rca3_dims_fa_rto": "59d34e9561b639a4",
-    "rca3_dims_fa_rtz": "c1e1aec7f5635cc5",
-    "rca3_weak_fa_rto": "cf53511bddf73503",
-    "rca3_weak_fa_rtz": "33d30525681efaea",
+    "rca1_dims_fa_rto": ("453dc862f910c398", "ee00e45e12c3855b"),
+    "rca1_dims_fa_rtz": ("10ebcf82909ec614", "720c86985289f4ea"),
+    "rca1_weak_fa_rto": ("c73ea8bbec45a533", "13298eee395c24bd"),
+    "rca1_weak_fa_rtz": ("34372b5a31b9590a", "6d57cf9b722e1306"),
+    "rca2_dims_fa_rto": ("8d99a0eb82092efe", "57f1d99f1e27e343"),
+    "rca2_dims_fa_rtz": ("943c3dca6ff1cad6", "9ab228da20116c09"),
+    "rca2_weak_fa_rto": ("0bee72d0ba566d12", "ba3b473120145bcc"),
+    "rca2_weak_fa_rtz": ("bba9325d1f3870f2", "80cd38815ba5ecbe"),
+    "rca3_dims_fa_rto": ("59d34e9561b639a4", "3b5fddabbe51c852"),
+    "rca3_dims_fa_rtz": ("c1e1aec7f5635cc5", "99eaec74dc96f159"),
+    "rca3_weak_fa_rto": ("cf53511bddf73503", "a208660eaa78a66d"),
+    "rca3_weak_fa_rtz": ("33d30525681efaea", "b5344d6e3eb6b0aa"),
 }
 
 
@@ -193,8 +194,34 @@ RCA_DIGESTS = {
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_ripple_carry_adders_are_pinned(width, variant, protocol):
     netlist = ripple_carry_adder(protocol, width, variant)
-    digest = hashlib.sha256(to_json(netlist).encode()).hexdigest()[:16]
-    assert digest == RCA_DIGESTS[netlist.name]
+    assert pin(netlist) == RCA_DIGESTS[netlist.name]
+
+
+# The same two digests of every ``COMPONENTS`` entry, by entry and protocol.
+COMPONENT_DIGESTS = {
+    "dims_fa_rto": ("1448e86ccfe5bb6a", "5f52aa7be2bcbeab"),
+    "dims_fa_rtz": ("f94f03e468f0a16c", "6c4f4e22ed8d2412"),
+    "rca2_dims_rto": ("8d99a0eb82092efe", "57f1d99f1e27e343"),
+    "rca2_dims_rtz": ("943c3dca6ff1cad6", "9ab228da20116c09"),
+    "rca2_weak_rto": ("0bee72d0ba566d12", "ba3b473120145bcc"),
+    "rca2_weak_rtz": ("bba9325d1f3870f2", "80cd38815ba5ecbe"),
+    "strong_and2_rto": ("1282e66e0495194a", "ff98d329af709db3"),
+    "strong_and2_rtz": ("6ea2a5f71dd3a4f1", "b268bf096225d70e"),
+    "weak_fa_rto": ("a6dd7afe8cca2f64", "4d7330654941db9d"),
+    "weak_fa_rtz": ("e7e89feb0af2ab54", "fc52418c0b43e9ee"),
+}
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_components_are_pinned(name, protocol):
+    assert pin(COMPONENTS[name](protocol)) == COMPONENT_DIGESTS[f"{name}_{protocol.value}"]
+
+
+def pin(netlist):
+    """The first 16 hex digits of the SHA-256 of ``to_json`` and ``to_dot``."""
+    return tuple(hashlib.sha256(render(netlist).encode()).hexdigest()[:16]
+                 for render in (to_json, to_dot))
 
 
 CELL_EMITTERS = {"strong_and2": (("X", "Y"), emit_strong_and2),

@@ -1,5 +1,6 @@
 """Dual-rail codeword tables for both return-to-spacer disciplines."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,3 +37,12 @@ def test_protocols_are_rail_complements(r1, r0):
 def test_encode_decode_round_trip(protocol, bit):
     state = decode(protocol, *encode(protocol, bit))
     assert state is (PairState.DATA1 if bit else PairState.DATA0)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_encode_takes_only_a_bit(protocol):
+    """A bool is the int it equals; ``1.0`` is no bit."""
+    assert encode(protocol, True) == encode(protocol, 1)
+    for value in (2, -1, 1.0, "1", None):
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            encode(protocol, value)

@@ -11,7 +11,7 @@ from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import (MultiplierSpec, array_multiplier, input_vector,
                                product_bits, product_oracle, reference_product)
-from qdilab.netlist import from_json, stats, to_json, validate
+from qdilab.netlist import from_json, stats, to_dot, to_json, validate
 
 
 FA_C2 = {"dims_fa": 12, "weak_fa": 14}
@@ -105,40 +105,54 @@ def test_multiplier_json_round_trip():
     assert restored.metadata["fa_variant"] == "dims_fa"
 
 
-# The first 16 hex digits of the SHA-256 of ``to_json`` of every multiplier
-# from 2x2 to 8x8 (every width the scale sweep builds), both adder variants
-# under both protocols: a change to how the array is assembled must give the
-# same netlists, net for net.
+# The first 16 hex digits of the SHA-256 of ``to_json`` and of ``to_dot`` of
+# every multiplier from 2x2 to 8x8 (every width the scale sweep builds), both
+# adder variants under both protocols: a change to how the array is assembled
+# must give the same netlists, net for net.
 NETLIST_DIGESTS = {
-    "mult2x2_dims_fa_rto": "258b65edfcdd2354",
-    "mult2x2_dims_fa_rtz": "8d6e5b974773ba7d",
-    "mult2x2_weak_fa_rto": "e460908a92cce568",
-    "mult2x2_weak_fa_rtz": "23ae3d24cda6075b",
-    "mult3x3_dims_fa_rto": "d3da5fd9b8c00f65",
-    "mult3x3_dims_fa_rtz": "f961200a6778b4b1",
-    "mult3x3_weak_fa_rto": "26579315e826d51c",
-    "mult3x3_weak_fa_rtz": "e44433ffab685a13",
-    "mult4x4_dims_fa_rto": "e61de4ec9095f40b",
-    "mult4x4_dims_fa_rtz": "19d182524f2ca72e",
-    "mult4x4_weak_fa_rto": "4dd8bc44d4921b97",
-    "mult4x4_weak_fa_rtz": "893ed1bf33814862",
-    "mult5x5_dims_fa_rto": "444241f03f7f240e",
-    "mult5x5_dims_fa_rtz": "e9055f1107dd5f33",
-    "mult5x5_weak_fa_rto": "5cc429a8d929a7b0",
-    "mult5x5_weak_fa_rtz": "f8c01aae59848396",
-    "mult6x6_dims_fa_rto": "294474367678ff2d",
-    "mult6x6_dims_fa_rtz": "3aba169df5a72849",
-    "mult6x6_weak_fa_rto": "2a44e8493ec3402c",
-    "mult6x6_weak_fa_rtz": "02c5aaeb8347a6b8",
-    "mult7x7_dims_fa_rto": "3d8134250b604ade",
-    "mult7x7_dims_fa_rtz": "e492c67f68cce52b",
-    "mult7x7_weak_fa_rto": "bdace437cafbbe18",
-    "mult7x7_weak_fa_rtz": "c573ae3a6c0f6ced",
-    "mult8x8_dims_fa_rto": "96908b8f529ac992",
-    "mult8x8_dims_fa_rtz": "c5e53ef02abee8f9",
-    "mult8x8_weak_fa_rto": "7a42036fca18ec38",
-    "mult8x8_weak_fa_rtz": "77d6803ef6077f3f",
+    "mult2x2_dims_fa_rto": ("258b65edfcdd2354", "bd8972c7cbc1bf7a"),
+    "mult2x2_dims_fa_rtz": ("8d6e5b974773ba7d", "99dabedf8110aadf"),
+    "mult2x2_weak_fa_rto": ("e460908a92cce568", "33dc779578a8acdb"),
+    "mult2x2_weak_fa_rtz": ("23ae3d24cda6075b", "6da7904679036465"),
+    "mult3x3_dims_fa_rto": ("d3da5fd9b8c00f65", "221fac2c85370fd3"),
+    "mult3x3_dims_fa_rtz": ("f961200a6778b4b1", "1521acd7eb1a7918"),
+    "mult3x3_weak_fa_rto": ("26579315e826d51c", "edb230e2e209d424"),
+    "mult3x3_weak_fa_rtz": ("e44433ffab685a13", "9242268d35ca626f"),
+    "mult4x4_dims_fa_rto": ("e61de4ec9095f40b", "cdf4ddd391abe379"),
+    "mult4x4_dims_fa_rtz": ("19d182524f2ca72e", "f6a7f21cd0b39cb5"),
+    "mult4x4_weak_fa_rto": ("4dd8bc44d4921b97", "86a193eee563ac59"),
+    "mult4x4_weak_fa_rtz": ("893ed1bf33814862", "2266658eb81e74a2"),
+    "mult5x5_dims_fa_rto": ("444241f03f7f240e", "e3219716157aa04d"),
+    "mult5x5_dims_fa_rtz": ("e9055f1107dd5f33", "551dfecdf68a3ca7"),
+    "mult5x5_weak_fa_rto": ("5cc429a8d929a7b0", "7f161c5b88728b56"),
+    "mult5x5_weak_fa_rtz": ("f8c01aae59848396", "814e379fbd1dacdc"),
+    "mult6x6_dims_fa_rto": ("294474367678ff2d", "8215c3df40089747"),
+    "mult6x6_dims_fa_rtz": ("3aba169df5a72849", "6a0116387f6d223f"),
+    "mult6x6_weak_fa_rto": ("2a44e8493ec3402c", "c4c6e0cdbde8f4c5"),
+    "mult6x6_weak_fa_rtz": ("02c5aaeb8347a6b8", "9983880f0713e0f5"),
+    "mult7x7_dims_fa_rto": ("3d8134250b604ade", "f8726af9b3cab2d2"),
+    "mult7x7_dims_fa_rtz": ("e492c67f68cce52b", "b0bc78a699fa33e1"),
+    "mult7x7_weak_fa_rto": ("bdace437cafbbe18", "6ee2005671384387"),
+    "mult7x7_weak_fa_rtz": ("c573ae3a6c0f6ced", "ded9975fbadc722d"),
+    "mult8x8_dims_fa_rto": ("96908b8f529ac992", "f547c9340f35758a"),
+    "mult8x8_dims_fa_rtz": ("c5e53ef02abee8f9", "846db5818048bafe"),
+    "mult8x8_weak_fa_rto": ("7a42036fca18ec38", "a47f35cbd88b7aec"),
+    "mult8x8_weak_fa_rtz": ("77d6803ef6077f3f", "953da8fd389088d3"),
 }
+
+# The same two digests of the closed loop a harness runs a 3x3 multiplier in.
+HARNESS_DIGESTS = {
+    "mult3x3_dims_fa_rto": ("824113fb83a48e11", "98287a1c5a559376"),
+    "mult3x3_dims_fa_rtz": ("4be4dcdb0ec2b53d", "c270211cf93bfb98"),
+    "mult3x3_weak_fa_rto": ("685b5ed5c82aebc2", "fd9e0b1eaba0a950"),
+    "mult3x3_weak_fa_rtz": ("f8587138da659ae5", "c38377b835fcbd1d"),
+}
+
+
+def pin(netlist):
+    """The first 16 hex digits of the SHA-256 of ``to_json`` and ``to_dot``."""
+    return tuple(hashlib.sha256(render(netlist).encode()).hexdigest()[:16]
+                 for render in (to_json, to_dot))
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -146,5 +160,6 @@ NETLIST_DIGESTS = {
 @pytest.mark.parametrize("n", range(2, 9))
 def test_generated_netlists_are_pinned(n, variant, protocol):
     netlist = array_multiplier(MultiplierSpec(n, protocol, variant))
-    digest = hashlib.sha256(to_json(netlist).encode()).hexdigest()[:16]
-    assert digest == NETLIST_DIGESTS[netlist.name]
+    assert pin(netlist) == NETLIST_DIGESTS[netlist.name]
+    if n == 3:
+        assert pin(HandshakeHarness(netlist, protocol).netlist) == HARNESS_DIGESTS[netlist.name]

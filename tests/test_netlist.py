@@ -5,7 +5,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdilab import components
@@ -13,7 +13,7 @@ from qdilab.components import COMPONENTS, ripple_carry_adder
 from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
-from qdilab.netlist import (KIND_CODE, NEXT_STATE, Cell, FormatError, GateKind,
+from qdilab.netlist import (KIND_CODE, NEXT_STATE, Cell, FormatError, Gate, GateKind,
                             NetlistBuilder, NetlistError, ValidationError,
                             dual_of, from_json, stats, structurally_equal,
                             to_dot, to_json, validate)
@@ -50,10 +50,11 @@ def test_builder_assigns_ids_and_derives_inits():
     netlist = b.build()
     # a gate's id is its position: the order the gates were added in
     assert [g.output for g in netlist.gates] == [n_and, n_inv] == [4, 5]
-    # ports reset to 0, so AND resets to 0 and the INV above it to 1
-    assert netlist.gates[0].init == 0
-    assert netlist.gates[1].init == 1
+    # ports reset to 0, so AND resets to 0 and the INV above it to 1; a
+    # gate's reset level is its output net's, stored nowhere else
     assert netlist.net_init == (0, 0, 0, 0, 0, 1)
+    assert Gate._fields == ("kind", "inputs", "output")
+    assert not hasattr(x, "init")
 
 
 def test_c2_requires_matching_or_explicit_init():
@@ -72,6 +73,18 @@ def test_add_gate_rejects_wrong_arity():
         b.add_gate(GateKind.INV, (x.rail1, y.rail1))
     with pytest.raises(NetlistError):
         b.add_gate(GateKind.AND2, (x.rail1,))
+
+
+@pytest.mark.parametrize("level", [8, -1])
+def test_add_gate_derives_an_init_only_from_bit_levels(level):
+    """A derived init indexes ``NEXT_STATE`` with the inputs' reset levels,
+    so an input whose level is no bit is refused, by net and level."""
+    b = NetlistBuilder("odd")
+    x = b.add_input_port("X", init=level)
+    for kind in GateKind:
+        with pytest.raises(NetlistError, match=f"^net 0 resets to {level}, not a bit$"):
+            b.add_gate(kind, x.rails[:kind.arity])
+    assert b.net_count == 2  # nothing was added
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +242,11 @@ def test_a_built_netlist_caches_its_verdict(monkeypatch):
     wired = b.build()  # wire_gate dropped the vouch
     assert wired.validated() is wired and wired.validation.ok and calls == [loaded, wired]
     odd = NetlistBuilder("odd")
-    odd.add_input_port("A", 1.0)  # passes the port check, but is no int bit
-    assert odd.build().validation.ok and calls == [loaded, wired, odd.build_unchecked()]
+    odd.add_input_port("A", 1.0)  # equals 1, but is no int bit
+    with pytest.raises(ValidationError) as exc:
+        odd.build()
+    assert {f.code for f in exc.value.findings} == {"init-value"}
+    assert calls == [loaded, wired, odd.build_unchecked()]
 
 
 def test_gates_are_immutable():
@@ -238,8 +254,8 @@ def test_gates_are_immutable():
     b.add_gate(GateKind.AND2, (x.rail1, y.rail1))
     (gate,) = b.build_unchecked().gates
     with pytest.raises(AttributeError):
-        gate.init = 1
-    assert gate._replace(init=1).init == 1 and gate.init == 0
+        gate.output = 9
+    assert gate._replace(output=9).output == 9 and gate.output == 4
 
 
 def test_undriven_net_detected():
@@ -292,6 +308,23 @@ def test_c2_feedback_loop_is_legal():
     assert codes(b.build_unchecked()) == []
 
 
+def test_an_input_port_whose_rails_reset_apart_is_refused():
+    """A port has one ``"init"`` in JSON, so both its rails must reset to
+    it; a hand-built netlist whose rails disagree would save as another."""
+    b = NetlistBuilder("apart")
+    x = b.add_input_port("X")
+    b.add_output_port("Z", b.add_gate(GateKind.AND2, (x.rail1, x.rail1)), x.rail0)
+    netlist = replace(b.build(), net_init=(0, 1, 0))
+    assert [(f.code, f.message) for f in validate(netlist).findings] == [
+        ("init-value", "port X rails reset to 0 and 1")]
+    # a saved gate on rail0 that resets to 1: the other fault is named too
+    doc = json.loads(to_json(b.build()))
+    doc["gates"].append({"kind": "INV", "inputs": [2], "output": 1, "init": 1})
+    with pytest.raises(ValidationError) as exc:
+        from_json(json.dumps(doc))
+    assert [f.code for f in exc.value.findings] == ["init-value", "multi-driver"]
+
+
 def test_init_inconsistency_detected():
     b, x, y = small_builder()
     out = b.new_net(init=1)  # claims to reset high...
@@ -335,9 +368,9 @@ def builder_program(data, flaws=(None, *FLAWS), prefix: str = "P") -> NetlistBui
         pairs = []
     for i in range(draw(st.integers(0 if pairs else 1, 3))):
         name = f"{prefix}{maybe('port name', st.just(i), st.integers(0, i))}"
-        init = maybe("port init", bit, st.sampled_from([-1, 2]))
+        init = maybe("port init", bit, st.sampled_from([-1, 2, 1.0]))
         if flaw == "constant" or not draw(st.integers(0, 3)):
-            port = b.add_const_port(name, maybe("constant", bit, st.just(2)), init)
+            port = b.add_const_port(name, maybe("constant", bit, st.sampled_from([2, 1.0])), init)
         else:
             port = b.add_input_port(name, init)
         pairs.append(port.rails)
@@ -395,6 +428,26 @@ def test_build_raises_exactly_what_validate_finds(data):
     else:
         assert expected == [] and netlist.validation.ok
         assert structurally_equal(netlist, b.build_unchecked())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_saved_netlist_loads_as_itself(data):
+    """``net_init`` is the one record of a reset level, so a netlist that
+    validates saves as itself: gates, ports and levels.  Each program ends
+    with a C2 over two nets that reset apart, with a drawn explicit init,
+    where it has both levels."""
+    b = builder_program(data, (None, "gate init", "base"))
+    zeros, ones = ([n for n, v in enumerate(b._net_init) if v == level] for level in (0, 1))
+    if zeros and ones:
+        ins = data.draw(st.permutations([data.draw(st.sampled_from(zeros)),
+                                         data.draw(st.sampled_from(ones))]))
+        b.add_gate(GateKind.C2, ins, init=data.draw(st.integers(0, 1)))
+    netlist = b.build_unchecked()
+    assume(netlist.validation.ok)
+    loaded = from_json(to_json(netlist))
+    assert (loaded.gates, loaded.ports, loaded.net_init) == (
+        netlist.gates, netlist.ports, netlist.net_init)
 
 
 # Every public method of the builder, sorted by what it does to the vouch.
@@ -620,13 +673,18 @@ def test_json_round_trip_random(netlist):
 
 def test_port_inits_constants_and_directions_are_checked():
     netlist = build_sample()
-    for change, code in (({"init": 2}, "init-value"), ({"init": -1}, "init-value"),
-                         ({"const_value": 3}, "init-value"),
+    k = netlist.ports[1]  # the constant port K, on nets 2 and 3
+    for change, code in (({"const_value": 3}, "init-value"),
+                         ({"const_value": 1.0}, "init-value"),
                          ({"direction": "sideways"}, "port-dir"),
                          ({"name": "X"}, "port-name")):
         ports = list(netlist.ports)
-        ports[1] = replace(ports[1], **change)  # the constant port K
+        ports[1] = replace(k, **change)
         assert code in codes(replace(netlist, ports=tuple(ports)))
+    for level in (2, -1, 1.0):  # both of K's rails reset to a level that is no bit
+        net_init = list(netlist.net_init)
+        net_init[k.rail1] = net_init[k.rail0] = level
+        assert codes(replace(netlist, net_init=tuple(net_init))) == ["init-value"] * 2
 
 
 def test_from_json_bounds_net_count_before_allocating():
