@@ -6,7 +6,7 @@ handshaking, and verify function, indication class, orphan freedom, and
 relative cycle-time/power figures.
 """
 
-from .encoding import PairState, Protocol, decode, encode
+from .encoding import Protocol, encode
 from .netlist import (Cell, DualRailPort, Gate, GateKind, Netlist, NetlistBuilder,
                       NetlistError, ValidationError, dual_of, from_json, stats,
                       structurally_equal, to_dot, to_json, validate)

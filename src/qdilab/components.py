@@ -53,7 +53,8 @@ def _rail(pair: Rails, bit: int) -> NetId:
     return pair[0] if bit else pair[1]
 
 
-def _merge_kind(protocol: Protocol) -> GateKind:
+def merge_kind(protocol: Protocol) -> GateKind:
+    """The gate that merges product terms or a rail pair: OR2 (RTZ) or AND2 (RTO)."""
     return GateKind.OR2 if protocol is Protocol.RTZ else GateKind.AND2
 
 
@@ -70,7 +71,7 @@ def emit_strong_and2(b: NetlistBuilder, protocol: Protocol,
     c01 = b.add_gate(c2, (_rail(x, 0), _rail(y, 1)))
     c10 = b.add_gate(c2, (_rail(x, 1), _rail(y, 0)))
     c00 = b.add_gate(c2, (_rail(x, 0), _rail(y, 0)))
-    z0 = b.reduce_tree(_merge_kind(protocol), (c01, c10, c00))
+    z0 = b.reduce_tree(merge_kind(protocol), (c01, c10, c00))
     return (z1, z0)
 
 
@@ -78,7 +79,7 @@ def emit_dims_full_adder(b: NetlistBuilder, protocol: Protocol,
                          a: Rails, bb: Rails, cin: Rails) -> tuple[Rails, Rails]:
     """Full adder with every output rail built from complete input minterms."""
     c2 = GateKind.C2
-    merge = _merge_kind(protocol)
+    merge = merge_kind(protocol)
     pair = {(i, j): b.add_gate(c2, (_rail(a, i), _rail(bb, j)))
             for i in (1, 0) for j in (1, 0)}
     minterm = {(i, j, k): b.add_gate(c2, (pair[i, j], _rail(cin, k)))
@@ -100,7 +101,7 @@ def emit_weak_full_adder(b: NetlistBuilder, protocol: Protocol,
     minterm structure.
     """
     c2 = GateKind.C2
-    merge = _merge_kind(protocol)
+    merge = merge_kind(protocol)
     gen = b.add_gate(c2, (_rail(a, 1), _rail(bb, 1)))
     kill = b.add_gate(c2, (_rail(a, 0), _rail(bb, 0)))
     p10 = b.add_gate(c2, (_rail(a, 1), _rail(bb, 0)))
@@ -125,8 +126,7 @@ def _standalone(name: str, protocol: Protocol, in_names: Sequence[str],
                 emit: Callable, out_names: Sequence[str]) -> Netlist:
     b = NetlistBuilder(f"{name}_{protocol.value}",
                        {"component": name, "protocol": protocol.value})
-    s = protocol.spacer_level
-    ins = [b.add_input_port(n, init=s) for n in in_names]
+    ins = [b.add_input_port(n, init=protocol.spacer_level) for n in in_names]
     outs = emit(b, protocol, *[p.rails for p in ins])
     if isinstance(outs[0], int):
         outs = (outs,)

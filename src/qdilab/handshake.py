@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from operator import index, itemgetter
 from typing import Mapping, Sequence
 
-from .encoding import Protocol, decode, encode, spacer_rails
+from .components import merge_kind
+from .encoding import Protocol, encode, spacer_rails
 from .netlist import DualRailPort, GateKind, Netlist, NetlistBuilder, NetId
 from .sim import DelayModel, HazardRecord, SimState, Stimulus, UnitDelay, initialize
 
@@ -29,18 +30,29 @@ def build_completion_detector(builder: NetlistBuilder, ports: Sequence[DualRailP
                               protocol: Protocol) -> tuple[NetId, NetId]:
     """Append a completion detector over ``ports`` and return (ackout, ackin).
 
-    Each dual-rail pair collapses through a 2-input OR (RTZ) or AND (RTO);
-    the per-pair nets merge through a balanced C2 tree.  ACKOUT asserts high
-    once every monitored pair holds data under RTZ, or once every pair is
-    back at the all-ones spacer under RTO.  ACKIN is its inversion.
+    Each dual-rail pair collapses through a ``merge_kind`` gate (OR2 under
+    RTZ, AND2 under RTO); the per-pair nets merge through a balanced C2
+    tree.  ACKOUT asserts high once every monitored pair holds data under
+    RTZ, or once every pair is back at the all-ones spacer under RTO.  ACKIN
+    is its inversion.
     """
     if not ports:
         raise ValueError("completion detector needs at least one port")
-    kind = GateKind.OR2 if protocol is Protocol.RTZ else GateKind.AND2
+    kind = merge_kind(protocol)
     per_pair = [builder.add_gate(kind, (p.rail1, p.rail0)) for p in ports]
     ackout = builder.reduce_tree(GateKind.C2, per_pair)
     ackin = builder.add_gate(GateKind.INV, (ackout,))
     return ackout, ackin
+
+
+# pair states by (rail1, rail0) under RTZ; RTO rails read as complemented RTZ rails
+_STATES = (("spacer", "data0"), ("data1", "illegal"))
+
+
+def decode(protocol: Protocol, rail1: int, rail0: int) -> str:
+    """The state of a rail pair, as ``decode_outputs``' error message words it."""
+    s = protocol.spacer_level
+    return _STATES[rail1 ^ s][rail0 ^ s]
 
 
 def _pairs(rails: tuple[int, ...]):
@@ -136,22 +148,13 @@ class HandshakeHarness:
         self._spacer_level = protocol.spacer_level
         self._targets = {"data": (set(words[:2]), protocol.active_level),
                          "return": ({words[2]}, protocol.spacer_level)}
-        # the bit of each (rail1, rail0) pair, None for the spacer and an
-        # illegal pair
+        # the bit of each (rail1, rail0) pair; None for the spacer and an illegal one
         self._bit: list[list[int | None]] = [[None, None], [None, None]]
-        for bit in (0, 1):
-            rail1, rail0 = words[bit]
+        for bit, (rail1, rail0) in enumerate(words[:2]):
             self._bit[rail1][rail0] = bit
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
         return initialize(self.netlist, self.protocol, delay_model)
-
-    # -- decoding helpers ---------------------------------------------------
-
-    def _off_target(self, rails: tuple[int, ...], targets: set[tuple[int, int]]) -> list[str]:
-        """Names of the output ports whose (rail1, rail0) pair in the output
-        rail snapshot ``rails`` is not in ``targets``."""
-        return [p.name for p, pair in zip(self.outputs, _pairs(rails)) if pair not in targets]
 
     def decode_outputs(self, state: SimState) -> dict[str, int]:
         values, bits = state.values, self._bit
@@ -159,8 +162,8 @@ class HandshakeHarness:
         for p in self.outputs:
             bit = bits[values[p.rail1]][values[p.rail0]]
             if bit is None:
-                rails = decode(self.protocol, values[p.rail1], values[p.rail0])
-                raise TransactionError(f"output {p.name} is {rails.value}, not data")
+                what = decode(self.protocol, values[p.rail1], values[p.rail0])
+                raise TransactionError(f"output {p.name} is {what}, not data")
             out[p.name] = bit
         return out
 
@@ -295,8 +298,8 @@ class HandshakeHarness:
                 raise TransactionError(f"datapath hazard: {h.description}")
         rails = snapshot(values_arr)
         if last_move is None or not targets.issuperset(_pairs(rails)):
-            raise TransactionError(f"{phase} phase left outputs incomplete: "
-                                   f"{self._off_target(rails, targets)}")
+            off = [p.name for p, pair in zip(self.outputs, _pairs(rails)) if pair not in targets]
+            raise TransactionError(f"{phase} phase left outputs incomplete: {off}")
         ack = values_arr[self.ackout]
         if ack != ack_expect or values_arr[self.ackin] != ack_expect ^ 1:
             raise TransactionError(

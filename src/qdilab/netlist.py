@@ -259,8 +259,8 @@ class CompiledNetlist:
 
 def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> list[Finding]:
     """The port checks of ``validate``: unique names, known directions, bit
-    constants, two distinct rails in range and, on an input port, rails
-    that reset to one level (the port's one ``"init"`` in JSON)."""
+    constants on input ports only, two distinct rails in range and, on an
+    input port, rails that reset to one level (its one ``"init"`` in JSON)."""
     findings: list[Finding] = []
     n = len(net_init)
     names: set[str] = set()
@@ -270,6 +270,8 @@ def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> li
         names.add(p.name)
         if p.direction not in ("input", "output"):
             findings.append(Finding("port-dir", f"port {p.name} has direction {p.direction!r}"))
+        elif p.direction == "output" and p.const_value is not None:
+            findings.append(Finding("port-dir", f"output port {p.name} carries a constant"))
         if p.const_value is not None and not is_bit(p.const_value):
             findings.append(Finding("init-value", f"port {p.name} constant {p.const_value} is not a bit"))
         outside = [rail for rail in p.rails if not 0 <= rail < n]
@@ -623,7 +625,7 @@ def to_json(netlist: Netlist) -> str:
         "net_count": netlist.net_count,
         "gates": [
             {"id": gid, "kind": g.kind.value, "inputs": list(g.inputs),
-             "output": g.output, "init": netlist.net_init[g.output]}
+             "output": g.output, "init": _level(netlist.net_init[g.output])}
             for gid, g in enumerate(netlist.gates)
         ],
         "ports": [_port_doc(p, netlist.net_init) for p in netlist.ports],
@@ -635,10 +637,15 @@ def to_json(netlist: Netlist) -> str:
 def _port_doc(p: DualRailPort, net_init: Sequence[int]) -> dict:
     doc = {"name": p.name, "dir": p.direction, "rail1": p.rail1, "rail0": p.rail0}
     if p.const_value is not None:
-        doc["const_value"] = p.const_value
+        doc["const_value"] = _level(p.const_value)
     if p.direction == "input":
-        doc["init"] = net_init[p.rail1]
+        doc["init"] = _level(net_init[p.rail1])
     return doc
+
+
+def _level(value):
+    """A bit as the JSON integer it equals (``True`` as 1), anything else as is."""
+    return int(value) if is_bit(value) else value
 
 
 def _int(value) -> int:

@@ -16,8 +16,8 @@ excited there (validation already holds each combinational init to the reset
 levels of its inputs, so no relaxation is needed).  That state depends only
 on the netlist and the spacer level, not on the delays, so the compiled form
 builds it, with its gate codes and its excited-gate check, once per level
-(``CompiledNetlist.reset_image``); each state copies the image's lists, and
-``initialize`` raises on every call from the image's excited gate.
+(``CompiledNetlist.reset_image``); each state raises on the image's excited
+gate, or else copies the image's lists.
 
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
 fanout entries and drivers, the per-gate arrays that seed the reset images,
@@ -302,10 +302,14 @@ class SimState:
         # every event is due one unit after its cause: settles run on the
         # per-step lists
         self._unit = delays.count(1) == len(delays)
-        # the reset state, copied from the image shared by every state over
-        # this netlist: one code per gate, plus the spare slot that
-        # input-rail commits flip
+        # the reset state, which must be quiescent, copied from the image
+        # shared by every state over this netlist: one code per gate, plus
+        # the spare slot that input-rail commits flip
         image = compiled.reset_image(protocol.spacer_level)
+        g = image.excited
+        if g is not None:
+            raise InitializationError(f"reset state is not quiescent under {protocol.value}: "
+                                      f"gate {g} ({netlist.gates[g].kind.value}) is excited")
         self.values = image.values[:]
         self._code = image.code[:]
         self.now = 0
@@ -465,11 +469,5 @@ def initialize(netlist: Netlist, protocol: Protocol,
     """Build the reset-state simulation at time zero: input rails at the
     spacer level, every other net at its ``net_init`` level.  That state must
     already be quiescent; reset computes nothing, it only checks."""
-    delays = delay_model.resolve(netlist)
-    g = netlist.compiled.reset_image(protocol.spacer_level).excited
-    if g is not None:
-        raise InitializationError(f"reset state is not quiescent under "
-                                  f"{protocol.value}: gate {g} "
-                                  f"({netlist.gates[g].kind.value}) is excited")
-    return SimState(netlist, protocol, delays)
+    return SimState(netlist, protocol, delay_model.resolve(netlist))
 

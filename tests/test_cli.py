@@ -112,6 +112,10 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
                                       (json.loads(and2.read_text()), {"component": [1]})]):
         bad_meta.append(tmp_path / f"meta{i}.json")
         bad_meta[-1].write_text(json.dumps({**base, "meta": meta}))
+    const_out = tmp_path / "const_out.json"  # a constant on the output port Z
+    and2_doc = json.loads(and2.read_text())
+    const_out.write_text(json.dumps({**and2_doc, "ports": [
+        {**p, "const_value": 0} if p["name"] == "Z" else p for p in and2_doc["ports"]]}))
     mult2_path = tmp_path / "m2.json"
     mult2_path.write_text(json.dumps(mult2))
     numeric_names = []  # a netlist or port name that is a number, not a string
@@ -141,6 +145,7 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
                  ["verify", "--netlist", str(and2), "--protocol", "rto"],
                  ["classify", "--netlist", str(and2), "--protocol", "rto"],
                  ["fuzz", "--netlist", str(and2), "--protocol", "rto", "--trials", "3"],
+                 *([cmd, "--netlist", str(const_out)] for cmd in ("verify", "classify", "fuzz")),
                  ["bench", "--n", "2", "--weights", str(bad_kind)],
                  ["classify", "--n", "9"],
                  *(["verify", "--netlist", str(p)] for p in bad_meta[:-1]),
@@ -178,7 +183,9 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
             run_inproc(*argv)
         assert exc.value.code == 2
     assert not (tmp_path / "t.csv").exists() and not (tmp_path / "m.dot").exists()
-    assert "pergate delay table key 'AND2' is not a gate id" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "pergate delay table key 'AND2' is not a gate id" in err
+    assert err.count("error: output port Z carries a constant\n") == 3
 
 
 def test_an_ignored_option_names_the_commands_that_read_it(capsys):

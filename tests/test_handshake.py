@@ -9,7 +9,7 @@ from qdilab.analysis import classify_indication, exhaustive_verify, measure_late
 from qdilab.components import COMPONENTS, ripple_carry_adder, strong_and2
 from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
-                              build_completion_detector)
+                              build_completion_detector, decode)
 from qdilab.multiplier import MultiplierSpec, array_multiplier, product_oracle
 from qdilab.netlist import GateKind, NetlistBuilder, ValidationError, validate
 from qdilab.sim import RandomUniformDelay, Stimulus, initialize
@@ -199,10 +199,26 @@ def test_transaction_requires_spacer_start():
 
 
 def test_decode_outputs_rejects_spacer():
-    harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)
-    state = harness.initialize()
-    with pytest.raises(TransactionError):
-        harness.decode_outputs(state)
+    """An output that holds no data is named with its pair state, under
+    either protocol: the spacer at reset, and an illegal pair when both
+    rails are active."""
+    for protocol in Protocol:
+        harness = HandshakeHarness(strong_and2(protocol), protocol)
+        state = harness.initialize()
+        with pytest.raises(TransactionError, match=r"^output Z is spacer, not data$"):
+            harness.decode_outputs(state)
+        z = harness.outputs[0]
+        state.values[z.rail1] = state.values[z.rail0] = protocol.active_level
+        with pytest.raises(TransactionError, match=r"^output Z is illegal, not data$"):
+            harness.decode_outputs(state)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_decode_reads_rails_through_the_spacer_level(protocol):
+    s = protocol.spacer_level
+    states = {(r1, r0): decode(protocol, r1, r0) for r1 in (0, 1) for r0 in (0, 1)}
+    assert states == {(s, s): "spacer", encode(protocol, 0): "data0",
+                      encode(protocol, 1): "data1", (s ^ 1, s ^ 1): "illegal"}
 
 
 def test_data_phase_requires_all_inputs():

@@ -351,7 +351,7 @@ def builder_program(data, flaws=(None, *FLAWS), prefix: str = "P") -> NetlistBui
     a step the builder refuses with :class:`NetlistError` is skipped."""
     draw = data.draw
     flaw = draw(st.sampled_from(flaws))
-    bit = st.integers(0, 1)
+    bit = st.sampled_from([0, 1, False, True])  # a bool is the bit it equals
 
     def maybe(kind, usual, rare):  # the rare draw only in a program with that flaw
         return draw(usual | rare if flaw == kind else usual)
@@ -540,6 +540,26 @@ def test_json_round_trip_preserves_everything():
     assert to_json(restored) == to_json(original)
 
 
+def test_a_bool_level_saves_as_the_integer_it_equals():
+    """A bool is the bit it equals, so ``True`` is written as 1 and loads
+    back: port inits, constants and gate inits, also in a netlist made
+    directly, which no builder step has checked."""
+    b = NetlistBuilder("bools")
+    x = b.add_input_port("X", True)
+    k = b.add_const_port("K", True, init=False)
+    b.add_output_port("Z", b.add_gate(GateKind.C2, (x.rail1, k.rail1), init=True), x.rail0)
+    built = b.build()
+    direct = replace(built, net_init=tuple(bool(v) for v in built.net_init))
+    for netlist in (built, direct):
+        doc = json.loads(to_json(netlist))
+        levels = [g["init"] for g in doc["gates"]] + [
+            v for p in doc["ports"] for key, v in p.items() if key in ("init", "const_value")]
+        assert levels == [1, 1, 1, 0] and all(type(v) is int for v in levels)
+        loaded = from_json(json.dumps(doc))
+        assert (loaded.gates, loaded.ports, loaded.net_init) == (
+            netlist.gates, netlist.ports, netlist.net_init)
+
+
 def test_json_is_deterministic_and_sorted():
     a, b = to_json(build_sample()), to_json(build_sample())
     assert a == b
@@ -685,6 +705,21 @@ def test_port_inits_constants_and_directions_are_checked():
         net_init = list(netlist.net_init)
         net_init[k.rail1] = net_init[k.rail0] = level
         assert codes(replace(netlist, net_init=tuple(net_init))) == ["init-value"] * 2
+
+
+def test_an_output_port_carrying_a_constant_is_refused():
+    """Only the environment drives a constant, so it belongs on an input
+    port; on an output port no harness could drive it."""
+    netlist = build_sample()
+    ports = list(netlist.ports)
+    ports[2] = replace(ports[2], const_value=0)  # the output port Z
+    assert [(f.code, f.message) for f in validate(replace(netlist, ports=tuple(ports))).findings] \
+        == [("port-dir", "output port Z carries a constant")]
+    doc = json.loads(to_json(netlist))
+    doc["ports"][2]["const_value"] = 0
+    with pytest.raises(ValidationError) as exc:
+        from_json(json.dumps(doc))
+    assert [f.code for f in exc.value.findings] == ["port-dir"]
 
 
 def test_from_json_bounds_net_count_before_allocating():

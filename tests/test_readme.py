@@ -1,7 +1,12 @@
-"""The README's python session runs as written and prints what it says."""
+"""The README's python session runs as written and prints what it says, and
+its library tour names only what exists."""
 
+import dataclasses
+import importlib
 import re
 from pathlib import Path
+
+import qdilab
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +20,25 @@ def test_readme_session_prints_the_product(capsys):
     assert "{'P0': 1, 'P1': 1," in capsys.readouterr().out
     outputs = namespace["result"].outputs
     assert sum(bit << int(name[1:]) for name, bit in outputs.items()) == 13 * 11 == 143
+
+
+def test_library_tour_names_only_what_exists():
+    """Every identifier a library-tour row names in backticks (the part
+    before any ``(``) resolves in that row's module or in ``qdilab``."""
+    rows = re.findall(r"^\| `(qdilab\.\w+)` \|(.*)\|$", README.read_text(), re.M)
+    assert rows
+    for module_name, text in rows:
+        module = importlib.import_module(module_name)
+        for span in re.findall(r"`([^`]*)`", text):
+            name = span.split("(")[0]
+            if not re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", name):
+                continue  # not an identifier: `emit_*`, `(kind, inputs, output)`
+            head, *attrs = name.split(".")
+            owner = getattr(module, head, None) or getattr(qdilab, head, None)
+            assert owner is not None, f"{module_name} row names {name!r}"
+            for attr in attrs:  # a dataclass field is no class attribute
+                fields = [f.name for f in dataclasses.fields(owner)] \
+                    if dataclasses.is_dataclass(owner) else []
+                assert hasattr(owner, attr) or attr in fields, \
+                    f"{module_name} row names {name!r}"
+                owner = getattr(owner, attr, None)
