@@ -24,7 +24,12 @@ Oracle = Callable[[Mapping[str, int]], Mapping[str, int]]
 # full arrival-permutation enumeration is factorial; past this many inputs
 # the classifier falls back to withholding each input last
 PERMUTATION_INPUT_LIMIT = 6
-EXHAUSTIVE_VECTOR_LIMIT = 1 << 16
+
+
+def _check_exhaustible(inputs: int, purpose: str) -> None:
+    """Refuse an exhaustive ``purpose`` over more than 2^16 input codewords."""
+    if inputs > 16:
+        raise ValueError(f"{inputs} inputs is too wide for {purpose}")
 
 
 def _codewords(names: Sequence[str]):
@@ -111,8 +116,7 @@ def classify_indication(netlist: Netlist, protocol: Protocol,
     """
     harness = HandshakeHarness(netlist, protocol)
     names = [p.name for p in harness.inputs]
-    if (1 << len(names)) > EXHAUSTIVE_VECTOR_LIMIT:
-        raise ValueError(f"{len(names)} inputs is too wide for classification")
+    _check_exhaustible(len(names), "classification")
     if mode == "auto":
         mode = "exhaustive" if len(names) <= PERMUTATION_INPUT_LIMIT else "holdback"
     if mode == "exhaustive":
@@ -198,8 +202,7 @@ def exhaustive_verify(netlist: Netlist, protocol: Protocol, oracle: Oracle,
     """
     harness = HandshakeHarness(netlist, protocol)
     names = [p.name for p in harness.inputs]
-    if (1 << len(names)) > EXHAUSTIVE_VECTOR_LIMIT:
-        raise ValueError(f"{len(names)} inputs is too wide for exhaustive verification")
+    _check_exhaustible(len(names), "exhaustive verification")
     state = harness.initialize(delay_model)
     state.trace = trace
     report = VerifyReport(netlist.name, protocol.value, total=0)

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .analysis import (BenchDesign, Indication, bench_to_csv, benchmark,
-                       classify_indication, exhaustive_verify, measure_latencies,
-                       orphan_scan, worst_case)
+from .analysis import (BenchDesign, Indication, _check_exhaustible, bench_to_csv,
+                       benchmark, classify_indication, exhaustive_verify,
+                       measure_latencies, orphan_scan, worst_case)
 from .components import COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS
 from .encoding import Protocol
 from .multiplier import MultiplierSpec, array_multiplier, product_oracle
@@ -314,6 +314,8 @@ def cmd_export(config: CliConfig) -> int:
 
 
 def cmd_verify(config: CliConfig) -> int:
+    if not (config.netlist or config.component):  # refuse before generating
+        _check_exhaustible(2 * config.n, "exhaustive verification")
     netlist = target_netlist(config)
     protocol = Protocol(config.protocol)
     oracle = _oracle_for(netlist)
@@ -355,6 +357,7 @@ def _bench_designs(n: int) -> list[BenchDesign]:
 
 
 def cmd_bench(config: CliConfig) -> int:
+    _check_exhaustible(2 * config.n, "exhaustive verification")
     designs = _bench_designs(config.n)
     rows = benchmark(designs, (Protocol.RTZ, Protocol.RTO),
                      delay_model(config), load_weights(config))
@@ -395,6 +398,8 @@ def cmd_scale(config: CliConfig) -> int:
 
 
 def cmd_classify(config: CliConfig) -> int:
+    if not (config.netlist or config.component):  # refuse before generating
+        _check_exhaustible(2 * config.n, "classification")
     netlist = target_netlist(config)
     protocol = Protocol(config.protocol)
     verdict = classify_indication(netlist, protocol, delay_model(config))

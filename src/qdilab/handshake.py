@@ -45,14 +45,12 @@ def build_completion_detector(builder: NetlistBuilder, ports: Sequence[DualRailP
     return ackout, ackin
 
 
-# pair states by (rail1, rail0) under RTZ; RTO rails read as complemented RTZ rails
-_STATES = (("spacer", "data0"), ("data1", "illegal"))
-
-
 def decode(protocol: Protocol, rail1: int, rail0: int) -> str:
-    """The state of a rail pair, as ``decode_outputs``' error message words it."""
-    s = protocol.spacer_level
-    return _STATES[rail1 ^ s][rail0 ^ s]
+    """A rail pair's state: data when its rails differ (bit ``rail1 ^ s`` for
+    spacer level ``s``), else the spacer if ``rail1 == s``, else illegal."""
+    if rail1 != rail0:
+        return f"data{rail1 ^ protocol.spacer_level}"
+    return "spacer" if rail1 == protocol.spacer_level else "illegal"
 
 
 def _pairs(rails: tuple[int, ...]):
@@ -118,13 +116,10 @@ class HandshakeHarness:
         self.inputs = self.netlist.input_ports
         self.consts = self.netlist.const_ports
         self.outputs = self.netlist.output_ports
-        # the monitor: flags of the nets it watches, and the output ports
-        # that each of those nets belongs to
-        self._watched = bytearray(self.netlist.net_count)
+        # the watched table: the output ports on each net; () is a false entry
         self._ports_of: list[tuple[DualRailPort, ...]] = [()] * self.netlist.net_count
         for p in self.outputs:
             for rail in p.rails:
-                self._watched[rail] = 1
                 self._ports_of[rail] += (p,)
         # the output rails' values, flat: (rail1, rail0) of each output port
         self._snapshot = itemgetter(*(r for p in self.outputs for r in p.rails))
@@ -148,23 +143,19 @@ class HandshakeHarness:
         self._spacer_level = protocol.spacer_level
         self._targets = {"data": (set(words[:2]), protocol.active_level),
                          "return": ({words[2]}, protocol.spacer_level)}
-        # the bit of each (rail1, rail0) pair; None for the spacer and an illegal one
-        self._bit: list[list[int | None]] = [[None, None], [None, None]]
-        for bit, (rail1, rail0) in enumerate(words[:2]):
-            self._bit[rail1][rail0] = bit
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
         return initialize(self.netlist, self.protocol, delay_model)
 
     def decode_outputs(self, state: SimState) -> dict[str, int]:
-        values, bits = state.values, self._bit
+        values, spacer = state.values, self._spacer_level  # by decode's rule
         out = {}
         for p in self.outputs:
-            bit = bits[values[p.rail1]][values[p.rail0]]
-            if bit is None:
-                what = decode(self.protocol, values[p.rail1], values[p.rail0])
+            rail1 = values[p.rail1]
+            if rail1 == values[p.rail0]:
+                what = decode(self.protocol, rail1, rail1)
                 raise TransactionError(f"output {p.name} is {what}, not data")
-            out[p.name] = bit
+            out[p.name] = rail1 ^ spacer
         return out
 
     # -- phase driving ------------------------------------------------------
@@ -274,7 +265,7 @@ class HandshakeHarness:
         tr0 = state.transitions
         early: list[EarlyRecord] = []
         prev = state.watch, state.watched
-        state.watch, state.watched = watch, self._watched
+        state.watch, state.watched = watch, ports_of
         settle = state.apply_and_settle
         try:
             for gi, group in enumerate(groups):

@@ -1,5 +1,7 @@
 """Latency measurement, indication classification, orphan scan, benchmarks."""
 
+from dataclasses import replace
+
 import pytest
 
 from qdilab.analysis import (BenchDesign, Indication, bench_to_csv,
@@ -12,7 +14,7 @@ from qdilab.encoding import Protocol
 from qdilab.multiplier import (MultiplierSpec, array_multiplier, input_vector,
                                product_oracle)
 from qdilab.netlist import GateKind, NetlistBuilder
-from qdilab.sim import TableDelay, uniform_draws
+from qdilab.sim import RandomUniformDelay, TableDelay, UnitDelay, uniform_draws
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +222,28 @@ def test_benchmark_drops_designs_that_fail_verification():
                       lambda vec: {f"P{i}": 0 for i in range(4)})
     rows = benchmark(bench_designs() + [bad], (Protocol.RTZ,))
     assert {r.design for r in rows} == {"mult2x2_dims_fa", "mult2x2_weak_fa"}
+
+
+def bench_rows_by_protocol(delay_model):
+    """The 2x2 bench rows under ``delay_model``, RTZ then RTO, each without
+    its protocol."""
+    rows = benchmark(bench_designs(), (Protocol.RTZ, Protocol.RTO), delay_model)
+    return [[replace(r, protocol="") for r in rows if r.protocol == p.value]
+            for p in Protocol]
+
+
+@pytest.mark.parametrize("delay_model", [UnitDelay(), RandomUniformDelay(1, 16, 7)],
+                         ids=["unit", "random"])
+def test_bench_rows_agree_across_protocols_unless_delays_tell_and2_from_or2(delay_model):
+    """Each RTO netlist is its RTZ twin with AND2 and OR2 swapped, so delays
+    blind to gate kind give every RTO row of the table its RTZ row."""
+    rtz, rto = bench_rows_by_protocol(delay_model)
+    assert rtz == rto
+
+
+@pytest.mark.parametrize("and2, or2, cycles", [(3, 2, (64, 76)), (2, 3, (76, 64))])
+def test_a_kind_table_that_tells_and2_from_or2_tells_the_protocols_apart(and2, or2, cycles):
+    """Swapping the AND2 and OR2 delays swaps the two protocols' cycles."""
+    rtz, rto = bench_rows_by_protocol(TableDelay({"AND2": and2, "OR2": or2, "C2": 4}))
+    assert [r.cycle_units for r in rtz + rto] == [cycles[0]] * 2 + [cycles[1]] * 2
+    assert [replace(r, cycle_units=0) for r in rtz] == [replace(r, cycle_units=0) for r in rto]

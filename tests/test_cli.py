@@ -45,6 +45,23 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2
 
 
+def test_a_multiplier_too_wide_to_enumerate_is_refused_before_it_is_built(
+        monkeypatch, capsys):
+    """verify, classify and bench exit 2 on a 9x9 multiplier (2^18 codewords)
+    without generating it."""
+    def refuse(spec):
+        pytest.fail(f"generated a {spec.n}x{spec.n} multiplier")
+    monkeypatch.setattr("qdilab.cli.array_multiplier", refuse)
+    for command, purpose in (("verify", "exhaustive verification"),
+                             ("classify", "classification"),
+                             ("bench", "exhaustive verification")):
+        with pytest.raises(SystemExit) as exc:
+            run_inproc(command, "--n", "9")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: 18 inputs is too wide for {purpose}\n")
+
+
 def test_classify_weak_exits_zero_and_reports(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert run_inproc("classify", "--component", "weak_fa",

@@ -1,5 +1,5 @@
-"""The README's python session runs as written and prints what it says, and
-its library tour names only what exists."""
+"""The README's python session runs as written and prints what it says, its
+library tour names only what exists, and its option tables agree with the CLI."""
 
 import dataclasses
 import importlib
@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import qdilab
+from qdilab.cli import MODEL_READERS, READERS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +43,21 @@ def test_library_tour_names_only_what_exists():
                 assert hasattr(owner, attr) or attr in fields, \
                     f"{module_name} row names {name!r}"
                 owner = getattr(owner, attr, None)
+
+
+def test_option_tables_name_the_commands_that_read_each_option():
+    """The two ``| option | read by |`` tables give each option exactly the
+    readers that ``cli.READERS`` and ``cli.MODEL_READERS`` give it; text in
+    parentheses is a note, not a reader."""
+    tables = re.findall(r"^\| option \| read by \|\n\|[- |]+\|\n((?:\|.*\|\n)+)",
+                        README.read_text(), re.M)
+    assert len(tables) == 2
+    for table, readers in zip(tables, (READERS, MODEL_READERS)):
+        documented = {}
+        for options, read_by in re.findall(r"^\| (.*) \| (.*) \|$", table, re.M):
+            read_by = re.sub(r"\([^)]*\)", "", read_by)
+            for option in re.findall(r"`--([\w-]+)`", options):
+                # a model reader reads as `--delay perkind`: the model is the last word
+                documented[option.replace("-", "_")] = {
+                    span.split()[-1] for span in re.findall(r"`([^`]+)`", read_by)}
+        assert documented == {key: set(commands) for key, commands in readers.items()}
