@@ -91,7 +91,13 @@ def load_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = int(value) if key in _INT_KEYS else value
+        if key in _INT_KEYS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be an integer, "
+                                 f"got {value!r}") from None
+        values[key] = value
     return values
 
 

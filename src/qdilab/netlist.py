@@ -8,21 +8,16 @@ environment-facing port rail.  Each net's reset level is stored once, in
 ``Netlist.net_init``: return-to-one circuits reset to an all-ones spacer and
 return-to-zero circuits to all-zeros.
 
-Construction goes through :class:`NetlistBuilder`; ``build()`` refuses to hand
-out a netlist that fails structural validation.  A builder can also copy a
-whole validated block, a :class:`Cell`, as one instance
-(``NetlistBuilder.add_instance``) instead of adding its gates one by one.
-A builder whose every step already checked what ``validate`` would check of
-it vouches for its netlist, and ``build()`` then checks only the ports and
-the net count; any other builder's netlist goes through ``validate`` whole.
-Built netlists are treated as immutable, so each caches its validation
-verdict (``Netlist.validation``): ``build()`` and ``from_json`` fill it, and
-``NetlistBuilder.from_netlist`` reads it to vouch for the copied base.
+Construction goes through :class:`NetlistBuilder`, which copies validated
+blocks (:class:`Cell`) as whole instances and whose ``build()`` refuses a
+netlist that fails structural validation.  Built netlists are treated as
+immutable, so each caches its validation verdict (``Netlist.validation``).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -58,9 +53,6 @@ class GateKind(str, Enum):
 
     def __init__(self, value: str):
         self.arity = 1 if value == "INV" else 2  # the inputs a gate reads
-
-
-_KINDS = {k.value: k for k in GateKind}  # a name, or a member, to its member
 
 
 # Every gate kind's Boolean function, written once: the next output value of
@@ -296,39 +288,29 @@ def validate(netlist: Netlist) -> ValidationReport:
                 for net, level in enumerate(net_init) if not is_bit(level)]
     bit_levels = not findings
 
-    outs = []  # each gate's output net
     for gid, (kind, ins, out) in enumerate(gates):
         if len(ins) != kind.arity:
             findings.append(Finding("arity", f"gate {gid} ({kind.value}) has {len(ins)} inputs"))
         for net in (*ins, out):
             if not 0 <= net < n:
                 findings.append(Finding("net-range", f"gate {gid} references net {net} outside 0..{n - 1}"))
-        outs.append(out)
     findings += _port_findings(netlist.ports, net_init)
     if not bit_levels or any(f.code == "net-range" for f in findings):
         return ValidationReport(findings)  # later checks need in-range ids and bit levels
 
-    # every net has one driver, a gate or an input-port rail: count them,
-    # and name them only on the nets where the count is not one
-    rails = [(rail, p.name) for p in netlist.ports if p.direction == "input" for rail in p.rails]
-    drivers = [0] * n
-    for net in outs:
-        drivers[net] += 1
-    for net, _ in rails:
-        drivers[net] += 1
-    if drivers.count(1) != n:
-        who: dict[int, list[str]] = {net: [] for net, k in enumerate(drivers) if k > 1}
-        for gid, net in enumerate(outs):
-            if net in who:
-                who[net].append(f"gate {gid}")
-        for net, name in rails:
-            if net in who:
-                who[net].append(f"port {name}")
-        for net, k in enumerate(drivers):
-            if k > 1:
-                findings.append(Finding("multi-driver", f"net {net} driven by {', '.join(who[net])}"))
-            elif not k:
-                findings.append(Finding("undriven", f"net {net} has no driver"))
+    # every net has one driver, a gate output or an input-port rail
+    drivers: list[list[str]] = [[] for _ in range(n)]
+    for gid, gate in enumerate(gates):
+        drivers[gate.output].append(f"gate {gid}")
+    for p in netlist.ports:
+        if p.direction == "input":
+            for rail in p.rails:
+                drivers[rail].append(f"port {p.name}")
+    for net, names in enumerate(drivers):
+        if len(names) > 1:
+            findings.append(Finding("multi-driver", f"net {net} driven by {', '.join(names)}"))
+        elif not names:
+            findings.append(Finding("undriven", f"net {net} has no driver"))
 
     # init consistency: no gate may be excited at its inputs' reset levels,
     # so a combinational gate resets to its function of them and a C2 whose
@@ -356,11 +338,11 @@ def validate(netlist: Netlist) -> ValidationReport:
     # waits nor is waited for, so a loop broken by a C2 output is legal.
     waits = [0] * len(gates)
     for i in comb:
-        for r in readers[outs[i]]:
+        for r in readers[gates[i].output]:
             waits[r] += 1
     ready = [i for i in comb if not waits[i]]
     for i in ready:  # grows while it is walked
-        for r in readers[outs[i]]:
+        for r in readers[gates[i].output]:
             waits[r] -= 1
             if not waits[r]:
                 ready.append(r)
@@ -416,18 +398,16 @@ class NetlistBuilder:
     The builder vouches for its netlist while every step checked, as it went,
     what ``validate`` would check of what it added: ``add_gate`` with a
     derived init, ``add_instance`` of a validated cell, ``new_net`` and the
-    ``add_*_port`` methods with bit inits, and ``from_netlist`` of a base
-    whose cached verdict is ok.  Each gate and input rail they add drives
-    one fresh net, and each gate reads only older nets or, inside an
-    instance, the instance's own, so no net has two drivers and every
-    combinational cycle would lie inside a block that was validated.
-    ``build()`` then checks the rest in O(ports): ``validate``'s port checks
-    (``_port_findings``), and one driver for every net (the net count is
-    twice the input ports plus the gates, which a stray ``new_net`` breaks).
-    ``wire_gate``, an explicit gate init, a net init that is not a bit, and
-    ``from_netlist`` of a base not yet validated, or invalid, drop the
-    vouch, and ``build()`` runs ``validate`` instead, so an invalid netlist
-    raises the same findings either way.
+    ``add_*_port`` methods with bit inits, and ``from_netlist`` of a valid
+    base.  Each gate and input rail they add drives one fresh net from older
+    nets (or, inside an instance, the instance's own), so no net has two
+    drivers and every combinational cycle would lie inside a validated block.
+    ``build()`` then checks only ``validate``'s port checks and that the net
+    count is twice the input ports plus the gates (a stray ``new_net`` breaks
+    it).  ``wire_gate``, an explicit gate init, a net init that is not a
+    bit, and ``from_netlist`` of an invalid base drop the vouch, and
+    ``build()`` runs ``validate`` instead, so an invalid netlist raises the
+    same findings either way.
     """
 
     def __init__(self, name: str = "", metadata: dict | None = None):
@@ -444,8 +424,7 @@ class NetlistBuilder:
         b._gates = list(base.gates)
         b._ports = list(base.ports)
         b._net_init = list(base.net_init)
-        verdict = vars(base).get("validation")  # cached, never computed here
-        b._vouched = verdict is not None and verdict.ok
+        b._vouched = base.validation.ok
         return b
 
     @property
@@ -466,7 +445,7 @@ class NetlistBuilder:
         a C2 over disagreeing inputs.  An explicit init drops the builder's
         vouch.
         """
-        kind = _KINDS.get(kind) or GateKind(kind)
+        kind = GateKind(kind)
         inputs = tuple(inputs)
         if len(inputs) != kind.arity:
             raise NetlistError(f"{kind.value} takes {kind.arity} inputs, got {len(inputs)}")
@@ -564,13 +543,9 @@ class NetlistBuilder:
             level = nxt
         return level[0]
 
-    def _freeze(self) -> Netlist:
-        return Netlist(self.name, tuple(self._gates), tuple(self._ports),
-                       tuple(self._net_init), dict(self.metadata))
-
     def build(self) -> Netlist:
         """The netlist, or :class:`ValidationError` with ``validate``'s findings."""
-        netlist = self._freeze()
+        netlist = self.build_unchecked()
         ports, n = self._ports, len(self._net_init)
         inputs = sum(p.direction == "input" for p in ports)
         if (self._vouched and n == 2 * inputs + len(self._gates)  # no stray new_net
@@ -580,7 +555,8 @@ class NetlistBuilder:
         return netlist.validated()
 
     def build_unchecked(self) -> Netlist:
-        return self._freeze()
+        return Netlist(self.name, tuple(self._gates), tuple(self._ports),
+                       tuple(self._net_init), dict(self.metadata))
 
 
 def stats(netlist: Netlist, weights: dict[str, float] | None = None) -> NetlistStats:
@@ -705,13 +681,15 @@ def from_json(text: str) -> Netlist:
     try:
         net_count = _int(doc["net_count"])
         name = _str(doc.get("name", ""))
-        meta = dict(doc.get("meta", {}))
+        meta = doc.get("meta", {})
         gate_docs = doc["gates"]
         port_docs = doc["ports"]
     except KeyError as e:
         raise FormatError(f"missing key {e}") from e
     except (TypeError, ValueError) as e:
         raise FormatError(f"bad top-level value: {e}") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"meta must be an object, got {meta!r}")
     gates = _entries(gate_docs, "gate", _gate_from_doc)
     ports = _entries(port_docs, "port", _port_from_doc)
     # every net has exactly one driver: a gate output or an input-port rail
@@ -737,12 +715,21 @@ def from_json(text: str) -> Netlist:
                    tuple(net_init), meta).validated()
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a Graphviz quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(netlist: Netlist) -> str:
     """Graphviz rendering: one node per gate and per port, one edge per net
     consumer.  Ordering follows gate positions and port declaration order so
-    the output is byte-stable."""
+    the output is byte-stable.  A port node's ID is ``p_<name>``, quoted
+    unless the name is all letters, digits and underscores."""
+    def node(p: DualRailPort) -> str:
+        return f"p_{p.name}" if re.fullmatch(r"[A-Za-z0-9_]+", p.name) else _quoted(f"p_{p.name}")
+
     driver_node = {g.output: f"g{gid}" for gid, g in enumerate(netlist.gates)}
-    driver_node.update((rail, f"p_{p.name}") for p in netlist.ports
+    driver_node.update((rail, node(p)) for p in netlist.ports
                        if p.direction == "input" for rail in p.rails)
 
     lines = ["digraph netlist {", "  rankdir=LR;"]
@@ -751,7 +738,7 @@ def to_dot(netlist: Netlist) -> str:
         label = f"{p.name} [{p.direction}]"
         if p.is_const:
             label = f"{p.name}={p.const_value}"
-        lines.append(f'  p_{p.name} [shape={shape} label="{label}"];')
+        lines.append(f"  {node(p)} [shape={shape} label={_quoted(label)}];")
     for gid, g in enumerate(netlist.gates):
         lines.append(f'  g{gid} [shape=box label="{g.kind.value}#{gid}"];')
     for gid, g in enumerate(netlist.gates):
@@ -764,6 +751,6 @@ def to_dot(netlist: Netlist) -> str:
             for net in (p.rail1, p.rail0):
                 src = driver_node.get(net)
                 if src is not None:
-                    lines.append(f'  {src} -> p_{p.name} [label="n{net}"];')
+                    lines.append(f'  {src} -> {node(p)} [label="n{net}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

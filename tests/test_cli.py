@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -124,8 +125,10 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     and2 = tmp_path / "and.json"  # an RTZ netlist cannot reset under RTO
     assert run_inproc("export", "--component", "strong_and2", "--out", str(and2)) == 0
     mult2 = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
-    bad_meta = []  # oracle metadata of the wrong JSON type
+    bad_meta = []  # oracle metadata of the wrong JSON type, or metadata that is no object
+    pairs = [list(item) for item in mult2["meta"].items()]  # dict() would read it as the meta
     for i, (base, meta) in enumerate([*((mult2, {"n": n}) for n in ([2], {"a": 1}, "2", 2.0, True)),
+                                      (mult2, pairs), (mult2, None),
                                       (json.loads(and2.read_text()), {"component": [1]})]):
         bad_meta.append(tmp_path / f"meta{i}.json")
         bad_meta[-1].write_text(json.dumps({**base, "meta": meta}))
@@ -203,6 +206,7 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "pergate delay table key 'AND2' is not a gate id" in err
     assert err.count("error: output port Z carries a constant\n") == 3
+    assert err.count("error: meta must be an object, got ") == 2
 
 
 def test_an_ignored_option_names_the_commands_that_read_it(capsys):
@@ -320,6 +324,10 @@ def test_config_file_rejects_junk(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_inproc("build", "--config", str(bad))
     assert exc.value.code == 2
+    bad.write_text("# operand width\nn = four\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:2: n must be an integer, "
+                                         "got 'four'$"):
+        load_config_file(str(bad))
 
 
 def test_config_echo_covers_every_field(tmp_path):

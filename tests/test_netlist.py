@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -580,6 +581,12 @@ def test_from_json_rejects_malformed():
     doc["gates"][0]["inputs"] = [99]
     with pytest.raises(FormatError):
         from_json(json.dumps(doc))
+    # dict() would read a list of pairs as an object
+    doc = json.loads(to_json(build_sample()))
+    for meta, shown in (([["n", 2]], "[['n', 2]]"), (None, "None"), ("n", "'n'")):
+        doc["meta"] = meta
+        with pytest.raises(FormatError, match=f"^meta must be an object, got {re.escape(shown)}$"):
+            from_json(json.dumps(doc))
 
 
 def test_from_json_wraps_malformed_entries():
@@ -820,3 +827,38 @@ def test_to_dot_shape_and_determinism():
     assert dot.count("shape=house") == 1
     assert dot.count("shape=box") == 1
     assert dot.count("->") == 4
+
+
+# a DOT identifier: bare (ASCII letters, digits, underscores, not led by a
+# digit) or a quoted string whose only escapes are backslash pairs
+DOT_ID = r'(?:[A-Za-z_][A-Za-z_0-9]*|"(?:[^"\\]|\\.)*")'
+DOT_STATEMENT = re.compile(
+    rf"  ({DOT_ID})(?: -> ({DOT_ID}))? \[\w+={DOT_ID}(?: label=({DOT_ID}))?\];")
+
+
+def _dot_text(dot_id):
+    return re.sub(r"\\(.)", r"\1", dot_id[1:-1]) if dot_id.startswith('"') else dot_id
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6)
+                | st.sampled_from(["a-b", "out put", 'say "hi"', "back\\", "X_1"]),
+                min_size=3, max_size=3, unique=True))
+def test_to_dot_quotes_every_port_name_that_is_not_a_bare_identifier(names):
+    """Every node and edge statement is well-formed DOT whatever the port
+    names, and each port's node and label read back as its name; a name of
+    letters, digits and underscores keeps a bare ``p_<name>``."""
+    b = NetlistBuilder("names")
+    x, y = b.add_input_port(names[0]), b.add_input_port(names[1])
+    b.add_output_port(names[2], b.add_gate(GateKind.AND2, (x.rail1, y.rail1)), x.rail0)
+    lines = to_dot(b.build()).splitlines()
+    assert lines[:2] == ["digraph netlist {", "  rankdir=LR;"] and lines[-1] == "}"
+    statements = [DOT_STATEMENT.fullmatch(line) for line in lines[2:-1]]
+    assert all(statements), lines
+    nodes = [m[1] for m in statements if m[2] is None]
+    assert [_dot_text(n) for n in nodes] == [f"p_{n}" for n in names] + ["g0"]
+    labels = [_dot_text(m[3]) for m in statements[:3]]
+    assert labels == [f"{names[0]} [input]", f"{names[1]} [input]", f"{names[2]} [output]"]
+    assert {m[k] for m in statements if m[2] for k in (1, 2)} <= set(nodes)
+    for name, node in zip(names, nodes):
+        assert (node == f"p_{name}") == bool(re.fullmatch(r"[A-Za-z0-9_]+", name))
