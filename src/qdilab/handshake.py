@@ -79,7 +79,6 @@ class EarlyRecord:
 class PhaseReport:
     phase: str  # "data" | "return"
     latency: int
-    elapsed: int
     transitions: int
     completed_at: int  # absolute time the last output reached the target
     last_datapath_commit: int  # absolute time of the last datapath event
@@ -295,7 +294,7 @@ class HandshakeHarness:
         if ack != ack_expect or values_arr[self.ackin] != ack_expect ^ 1:
             raise TransactionError(
                 f"acknowledge level wrong after {phase} phase: ackout={ack}")
-        return PhaseReport(phase, last_move - t0, state.now - t0, state.transitions - tr0,
+        return PhaseReport(phase, last_move - t0, state.transitions - tr0,
                            last_move, last_datapath, early, hazards)
 
     # -- transactions ---------------------------------------------------------

@@ -17,6 +17,7 @@ immutable, so each caches its validation verdict (``Netlist.validation``).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -560,7 +561,8 @@ class NetlistBuilder:
 
 
 def stats(netlist: Netlist, weights: dict[str, float] | None = None) -> NetlistStats:
-    """Per-kind gate counts and a weighted area proxy (default weight 1.0)."""
+    """Per-kind gate counts and a weighted area proxy (default weight 1.0;
+    a weight must be a finite int or float, at least 0)."""
     counts = {k.value: 0 for k in GateKind}
     for g in netlist.gates:
         counts[g.kind.value] += 1
@@ -568,9 +570,10 @@ def stats(netlist: Netlist, weights: dict[str, float] | None = None) -> NetlistS
     unknown = sorted(set(weights) - set(counts))
     if unknown:
         raise ValueError(f"unknown gate kinds in weights: {unknown}")
-    negative = {k: w for k, w in weights.items() if w < 0}
-    if negative:
-        raise ValueError(f"area weights must be >= 0, got {negative}")
+    bad = {k: w for k, w in weights.items()
+           if not (isinstance(w, (int, float)) and 0 <= w < math.inf)}
+    if bad:
+        raise ValueError(f"area weights must be finite numbers >= 0, got {bad}")
     area = sum(counts[k] * float(weights.get(k, 1.0)) for k in counts)
     return NetlistStats(counts=counts, total_gates=len(netlist.gates), area_proxy=area)
 

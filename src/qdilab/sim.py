@@ -59,6 +59,11 @@ delay into the compiled ``out_key[g]``.
   current one.  When the limit trips, both lists are poured into the heap
   as they are, and the resumed settle finishes there.
 
+One clock rule holds for both: each commit sets the clock to its own time,
+which the heap reads from the key and the lists keep as the step they walk,
+so after a settle ``now`` is the time of its last commit, or where it was if
+nothing committed.
+
 ``_pending[net]`` holds the key of the net's pending event, or -1.  A queued
 key that no longer matches it was committed or superseded: it is skipped, and
 neither moves the clock nor counts.  The key's time keeps apart an entry due
@@ -127,8 +132,11 @@ def uniform_draws(rng: random.Random, low: int, high: int, count: int) -> list[i
     per-draw call layers: the same ``getrandbits(k)`` calls, with the same
     rejection loop, that ``randint`` makes through ``randrange``, so the
     draws and the state ``rng`` is left in are the same, and an empty
-    range raises ``ValueError`` unless no draw is asked for."""
+    range raises ``ValueError`` unless no draw is asked for, and so do
+    bounds that are not ints."""
     n = high - low + 1
+    if not isinstance(n, int):
+        raise ValueError(f"non-integer range [{low!r}, {high!r}]")
     if n < 1 and count > 0:
         raise ValueError(f"empty range [{low}, {high}]")
     k = n.bit_length()
@@ -156,7 +164,7 @@ class TableDelay:
     """Per-gate delays from a table keyed by kind name (``"AND2"``) or by
     gate id (its position); a gate's own entry wins over its kind's, and a
     gate named by neither gets ``default``.  Every delay in the table, and
-    the default, must be at least 1, whether or not a design uses it."""
+    the default, must be an int >= 1, whether or not a design uses it."""
 
     table: Mapping[str | int, int]
     default: int = 1
@@ -166,7 +174,7 @@ class TableDelay:
         unknown = [k for k in self.table if isinstance(k, str) and k not in kinds]
         if unknown:
             raise ValueError(f"unknown gate kinds in delay table: {unknown}")
-        _at_least_one(map(int, (*self.table.values(), self.default)))
+        _check_delays((*self.table.values(), self.default))
 
     def resolve(self, netlist: Netlist) -> list[int]:
         gates = netlist.gates
@@ -176,31 +184,34 @@ class TableDelay:
             raise ValueError(f"delay table names gates {unknown}, outside "
                              f"0..{len(gates) - 1}")
         table = self.table
-        delays = [int(table.get(gid, table.get(g.kind.value, self.default)))
+        delays = [table.get(gid, table.get(g.kind.value, self.default))
                   for gid, g in enumerate(gates)]
-        _at_least_one(delays)  # the table is the caller's, who may have changed it
+        _check_delays(delays)  # the table is the caller's, who may have changed it
         return delays
 
 
-def _at_least_one(delays: Iterable[int]) -> None:
+def _check_delays(delays: Iterable[int]) -> None:
     for d in delays:
+        if not isinstance(d, int):
+            raise ValueError(f"gate delays must be ints, got {d!r}")
         if d < 1:
             raise ValueError(f"gate delays must be >= 1, got {d}")
 
 
 @dataclass(frozen=True)
 class RandomUniformDelay:
-    """Independent per-gate draws from [low, high], fixed by the seed."""
+    """Independent per-gate draws from [low, high], int bounds with
+    ``1 <= low <= high``, fixed by the seed."""
 
     low: int
     high: int
     seed: int = 0
 
     def resolve(self, netlist: Netlist) -> list[int]:
-        if self.low < 1 or self.high < self.low:
-            raise ValueError(f"bad delay range [{self.low}, {self.high}]")
-        return uniform_draws(random.Random(self.seed), self.low, self.high,
-                             len(netlist.gates))
+        low, high = self.low, self.high
+        if not (isinstance(low, int) and isinstance(high, int)) or low < 1 or high < low:
+            raise ValueError(f"bad delay range [{low!r}, {high!r}]")
+        return uniform_draws(random.Random(self.seed), low, high, len(netlist.gates))
 
 
 DelayModel = UnitDelay | TableDelay | RandomUniformDelay
@@ -370,11 +381,11 @@ class SimState:
         commits = 0
         try:
             if unit:
-                # one sorted list of the keys due at t; what a commit at t
-                # schedules is due at t + 1 and goes on the next list
+                # one sorted list of the keys due at step ts; what a commit
+                # there schedules is due at ts + 1 and goes on the next list
                 cur, nxt = stimuli, []
+                ts = t0
                 while cur:
-                    c_step = commits
                     for key in cur:
                         net = key >> 1 & net_mask
                         if pending[net] != key:
@@ -385,11 +396,10 @@ class SimState:
                             heap += cur
                             heap += nxt
                             heapq.heapify(heap)
-                            if commits == c_step and t > t0:
-                                t -= 1  # nothing has committed at t yet
                             raise NonQuiescenceError(f"no quiescence within {limit} events")
                         commits += 1
                         pending[net] = -1
+                        t = ts
                         val = key & 1
                         values[net] = val  # a commit always flips its net
                         code[driver[net]] ^= 33  # flip cur, clear pending
@@ -411,13 +421,9 @@ class SimState:
                                     nxt.append(p)
                                 k ^= 32
                             code[g] = k
-                    if not nxt:
-                        if commits == c_step:
-                            t -= 1  # every entry at t was superseded
-                        break
                     nxt.sort()
                     cur, nxt = nxt, []
-                    t += 1
+                    ts += 1
                     base += 1 << shift
             while heap:
                 key = pop(heap)

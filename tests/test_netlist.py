@@ -346,10 +346,10 @@ def builder_program(data, flaws=(None, *FLAWS), prefix: str = "P") -> NetlistBui
     ``flaws``: a repeated port name; a port init or constant that is not a
     bit; explicit gate inits; a bare ``new_net``; ``wire_gate``, onto such a
     net (every one, in the end) or any other; output rails that are equal or
-    out of range; or ``from_netlist`` of another program's netlist, with or
-    without its verdict cached, whose flaw is in its gates.  Every program
-    adds ports, gates with derived inits and instances of the library cells;
-    a step the builder refuses with :class:`NetlistError` is skipped."""
+    out of range; or ``from_netlist`` of another program's netlist, whose
+    flaw is in its gates.  Every program adds ports, gates with derived
+    inits and instances of the library cells; a step the builder refuses
+    with :class:`NetlistError` is skipped."""
     draw = data.draw
     flaw = draw(st.sampled_from(flaws))
     bit = st.sampled_from([0, 1, False, True])  # a bool is the bit it equals
@@ -360,8 +360,6 @@ def builder_program(data, flaws=(None, *FLAWS), prefix: str = "P") -> NetlistBui
     if flaw == "base" or "base" in flaws and not draw(st.integers(0, 3)):
         inner = ("gate init", "wiring") if flaw == "base" else (None,)
         base = builder_program(data, inner, "Q").build_unchecked()
-        if flaw != "base" or draw(st.booleans()):
-            _ = base.validation  # computes and caches the verdict
         b = NetlistBuilder.from_netlist(base)
         pairs = [p.rails for p in base.ports]  # rail pairs an instance may be wired to
     else:
@@ -791,6 +789,11 @@ def test_stats_counts_and_weights():
     assert st_default.area_proxy == 3.0
     weighted = stats(netlist, {"C2": 4.0, "OR2": 2.0, "INV": 0.5, "AND2": 1.0})
     assert weighted.area_proxy == 6.5
+    assert stats(netlist, {"C2": 4}).area_proxy == 6.0
+    # a weight must be a finite number of at least 0
+    for bad in (float("nan"), float("inf"), "2", None, -1):
+        with pytest.raises(ValueError, match="area weights must be finite numbers >= 0"):
+            stats(netlist, {"C2": bad})
 
 
 def test_dual_swaps_monotone_kinds_and_flips_inits():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from dataclasses import asdict
 
 import pytest
@@ -289,16 +290,24 @@ def test_delay_models_resolve_per_gate():
 
 
 def test_delay_tables_reject_delays_below_one_even_unused():
-    """A table's every delay and its default must be at least 1, whether or
-    not the design has a gate that reads them."""
+    """A table's every delay and its default must be an int of at least 1,
+    whether or not the design has a gate that reads them: a float or a
+    string is refused, not truncated or converted."""
     for table, default in (({"AND2": 0}, 1), ({7: -2}, 1), ({"C2": 2}, 0)):
         with pytest.raises(ValueError, match="gate delays must be >= 1"):
+            TableDelay(table, default)
+    for table, default, bad in (({"C2": 1.9}, 1, "1.9"), ({"C2": "3"}, 1, "'3'"),
+                                ({0: 2}, 2.0, "2.0"), ({"INV": float("nan")}, 1, "nan")):
+        with pytest.raises(ValueError, match=f"gate delays must be ints, got {bad}"):
             TableDelay(table, default)
     netlist, _ = wire_fixture()
     table = {"AND2": 2}
     delay = TableDelay(table)
     table["AND2"] = 0  # the model keeps the caller's table, not a copy
     with pytest.raises(ValueError, match="gate delays must be >= 1, got 0"):
+        delay.resolve(netlist)
+    table["AND2"] = 2.5
+    with pytest.raises(ValueError, match="gate delays must be ints, got 2.5"):
         delay.resolve(netlist)
 
 
@@ -320,6 +329,12 @@ def test_random_delays_are_seed_deterministic():
     assert a == b
     assert a != c
     assert all(1 <= d <= 16 for d in a)
+    # bounds must be ints with 1 <= low <= high
+    for low, high in ((1, 3.5), (1.0, 3), (0, 3), (4, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"bad delay range [{low}, {high}]")):
+            RandomUniformDelay(low, high).resolve(netlist)
+    with pytest.raises(ValueError, match=re.escape("non-integer range [0, 1.5]")):
+        uniform_draws(random.Random(0), 0, 1.5, 3)
 
 
 @pytest.mark.parametrize("low, high", [(1, 16), (0, 1), (5, 5), (1, 1000), (0, 2 ** 40)])
@@ -517,22 +532,22 @@ def _pinned_case(case):
 # heap kernel.
 PINNED = {
     "mult4x4_weak_fa_1": {"trace": "fec70730520d6a05", "hazards": "4f53cda18c2baa0c", "reports": "fbed05de53c02b11",
-                          "values": "efb609674febaa28", "harness": "9aaa7348c2adf37b"},
+                          "values": "efb609674febaa28", "harness": "c49a0ab8e9822222"},
     "mult4x4_weak_fa_2": {"trace": "105c4aaa6994534d", "hazards": "4f53cda18c2baa0c", "reports": "b7cdf63cd75084d7",
-                          "values": "efb609674febaa28", "harness": "f7e1181076495c4f"},
+                          "values": "efb609674febaa28", "harness": "2117cd686e6e0262"},
     "mult4x4_weak_fa_3": {"trace": "a1399f501692fb8e", "hazards": "4f53cda18c2baa0c", "reports": "cec6097bed3efb6a",
-                          "values": "efb609674febaa28", "harness": "4408add7dee5579c"},
+                          "values": "efb609674febaa28", "harness": "50eafa4ba11c5d47"},
     "mult4x4_weak_fa_unit_1": {"trace": "8d5612ef6c837910", "hazards": "4f53cda18c2baa0c",
                                "reports": "4a669f3bafe0323c", "values": "efb609674febaa28",
-                               "harness": "8deeb002ab611b02"},
+                               "harness": "2644c85db9d774e1"},
     "wire_equal": {"trace": "d2dbc6abc044c641", "hazards": "08cd552b6ef993e5", "reports": "67d09d3e13219195",
                    "values": "390401748a789fa6"},
     "wire_and_slow": {"trace": "fe859993d417bd32", "hazards": "886fca5870e4c243", "reports": "961394578181493a",
                       "values": "390401748a789fa6"},
     "dead_end_and2_3": {"trace": "cbba3bfe2dd2602d", "hazards": "4f53cda18c2baa0c", "reports": "c4827c4f05380ca8",
-                        "values": "c6f499c60f94f04d", "harness": "77039691fcafc8bc"},
+                        "values": "c6f499c60f94f04d", "harness": "5376e2451804184f"},
     "dead_end_and2_6": {"trace": "b07268f538afa0aa", "hazards": "4f53cda18c2baa0c", "reports": "ce6004667b25586d",
-                        "values": "c6f499c60f94f04d", "harness": "63245ed52aa4915d"},
+                        "values": "c6f499c60f94f04d", "harness": "b557b3cade13eb4d"},
 }
 
 
