@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from .encoding import Protocol
 from .handshake import HandshakeHarness, TransactionError, TransactionMetrics
-from .netlist import Netlist, stats
+from .netlist import Netlist, check_weights, stats
 from .sim import (DelayModel, RandomUniformDelay, SimulationError, UnitDelay,
                   uniform_draws)
 
@@ -60,10 +60,8 @@ def measure_latencies(netlist: Netlist, protocol: Protocol,
     harness = HandshakeHarness(netlist, protocol)
     state = harness.initialize(delay_model)
     names = [p.name for p in harness.inputs]
-    if (1 << len(names)) <= sample_limit:
-        vectors = _codewords(names)
-    else:
-        vectors = _sampled_codewords(names, sample_limit, seed)
+    vectors = (_codewords(names) if (1 << len(names)) <= sample_limit
+               else _sampled_codewords(names, sample_limit, seed))
     return worst_case([harness.run_transaction(state, vec).metrics for vec in vectors])
 
 
@@ -122,8 +120,9 @@ def classify_indication(netlist: Netlist, protocol: Protocol,
     if mode == "exhaustive":
         orders = [tuple([n] for n in perm) for perm in itertools.permutations(names)]
     elif mode == "holdback":
-        # the rest first, then h; a one-input design has no rest
-        orders = [tuple(g for g in ([m for m in names if m != h], [h]) if g) for h in names]
+        # the rest first, then h (no rest for one input; one empty order for none)
+        orders = [tuple(g for g in ([m for m in names if m != h], [h]) if g)
+                  for h in names] or [()]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -155,9 +154,8 @@ def classify_indication(netlist: Netlist, protocol: Protocol,
                             vec, flat, phase, "early-output",
                             f"outputs {', '.join(rec.moved)} moved with only "
                             f"{', '.join(arrived)} arrived")
-    if early_witness is None:
-        return IndicationVerdict(Indication.STRONG, mode, scenarios)
-    return IndicationVerdict(Indication.WEAK, mode, scenarios, early_witness)
+    verdict = Indication.STRONG if early_witness is None else Indication.WEAK
+    return IndicationVerdict(verdict, mode, scenarios, early_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +333,7 @@ def benchmark(designs: Sequence[BenchDesign], protocols: Sequence[Protocol],
     row of each group lands at exactly 1.0.  Rows come back grouped by
     protocol, largest PCTP first.
     """
+    check_weights(weights or {})  # before the first simulation
     rows: list[BenchRow] = []
     for protocol in protocols:
         group: list[BenchRow] = []

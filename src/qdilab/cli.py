@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from .analysis import (BenchDesign, Indication, _check_exhaustible, bench_to_csv
 from .components import COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS
 from .encoding import Protocol
 from .multiplier import MultiplierSpec, array_multiplier, product_oracle
-from .netlist import Netlist, NetlistError, _int, from_json, stats, to_dot, to_json
+from .netlist import Netlist, NetlistError, check_weights, from_json, stats, to_dot, to_json
 from .sim import InitializationError, RandomUniformDelay, TableDelay, UnitDelay
 
 # the values each string option accepts, from flags and config files alike
@@ -185,38 +184,29 @@ def delay_model(config: CliConfig):
         return RandomUniformDelay(config.delay_low, config.delay_high, config.seed)
     if config.delay_table is None:
         raise ValueError(f"delay model {config.delay!r} needs --delay-table")
-    table = _load_table(config.delay_table, _int)
+    table = _load_table(config.delay_table)
     default = table.pop("*", 1)
     key = str if config.delay == "perkind" else _gate_id  # kind names or gate ids
     return TableDelay({key(k): v for k, v in table.items()}, default)
 
 
 def _gate_id(key: str) -> int:
-    """A pergate delay table key as the gate id it names."""
-    try:
+    """A pergate delay table key as the gate id whose own decimal form it is."""
+    if key.isascii() and key.isdigit() and key == str(int(key)):
         return int(key)
-    except ValueError:
-        raise ValueError(f"pergate delay table key {key!r} is not a gate id") from None
+    raise ValueError(f"pergate delay table key {key!r} is not a gate id")
 
 
 def load_weights(config: CliConfig) -> dict[str, float] | None:
-    return _load_table(config.weights, float) if config.weights else None
+    return check_weights(_load_table(config.weights)) if config.weights else None
 
 
-def _load_table(path: str, convert) -> dict:
-    """A JSON object read from ``path``: finite numbers that ``convert`` keeps."""
+def _load_table(path: str) -> dict:
+    """The JSON object read from ``path``; the library judges its values."""
     table = json.loads(Path(path).read_text())
     if not isinstance(table, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    for key, value in table.items():
-        try:  # a bool is an int to Python, and _int takes JSON integers only
-            ok = not isinstance(value, bool) and math.isfinite(value) and convert(value) == value
-        except (TypeError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValueError(f"{path}: value {value!r} of {key!r} is not a "
-                             f"{'JSON integer' if convert is _int else 'finite number'}")
-    return {k: convert(v) for k, v in table.items()}
+    return table
 
 
 def target_netlist(config: CliConfig) -> Netlist:
@@ -301,8 +291,8 @@ class _Tracer:
 # commands
 
 def cmd_build(config: CliConfig) -> int:
-    netlist = target_netlist(config)
-    st = stats(netlist, load_weights(config))
+    weights, netlist = load_weights(config), target_netlist(config)  # judge weights first
+    st = stats(netlist, weights)
     meta = netlist.metadata
     print(f"built {netlist.name}: {st.total_gates} gates {st.counts}")
     if "and_blocks" in meta:

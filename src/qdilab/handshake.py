@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .components import merge_kind
 from .encoding import Protocol, encode, spacer_rails
-from .netlist import DualRailPort, GateKind, Netlist, NetlistBuilder, NetId
+from .netlist import DualRailPort, GateKind, Netlist, NetlistBuilder, NetId, structurally_equal
 from .sim import DelayModel, HazardRecord, SimState, Stimulus, UnitDelay, initialize
 
 
@@ -157,6 +157,12 @@ class HandshakeHarness:
             out[p.name] = rail1 ^ spacer
         return out
 
+    def _refuse_foreign(self, state: SimState) -> None:
+        """Refuse a state over a netlist other than this one or its structural twin."""
+        own = self.netlist
+        if state.netlist is not own and not structurally_equal(state.netlist, own):
+            raise TransactionError(f"state simulates {state.netlist.name!r}, not {own.name!r}")
+
     # -- phase driving ------------------------------------------------------
 
     def _groups(self, phase: str, values: Mapping[str, int] | None,
@@ -228,10 +234,12 @@ class HandshakeHarness:
         from their phase-start values are recorded in ``early``; the scan is
         skipped while no output rail has committed an event in the phase,
         since every output then still holds its phase-start value.
-        Raises :class:`TransactionError` on an arrival order that repeats,
-        misses or names an unknown input, on incomplete or illegal outputs, a
-        datapath hazard, or a wrong acknowledge level at the end.
+        Raises :class:`TransactionError` on another netlist's state, an arrival
+        order that repeats, misses or names an unknown input, incomplete or
+        illegal outputs, a datapath hazard, or a wrong final acknowledge level.
         """
+        if state.netlist is not self.netlist:
+            self._refuse_foreign(state)
         try:
             targets, ack_expect = self._targets[phase]
         except KeyError:
@@ -302,6 +310,7 @@ class HandshakeHarness:
     def run_transaction(self, state: SimState, values: Mapping[str, int]) -> TransactionResult:
         """One complete handshake: data phase then return phase, both settled
         through the closed loop (completion detector and acknowledge checked)."""
+        self._refuse_foreign(state)
         rails, spacer = state.values, self._spacer_level
         for p in self.inputs:
             if rails[p.rail1] != spacer or rails[p.rail0] != spacer:

@@ -17,13 +17,13 @@ immutable, so each caches its validation verdict (``Netlist.validation``).
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .encoding import is_bit
 
@@ -560,20 +560,23 @@ class NetlistBuilder:
                        tuple(self._net_init), dict(self.metadata))
 
 
-def stats(netlist: Netlist, weights: dict[str, float] | None = None) -> NetlistStats:
-    """Per-kind gate counts and a weighted area proxy (default weight 1.0;
-    a weight must be a finite int or float, at least 0)."""
-    counts = {k.value: 0 for k in GateKind}
-    for g in netlist.gates:
-        counts[g.kind.value] += 1
-    weights = weights or {}
-    unknown = sorted(set(weights) - set(counts))
+def check_weights(weights: Mapping[str, float]) -> Mapping[str, float]:
+    """``weights``, if each names a gate kind and is an int or float that a
+    float holds, at least 0, and not a bool; else ``ValueError``."""
+    unknown = sorted(set(weights) - {k.value for k in GateKind})
     if unknown:
         raise ValueError(f"unknown gate kinds in weights: {unknown}")
-    bad = {k: w for k, w in weights.items()
-           if not (isinstance(w, (int, float)) and 0 <= w < math.inf)}
+    bad = {k: w for k, w in weights.items() if isinstance(w, bool)
+           or not (isinstance(w, (int, float)) and 0 <= w <= sys.float_info.max)}
     if bad:
         raise ValueError(f"area weights must be finite numbers >= 0, got {bad}")
+    return weights
+
+
+def stats(netlist: Netlist, weights: dict[str, float] | None = None) -> NetlistStats:
+    """Per-kind gate counts and a weighted area proxy (default weight 1.0)."""
+    weights = check_weights(weights or {})
+    counts = {k.value: sum(g.kind is k for g in netlist.gates) for k in GateKind}
     area = sum(counts[k] * float(weights.get(k, 1.0)) for k in counts)
     return NetlistStats(counts=counts, total_gates=len(netlist.gates), area_proxy=area)
 
@@ -738,9 +741,7 @@ def to_dot(netlist: Netlist) -> str:
     lines = ["digraph netlist {", "  rankdir=LR;"]
     for p in netlist.ports:
         shape = "invhouse" if p.direction == "input" else "house"
-        label = f"{p.name} [{p.direction}]"
-        if p.is_const:
-            label = f"{p.name}={p.const_value}"
+        label = f"{p.name}={p.const_value}" if p.is_const else f"{p.name} [{p.direction}]"
         lines.append(f"  {node(p)} [shape={shape} label={_quoted(label)}];")
     for gid, g in enumerate(netlist.gates):
         lines.append(f'  g{gid} [shape=box label="{g.kind.value}#{gid}"];')

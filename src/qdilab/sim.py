@@ -164,7 +164,7 @@ class TableDelay:
     """Per-gate delays from a table keyed by kind name (``"AND2"``) or by
     gate id (its position); a gate's own entry wins over its kind's, and a
     gate named by neither gets ``default``.  Every delay in the table, and
-    the default, must be an int >= 1, whether or not a design uses it."""
+    the default, must be an int >= 1 and no bool, used by a design or not."""
 
     table: Mapping[str | int, int]
     default: int = 1
@@ -192,7 +192,7 @@ class TableDelay:
 
 def _check_delays(delays: Iterable[int]) -> None:
     for d in delays:
-        if not isinstance(d, int):
+        if isinstance(d, bool) or not isinstance(d, int):
             raise ValueError(f"gate delays must be ints, got {d!r}")
         if d < 1:
             raise ValueError(f"gate delays must be >= 1, got {d}")

@@ -1,5 +1,6 @@
 """Latency measurement, indication classification, orphan scan, benchmarks."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -101,6 +102,50 @@ def test_holdback_on_one_input_agrees_with_exhaustive(protocol):
     assert [(v.verdict, v.scenarios) for v in verdicts] == [(Indication.STRONG, 2)] * 2
 
 
+def const_only(protocol, sound):
+    """A design whose only input is the constant K = 1: Z follows K's rails,
+    or, when not ``sound``, takes K's rail1 on both rails."""
+    b = NetlistBuilder("const_only" if sound else "const_only_broken")
+    k = b.add_const_port("K", 1, init=protocol.spacer_level)
+    rails = k.rails if sound else (k.rail1, k.rail1)
+    b.add_output_port("Z", *(b.add_gate(GateKind.C2, (r, r)) for r in rails))
+    return b.build()
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("sound", [True, False])
+def test_holdback_with_no_data_input_simulates_as_exhaustive_does(protocol, sound):
+    """No data input leaves one scenario, the empty order with the constant
+    driven at phase start, and holdback runs it as exhaustive does: the
+    broken design fails it in both modes."""
+    verdicts = [classify_indication(const_only(protocol, sound), protocol, mode=mode)
+                for mode in ("exhaustive", "holdback")]
+    assert [v.scenarios for v in verdicts] == [1, 1]
+    assert (verdicts[0].verdict, verdicts[0].witness) == (verdicts[1].verdict, verdicts[1].witness)
+    if sound:
+        assert verdicts[0].verdict is Indication.STRONG
+    else:
+        assert verdicts[0].verdict is Indication.NEITHER
+        assert verdicts[0].witness.kind == "failure"
+        assert "output Z hit an illegal codeword" in verdicts[0].witness.detail
+
+
+def test_an_output_complete_before_the_last_input_is_a_premature_complete_witness():
+    """Z copies X and nothing reads Y: with X first, every output completes
+    while Y is still missing."""
+    b = NetlistBuilder("ignores_y")
+    x = b.add_input_port("X")
+    b.add_input_port("Y")
+    b.add_output_port("Z", *(b.add_gate(GateKind.C2, (r, r)) for r in x.rails))
+    verdict = classify_indication(b.build(), Protocol.RTZ)
+    assert verdict.verdict is Indication.NEITHER
+    assert verdict.scenarios == 1
+    w = verdict.witness
+    assert (w.kind, w.phase, w.codeword, w.order) == \
+        ("premature-complete", "data", {"X": 0, "Y": 0}, ("X", "Y"))
+    assert w.detail == "every output completed before the final input"
+
+
 def test_classifier_mode_validation():
     with pytest.raises(ValueError):
         classify_indication(strong_and2(Protocol.RTZ), Protocol.RTZ,
@@ -118,6 +163,32 @@ def test_exhaustive_verify_flags_wrong_oracle():
     assert report.total == 4 and report.passed == 2
     assert {tuple(sorted(f.vector.items())) for f in report.failures} \
         == {(("X", 0), ("Y", 1)), (("X", 1), ("Y", 0))}
+
+
+def mixed_or():
+    """Z's rails are the OR of the inputs' rail1s and of their rail0s: X = Y
+    gives data, and X != Y drives both rails of Z, an illegal codeword."""
+    b = NetlistBuilder("mixed_or")
+    x = b.add_input_port("X")
+    y = b.add_input_port("Y")
+    b.add_output_port("Z", b.add_gate(GateKind.OR2, (x.rail1, y.rail1)),
+                      b.add_gate(GateKind.OR2, (x.rail0, y.rail0)))
+    return b.build()
+
+
+def test_exhaustive_verify_resyncs_after_a_broken_transaction():
+    """A transaction that raises leaves the state mid-phase; the next vector
+    runs on a fresh reset with the trace still attached."""
+    events = []
+    report = exhaustive_verify(mixed_or(), Protocol.RTZ, lambda v: {"Z": v["X"]},
+                               trace=lambda t, net, value: events.append((t, net, value)),
+                               on_vector=lambda v: events.append(dict(v)))
+    assert (report.total, report.passed, len(report.metrics)) == (4, 2, 2)
+    assert [(f.vector, f.got) for f in report.failures] == \
+        [({"X": 1, "Y": 0}, None), ({"X": 0, "Y": 1}, None)]
+    assert all(f.error.startswith("output Z hit an illegal codeword") for f in report.failures)
+    last = events.index({"X": 1, "Y": 1})
+    assert events[last + 1:] and all(isinstance(e, tuple) for e in events[last + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +221,41 @@ def test_orphan_scan_catches_unacknowledged_branch():
                          trials=40, seed=3, transactions=8)
     assert not report.ok
     assert any(v.kind == "post-completion" for v in report.violations)
+
+
+def glitch_design():
+    """Z.rail1 is A.rail1 AND NOT A.rail1: A = 1 makes it pulse when the AND
+    is faster than the inverter (a detector hazard if the pulse dies before
+    the detector's OR fires), is a datapath hazard when the AND is slower,
+    and is illegal when Z.rail0 rises under the pulse.  Z is always 0."""
+    b = NetlistBuilder("glitch")
+    a = b.add_input_port("A")
+    z1 = b.add_gate(GateKind.AND2, (a.rail1, b.add_gate(GateKind.INV, (a.rail1,))))
+    b.add_output_port("Z", z1, b.add_gate(GateKind.OR2, (a.rail1, a.rail0)))
+    return b.build()
+
+
+def test_orphan_scan_reports_hazards_errors_and_mismatches():
+    """A raised transaction is an ``error`` that ends its trial; a hazard on
+    a detector net is a ``hazard``; a wrong output is a ``mismatch``."""
+    netlist = glitch_design()
+    datapath = netlist.net_count
+    kwargs = dict(trials=6, seed=1, transactions=4)
+    right = orphan_scan(netlist, Protocol.RTZ, lambda v: {"Z": 0}, **kwargs)
+    wrong = orphan_scan(netlist, Protocol.RTZ, lambda v: {"Z": 1}, **kwargs)
+    assert {v.kind for v in right.violations} == {"error", "hazard"}
+    assert {v.kind for v in wrong.violations} == {"error", "hazard", "mismatch"}
+    assert [v for v in wrong.violations if v.kind != "mismatch"] == right.violations
+    for v in wrong.violations:
+        if v.kind == "mismatch":
+            assert v.detail == "expected {'Z': 1}, got {'Z': 0}"
+        elif v.kind == "hazard":
+            net = int(re.search(r"pending (\d+)->", v.detail)[1])
+            assert net >= datapath  # a datapath hazard raises instead
+        else:
+            assert v.detail.startswith(("datapath hazard", "output Z hit an illegal codeword"))
+            assert all(u.transaction < v.transaction for u in wrong.violations
+                       if u.trial == v.trial and u is not v)
 
 
 def test_orphan_scan_draws_one_vector_per_transaction(monkeypatch):
@@ -222,6 +328,24 @@ def test_benchmark_drops_designs_that_fail_verification():
                       lambda vec: {f"P{i}": 0 for i in range(4)})
     rows = benchmark(bench_designs() + [bad], (Protocol.RTZ,))
     assert {r.design for r in rows} == {"mult2x2_dims_fa", "mult2x2_weak_fa"}
+
+
+def test_benchmark_refuses_bad_weights_before_it_simulates(monkeypatch):
+    """The weight rule runs before the first verification, not after it."""
+    from qdilab import analysis
+    runs = []
+
+    def verify(netlist, *args, **kwargs):
+        runs.append(netlist.name)
+        return exhaustive_verify(netlist, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "exhaustive_verify", verify)
+    for weights in ({"AND2": True}, {"C2": 10**400}, {"AND": 1.0}):
+        with pytest.raises(ValueError):
+            benchmark(bench_designs(), (Protocol.RTZ,), weights=weights)
+    assert runs == []
+    assert len(benchmark(bench_designs(), (Protocol.RTZ,), weights={"C2": 2})) == 2
+    assert runs == ["mult2x2_dims_fa_rtz", "mult2x2_weak_fa_rtz"]
 
 
 def bench_rows_by_protocol(delay_model):

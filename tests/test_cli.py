@@ -10,11 +10,13 @@ import sys
 
 import pytest
 
+from qdilab.analysis import exhaustive_verify, worst_case
 from qdilab.cli import CliConfig, load_config_file, main
 from qdilab.components import emit_strong_and2
 from qdilab.encoding import Protocol
-from qdilab.multiplier import MultiplierSpec, array_multiplier
+from qdilab.multiplier import MultiplierSpec, array_multiplier, product_oracle
 from qdilab.netlist import GateKind, NetlistBuilder, from_json, to_json
+from qdilab.sim import RandomUniformDelay, TableDelay
 
 
 def run_inproc(*argv):
@@ -207,6 +209,68 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     assert "pergate delay table key 'AND2' is not a gate id" in err
     assert err.count("error: output port Z carries a constant\n") == 3
     assert err.count("error: meta must be an object, got ") == 2
+
+
+def _verify_report(tmp_path, *argv):
+    """The JSON report of a 2x2 ``verify`` run with ``argv``."""
+    out = tmp_path / "verify.json"
+    assert run_inproc("verify", "--n", "2", *argv, "--out", str(out)) == 0
+    return json.loads(out.read_text())
+
+
+def _library_cycle(delays):
+    mult = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
+    report = exhaustive_verify(mult, Protocol.RTZ, product_oracle(2), delays)
+    return worst_case(report.metrics).cycle_time
+
+
+def test_a_delay_table_is_judged_by_the_library(tmp_path):
+    """The CLI hands a delay table to ``TableDelay`` as read: a JSON integer
+    too large for a float is still an int of at least 1, and runs."""
+    table = tmp_path / "huge.json"
+    table.write_text(json.dumps({"C2": 10**400}))
+    report = _verify_report(tmp_path, "--delay", "perkind", "--delay-table", str(table))
+    assert report["passed"] == 16
+    assert report["max_cycle_time"] == _library_cycle(TableDelay({"C2": 10**400})) > 10**400
+
+
+def test_a_pergate_key_is_the_decimal_form_of_a_gate_id(tmp_path, capsys):
+    """Only a gate id's own decimal digits name it: no sign, padding,
+    underscore, leading zero or non-ASCII digit, so two keys cannot name
+    one gate."""
+    table = tmp_path / "pergate.json"
+    for keys in (["1_0"], [" 3 "], ["+3"], ["03"], ["\u0663"], ["-1"], ["3", "03"]):
+        table.write_text(json.dumps({key: 5 for key in keys}))
+        with pytest.raises(SystemExit) as exc:
+            run_inproc("verify", "--n", "2", "--delay", "pergate", "--delay-table", str(table))
+        assert exc.value.code == 2
+        assert f"pergate delay table key {keys[-1]!r} is not a gate id" in capsys.readouterr().err
+    table.write_text(json.dumps({"3": 5, "10": 7, "0": 2}))
+    report = _verify_report(tmp_path, "--delay", "pergate", "--delay-table", str(table))
+    assert report["max_cycle_time"] == _library_cycle(TableDelay({3: 5, 10: 7, 0: 2}))
+    assert report["max_cycle_time"] != _verify_report(tmp_path)["max_cycle_time"]
+
+
+def test_verify_with_random_delays_draws_them_from_the_seed(tmp_path):
+    report = _verify_report(tmp_path, "--delay", "random", "--seed", "3")
+    assert report["passed"] == 16
+    assert report["max_cycle_time"] == _library_cycle(RandomUniformDelay(1, 16, 3))
+    assert report["max_cycle_time"] != _verify_report(tmp_path)["max_cycle_time"]
+
+
+def test_a_netlist_without_an_oracle_exits_2(tmp_path, capsys):
+    """Neither ``n`` nor a known ``component`` in its metadata: verify and
+    fuzz have nothing to judge the outputs by."""
+    doc = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
+    for i, meta in enumerate(({}, {"component": "nosuch"})):
+        path = tmp_path / f"anon{i}.json"
+        path.write_text(json.dumps({**doc, "meta": meta}))
+        for command in ("verify", "fuzz"):
+            with pytest.raises(SystemExit) as exc:
+                run_inproc(command, "--netlist", str(path))
+            assert exc.value.code == 2
+            assert "no reference oracle for netlist 'mult2x2_weak_fa_rtz'" \
+                in capsys.readouterr().err
 
 
 def test_an_ignored_option_names_the_commands_that_read_it(capsys):

@@ -10,11 +10,11 @@ from qdilab.components import COMPONENTS, ripple_carry_adder, strong_and2
 from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
                               build_completion_detector, decode)
-from qdilab.multiplier import MultiplierSpec, array_multiplier, product_oracle
+from qdilab.multiplier import MultiplierSpec, array_multiplier, input_vector, product_oracle
 from qdilab.netlist import GateKind, NetlistBuilder, ValidationError, validate
-from qdilab.sim import RandomUniformDelay, Stimulus, initialize
+from qdilab.sim import RandomUniformDelay, Stimulus, TableDelay, initialize
 
-from test_analysis import dead_end_and2
+from test_analysis import dead_end_and2, glitch_design
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +198,44 @@ def test_transaction_requires_spacer_start():
         harness.run_transaction(state, {"X": 0, "Y": 0})
 
 
+def test_a_harness_refuses_a_state_it_did_not_build():
+    """A state over the bare design (or any netlist that is not the
+    harness's) is refused before any settle, naming both netlists; a state
+    from a second harness over the same base is structurally the same."""
+    base = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
+    harness = HandshakeHarness(base, Protocol.RTZ)
+    message = r"^state simulates 'mult2x2_weak_fa_rtz', not 'mult2x2_weak_fa_rtz\+cd'$"
+    for run in (lambda s: harness.run_transaction(s, input_vector(2, 3, 2)),
+                lambda s: harness.run_phase(s, "data", input_vector(2, 3, 2)),
+                lambda s: harness.run_phase(s, "return")):
+        state = initialize(base, Protocol.RTZ)
+        before = list(state.values)
+        with pytest.raises(TransactionError, match=message):
+            run(state)
+        assert state.values == before and state.now == state.transitions == 0
+    # the netlist is judged before the state's inputs are
+    state = initialize(base, Protocol.RTZ)
+    state.apply_and_settle({base.port("A0").rail1: 1})
+    with pytest.raises(TransactionError, match=message):
+        harness.run_transaction(state, input_vector(2, 3, 2))
+    twin = HandshakeHarness(base, Protocol.RTZ)
+    assert twin.netlist is not harness.netlist
+    assert harness.run_transaction(twin.initialize(), input_vector(2, 3, 2)).outputs \
+        == product_oracle(2)(input_vector(2, 3, 2))
+
+
+def test_a_datapath_hazard_fails_the_phase():
+    """With the AND slower than the inverter, A = 1 excites the AND and the
+    inverter then disables it: a hazard inside the design raises."""
+    netlist = glitch_design()
+    harness = HandshakeHarness(netlist, Protocol.RTZ)
+    state = harness.initialize(TableDelay({"AND2": 3}))
+    with pytest.raises(TransactionError,
+                       match=r"^datapath hazard: t=1: pending 3->1 on gate 1 disabled"):
+        harness.run_phase(state, "data", {"A": 1})
+    assert state.hazards and state.hazards[0].net < harness.datapath_nets
+
+
 def test_decode_outputs_rejects_spacer():
     """An output that holds no data is named with its pair state, under
     either protocol: the spacer at reset, and an illegal pair when both
@@ -292,10 +330,11 @@ def test_an_unknown_phase_is_rejected():
     ([["X"], ["X"]], "arrival order repeats input 'X'"),
     ([["X"], ["Q"]], "arrival order names unknown input 'Q'"),
     ([[], ["X"], ["Y"]], "arrival order has an empty group"),
+    ([["X"]], r"arrival order misses inputs \['Y'\]"),
 ])
 def test_a_bad_arrival_order_is_rejected(order, message):
     """An order that names an input twice, names no input of the design,
-    or has an empty group raises before any rail moves."""
+    has an empty group or leaves an input out raises before any rail moves."""
     harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)
     state = harness.initialize()
     before = list(state.values)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
 from qdilab.netlist import (KIND_CODE, NEXT_STATE, Cell, FormatError, Gate, GateKind,
                             NetlistBuilder, NetlistError, ValidationError,
-                            dual_of, from_json, stats, structurally_equal,
+                            check_weights, dual_of, from_json, stats, structurally_equal,
                             to_dot, to_json, validate)
 
 
@@ -790,10 +791,16 @@ def test_stats_counts_and_weights():
     weighted = stats(netlist, {"C2": 4.0, "OR2": 2.0, "INV": 0.5, "AND2": 1.0})
     assert weighted.area_proxy == 6.5
     assert stats(netlist, {"C2": 4}).area_proxy == 6.0
-    # a weight must be a finite number of at least 0
-    for bad in (float("nan"), float("inf"), "2", None, -1):
-        with pytest.raises(ValueError, match="area weights must be finite numbers >= 0"):
-            stats(netlist, {"C2": bad})
+    # a weight must be a number a float holds, of at least 0, and no bool;
+    # stats and check_weights state one rule
+    for bad in (float("nan"), float("inf"), "2", None, -1, True, False, 10**400):
+        for check in (lambda w: stats(netlist, w), check_weights):
+            with pytest.raises(ValueError, match="area weights must be finite numbers >= 0"):
+                check({"C2": bad})
+    with pytest.raises(ValueError, match=r"unknown gate kinds in weights: \['AND'\]"):
+        check_weights({"AND": 1.0})
+    largest = {"C2": 10**308, "OR2": sys.float_info.max}
+    assert check_weights(largest) is largest
 
 
 def test_dual_swaps_monotone_kinds_and_flips_inits():

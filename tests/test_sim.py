@@ -291,13 +291,14 @@ def test_delay_models_resolve_per_gate():
 
 def test_delay_tables_reject_delays_below_one_even_unused():
     """A table's every delay and its default must be an int of at least 1,
-    whether or not the design has a gate that reads them: a float or a
-    string is refused, not truncated or converted."""
+    whether or not the design has a gate that reads them: a float, a
+    string or a bool is refused, not truncated or converted."""
     for table, default in (({"AND2": 0}, 1), ({7: -2}, 1), ({"C2": 2}, 0)):
         with pytest.raises(ValueError, match="gate delays must be >= 1"):
             TableDelay(table, default)
     for table, default, bad in (({"C2": 1.9}, 1, "1.9"), ({"C2": "3"}, 1, "'3'"),
-                                ({0: 2}, 2.0, "2.0"), ({"INV": float("nan")}, 1, "nan")):
+                                ({0: 2}, 2.0, "2.0"), ({"INV": float("nan")}, 1, "nan"),
+                                ({"C2": True}, 1, "True"), ({0: 2}, False, "False")):
         with pytest.raises(ValueError, match=f"gate delays must be ints, got {bad}"):
             TableDelay(table, default)
     netlist, _ = wire_fixture()
@@ -309,6 +310,11 @@ def test_delay_tables_reject_delays_below_one_even_unused():
     table["AND2"] = 2.5
     with pytest.raises(ValueError, match="gate delays must be ints, got 2.5"):
         delay.resolve(netlist)
+    table["AND2"] = True
+    with pytest.raises(ValueError, match="gate delays must be ints, got True"):
+        delay.resolve(netlist)
+    # an int too large for a float is still an int of at least 1
+    assert TableDelay({"C2": 10**400}).default == 1
 
 
 def test_delay_tables_reject_unknown_keys():
