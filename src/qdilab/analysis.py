@@ -11,6 +11,7 @@ import itertools
 import random
 from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .encoding import Protocol
@@ -259,11 +260,9 @@ def orphan_scan(netlist: Netlist, protocol: Protocol, oracle: Oracle,
     sequence, then checks three things per transaction: no hazard records
     (disabled excitations), datapath quiescence at the instant the outputs
     complete in each phase, and functional agreement with the oracle.
-    A netlist that cannot reset under ``protocol`` raises
-    :class:`InitializationError` before the first trial.
+    A netlist not built for ``protocol`` raises :class:`InitializationError`.
     """
     harness = HandshakeHarness(netlist, protocol)
-    harness.initialize()  # the reset check does not depend on the delays
     names = [p.name for p in harness.inputs]
     report = OrphanReport(netlist.name, protocol.value, trials, transactions,
                           seed, delay_low, delay_high)
@@ -347,9 +346,11 @@ def benchmark(designs: Sequence[BenchDesign], protocols: Sequence[Protocol],
             area = stats(netlist, dict(weights) if weights else None).area_proxy
             group.append(BenchRow(design.name, protocol.value, cycle, area,
                                   round(mean_tr, 6), 0.0))
-        peak = max((r.transitions_per_cycle * r.cycle_units for r in group), default=0.0)
-        for r in group:
-            r.pctp_norm = round((r.transitions_per_cycle * r.cycle_units) / peak, 6) if peak else 0.0
+        # exact products: a cycle too long for a float still has a PCTP
+        pctp = [Fraction(r.transitions_per_cycle) * r.cycle_units for r in group]
+        peak = max(pctp, default=0)
+        for r, p in zip(group, pctp):
+            r.pctp_norm = round(float(p / peak), 6) if peak else 0.0
         group.sort(key=lambda r: (-r.pctp_norm, r.design))
         rows.extend(group)
     return rows

@@ -174,6 +174,9 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
             if key in given and target in given:
                 parser.error(f"--{key} picks the circuit too; {args.command} --{target} "
                              "would ignore it")
+    for path in filter(None, (config.out, config.dot, config.trace)):  # before any is written
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            parser.error(f"output {path!r} is not a file in an existing directory")
     return config
 
 
@@ -295,7 +298,7 @@ def cmd_build(config: CliConfig) -> int:
     st = stats(netlist, weights)
     meta = netlist.metadata
     print(f"built {netlist.name}: {st.total_gates} gates {st.counts}")
-    if "and_blocks" in meta:
+    if {"and_blocks", "fa_blocks", "const_carries"} <= meta.keys():
         print(f"  blocks: {meta['and_blocks']} AND, {meta['fa_blocks']} FA, "
               f"{meta['const_carries']} constant carries")
     _write_artifacts(config, netlist, "  ")

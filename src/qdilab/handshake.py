@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 from .components import merge_kind
 from .encoding import Protocol, encode, spacer_rails
 from .netlist import DualRailPort, GateKind, Netlist, NetlistBuilder, NetId, structurally_equal
-from .sim import DelayModel, HazardRecord, SimState, Stimulus, UnitDelay, initialize
+from .sim import (DelayModel, HazardRecord, InitializationError, SimState, Stimulus,
+                  UnitDelay, initialize)
 
 
 class TransactionError(Exception):
@@ -100,13 +101,21 @@ class TransactionResult:
 
 
 class HandshakeHarness:
-    """Closed-loop bench: netlist + output completion detector + environment."""
+    """Closed-loop bench: netlist + output completion detector + environment,
+    over a valid base whose input ports, constants included, rest at the
+    spacer level of ``protocol``; any other base raises."""
 
     def __init__(self, base: Netlist, protocol: Protocol):
         if not base.output_ports:
             raise ValueError("harness needs at least one output port")
         self.protocol = protocol
-        builder = NetlistBuilder.from_netlist(base.validated(), name=base.name + "+cd")
+        self._spacer_level = spacer = protocol.spacer_level
+        off = [p.name for p in base.validated().ports if p.direction == "input"
+               and base.net_init[p.rail1] != spacer]  # validation holds both rails level
+        if off:
+            raise InitializationError(f"design {base.name!r} is not built for {protocol.value}: "
+                                      f"input ports {off} do not rest at its spacer level {spacer}")
+        builder = NetlistBuilder.from_netlist(base, name=base.name + "+cd")
         self.datapath_nets = builder.net_count  # nets below this id are datapath
         self.ackout, self.ackin = build_completion_detector(
             builder, base.output_ports, protocol)
@@ -139,12 +148,11 @@ class HandshakeHarness:
                                          for r, v in zip(p.rails, words[2])}),
         }
         self._return_batch = Stimulus.join([self._const["return"], *self._spacer.values()])
-        self._spacer_level = protocol.spacer_level
         self._targets = {"data": (set(words[:2]), protocol.active_level),
                          "return": ({words[2]}, protocol.spacer_level)}
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
-        return initialize(self.netlist, self.protocol, delay_model)
+        return initialize(self.netlist, delay_model)
 
     def decode_outputs(self, state: SimState) -> dict[str, int]:
         values, spacer = state.values, self._spacer_level  # by decode's rule

@@ -181,10 +181,9 @@ class Netlist:
 
 
 class ResetImage(NamedTuple):
-    """A compiled netlist's reset state at one spacer level: every net's
-    value (input rails at the spacer, every other net at its ``net_init``),
+    """A compiled netlist's reset state: every net at its ``net_init`` level,
     every gate's code followed by the spare slot's 0, and the first excited
-    gate, or None when the state is quiescent."""
+    gate, or None (always, on a validated netlist)."""
 
     values: list[int]
     code: list[int]
@@ -208,22 +207,18 @@ class CompiledNetlist:
     indexed by position, which is their id.
     ``out_key[g]`` is ``o << 1``, the output net's part of an event key,
     into which each simulation state ORs the gate's shifted delay.
-
-    ``gates`` and ``net_init`` are the netlist's own and only seed the reset
-    images: ``reset_image(spacer)`` builds the reset values, codes and
-    excited-gate check once per spacer level, on first use, and keeps them
-    here, with the compiled form, so they live exactly as long as the netlist.
+    ``reset`` is the reset state, which every simulation state copies.
     """
 
-    __slots__ = ("gates", "net_init", "out_key", "fanout", "driver", "env", "_images")
+    __slots__ = ("out_key", "fanout", "driver", "env", "reset")
 
     def __init__(self, netlist: Netlist):
-        self.gates = gates = netlist.gates
-        self.net_init = netlist.net_init
+        gates, values = netlist.gates, list(netlist.net_init)
         self.out_key = [g.output << 1 for g in gates]
         fanout: list[list[tuple[int, int, int]]] = [[] for _ in range(netlist.net_count)]
         self.driver = [len(gates)] * netlist.net_count
-        for i, (_, ins, o) in enumerate(gates):
+        code = []
+        for i, (kind, ins, o) in enumerate(gates):
             a, b = ins[0], ins[-1]
             if a == b:
                 fanout[a].append((i, 6, o))
@@ -231,23 +226,13 @@ class CompiledNetlist:
                 fanout[a].append((i, 4, o))
                 fanout[b].append((i, 2, o))
             self.driver[o] = i
+            code.append(KIND_CODE[kind] << 3 | values[a] << 2 | values[b] << 1 | values[o])
         self.fanout = [tuple(f) for f in fanout]
         self.env = [False] * netlist.net_count
         for p in netlist.ports:
             if p.direction == "input":
                 self.env[p.rail1] = self.env[p.rail0] = True
-        self._images: dict[int, ResetImage] = {}
-
-    def reset_image(self, spacer: int) -> ResetImage:
-        """The reset state with the input rails at ``spacer``.  The image is
-        shared by every caller, so a simulation state copies its lists."""
-        image = self._images.get(spacer)
-        if image is None:
-            values = [spacer if env else init for env, init in zip(self.env, self.net_init)]
-            code = [KIND_CODE[kind] << 3 | values[ins[0]] << 2 | values[ins[-1]] << 1
-                    | values[o] for kind, ins, o in self.gates]
-            image = self._images[spacer] = ResetImage(values, code + [0], first_excited(code))
-        return image
+        self.reset = ResetImage(values, code + [0], first_excited(code))
 
 
 def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> list[Finding]:

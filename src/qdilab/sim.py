@@ -10,20 +10,19 @@ observable.  ``RandomUniformDelay`` draws its delays with ``uniform_draws``,
 which makes the same ``getrandbits`` calls as ``randint`` without its call
 layers: the same delays, and the generator left in the same state.
 
-Reset computes nothing: ``initialize`` seeds the input rails at the spacer
-level and every other net at its ``net_init`` level, and raises if any gate is
-excited there (validation already holds each combinational init to the reset
-levels of its inputs, so no relaxation is needed).  That state depends only
-on the netlist and the spacer level, not on the delays, so the compiled form
-builds it, with its gate codes and its excited-gate check, once per level
-(``CompiledNetlist.reset_image``); each state raises on the image's excited
-gate, or else copies the image's lists.
+Reset computes nothing, and takes no protocol: a state starts with every net
+at its ``net_init`` level, where a design's input rails rest at its protocol's
+spacer (the handshake harness refuses one that does not), and raises if any
+gate is excited there, which validation rules out for a valid netlist.  That
+state does not depend on the delays, so the compiled form builds it once
+(``CompiledNetlist.reset``), with its gate codes and its first excited gate;
+each state raises on that gate, or else copies its lists.
 
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
-fanout entries and drivers, the per-gate arrays that seed the reset images,
-and the one ``NEXT_STATE`` table of gate functions).  It is built the first time
-a state or a :class:`Stimulus` needs it, not when the netlist is built or
-validated, and is shared by every later state over the same netlist.
+fanout entries and drivers, the reset state, and the one ``NEXT_STATE`` table
+of gate functions).  It is built the first time a state or a
+:class:`Stimulus` needs it, not when the netlist is built or validated, and is
+shared by every later state over the same netlist.
 
 Each gate's ``NEXT_STATE`` index, its *code* ``kind | a << 2 | b << 1 |
 cur``, is kept by the state in ``_code``, copied from the reset image at
@@ -99,7 +98,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .encoding import Protocol, is_bit
+from .encoding import is_bit
 from .netlist import NEXT_STATE, GateKind, Netlist, first_excited
 
 
@@ -108,8 +107,8 @@ class SimulationError(Exception):
 
 
 class InitializationError(SimulationError):
-    """The reset state (input rails at spacer, every other net at its stored
-    init) has an excited gate."""
+    """The reset state (every net at its ``net_init`` level) has an excited
+    gate, or a harness's design does not rest at its protocol's spacer."""
 
 
 class NonQuiescenceError(SimulationError):
@@ -162,18 +161,18 @@ class UnitDelay:
 @dataclass(frozen=True)
 class TableDelay:
     """Per-gate delays from a table keyed by kind name (``"AND2"``) or by
-    gate id (its position); a gate's own entry wins over its kind's, and a
-    gate named by neither gets ``default``.  Every delay in the table, and
-    the default, must be an int >= 1 and no bool, used by a design or not."""
+    gate id (its position, an int and no bool); a gate's own entry wins over
+    its kind's, and a gate named by neither gets ``default``.  Any other key,
+    and any delay or default but an int >= 1 and no bool, used or not, raises."""
 
     table: Mapping[str | int, int]
     default: int = 1
 
     def __post_init__(self) -> None:
         kinds = {kind.value for kind in GateKind}
-        unknown = [k for k in self.table if isinstance(k, str) and k not in kinds]
+        unknown = [k for k in self.table if k not in kinds and type(k) is not int]
         if unknown:
-            raise ValueError(f"unknown gate kinds in delay table: {unknown}")
+            raise ValueError(f"delay table keys must be gate kind names or ids, got {unknown}")
         _check_delays((*self.table.values(), self.default))
 
     def resolve(self, netlist: Netlist) -> list[int]:
@@ -192,7 +191,7 @@ class TableDelay:
 
 def _check_delays(delays: Iterable[int]) -> None:
     for d in delays:
-        if isinstance(d, bool) or not isinstance(d, int):
+        if type(d) is not int:  # a bool is no delay
             raise ValueError(f"gate delays must be ints, got {d!r}")
         if d < 1:
             raise ValueError(f"gate delays must be >= 1, got {d}")
@@ -201,17 +200,19 @@ def _check_delays(delays: Iterable[int]) -> None:
 @dataclass(frozen=True)
 class RandomUniformDelay:
     """Independent per-gate draws from [low, high], int bounds with
-    ``1 <= low <= high``, fixed by the seed."""
+    ``1 <= low <= high``, fixed by the seed, an int; neither is a bool."""
 
     low: int
     high: int
     seed: int = 0
 
     def resolve(self, netlist: Netlist) -> list[int]:
-        low, high = self.low, self.high
-        if not (isinstance(low, int) and isinstance(high, int)) or low < 1 or high < low:
+        low, high, seed = self.low, self.high, self.seed
+        if type(low) is not int or type(high) is not int or not 1 <= low <= high:
             raise ValueError(f"bad delay range [{low!r}, {high!r}]")
-        return uniform_draws(random.Random(self.seed), low, high, len(netlist.gates))
+        if type(seed) is not int:
+            raise ValueError(f"delay seed must be an int, got {seed!r}")
+        return uniform_draws(random.Random(seed), low, high, len(netlist.gates))
 
 
 DelayModel = UnitDelay | TableDelay | RandomUniformDelay
@@ -279,6 +280,8 @@ class Stimulus:
         """One batch of every assignment in ``parts`` (one or more), which
         must be built for one netlist and drive disjoint nets; nothing is
         checked again."""
+        if not parts:
+            raise ValueError("cannot join no stimuli")
         joined = object.__new__(cls)
         joined.netlist = netlist = parts[0].netlist
         joined.codes = codes = tuple(sorted(c for p in parts for c in p.codes))
@@ -303,7 +306,7 @@ class SimState:
                  "last_datapath_commit", "hazards", "watch", "watched", "trace",
                  "_code", "_unit", "_pending", "_tables", "default_limit")
 
-    def __init__(self, netlist: Netlist, protocol: Protocol, delays: list[int]):
+    def __init__(self, netlist: Netlist, delays: list[int]):
         self.netlist = netlist
         compiled = netlist.compiled
         # event keys are t << shift | net << 1 | value; gate g excited at
@@ -313,13 +316,12 @@ class SimState:
         # every event is due one unit after its cause: settles run on the
         # per-step lists
         self._unit = delays.count(1) == len(delays)
-        # the reset state, which must be quiescent, copied from the image
-        # shared by every state over this netlist: one code per gate, plus
-        # the spare slot that input-rail commits flip
-        image = compiled.reset_image(protocol.spacer_level)
+        # the reset state, which must be quiescent, copied from the compiled
+        # one: one code per gate, plus the spare slot input-rail commits flip
+        image = compiled.reset
         g = image.excited
         if g is not None:
-            raise InitializationError(f"reset state is not quiescent under {protocol.value}: "
+            raise InitializationError(f"reset state is not quiescent: "
                                       f"gate {g} ({netlist.gates[g].kind.value}) is excited")
         self.values = image.values[:]
         self._code = image.code[:]
@@ -470,10 +472,9 @@ class SimState:
         return max(self._pending, default=-1) < 0 and first_excited(self._code[:-1]) is None
 
 
-def initialize(netlist: Netlist, protocol: Protocol,
-               delay_model: DelayModel = UnitDelay()) -> SimState:
-    """Build the reset-state simulation at time zero: input rails at the
-    spacer level, every other net at its ``net_init`` level.  That state must
-    already be quiescent; reset computes nothing, it only checks."""
-    return SimState(netlist, protocol, delay_model.resolve(netlist))
+def initialize(netlist: Netlist, delay_model: DelayModel = UnitDelay()) -> SimState:
+    """Build the reset-state simulation at time zero: every net, input rails
+    included, at its ``net_init`` level.  That state must already be
+    quiescent; reset computes nothing, it only checks."""
+    return SimState(netlist, delay_model.resolve(netlist))
 

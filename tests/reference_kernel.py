@@ -14,7 +14,6 @@ pending event cancels it and records a hazard.
 
 from __future__ import annotations
 
-from qdilab.encoding import Protocol
 from qdilab.netlist import GateKind, Netlist
 from qdilab.sim import HazardRecord, NonQuiescenceError, SettleReport
 
@@ -34,12 +33,10 @@ class ReferenceKernel:
     """Reset state and settles over one netlist, mirroring ``SimState``:
     ``values``, ``now``, ``hazards`` and a ``trace`` of committed events."""
 
-    def __init__(self, netlist: Netlist, protocol: Protocol, delays: list[int]):
+    def __init__(self, netlist: Netlist, delays: list[int]):
         self.gates = netlist.gates
         self.delays = delays
-        env = {r for p in netlist.ports if p.direction == "input" for r in p.rails}
-        self.values = [protocol.spacer_level if net in env else init
-                       for net, init in enumerate(netlist.net_init)]
+        self.values = list(netlist.net_init)  # every net at its reset level
         self.now = 0
         self.pending: dict[int, tuple[int, int]] = {}  # net -> (time, value)
         self.hazards: list[HazardRecord] = []

@@ -313,6 +313,14 @@ def test_benchmark_rows_normalized_per_protocol():
             == by_key[(f"mult2x2_{fa}", "rto")].transitions_per_cycle
 
 
+def test_a_cycle_too_long_for_a_float_still_has_a_pctp():
+    """A C2 delay of 10**400 makes cycles no float holds; the PCTP products
+    are exact, so the rows normalize as the unit-delay ones do."""
+    rows = benchmark(bench_designs(), (Protocol.RTZ,), TableDelay({"C2": 10**400}))
+    assert all(r.cycle_units > 10**400 for r in rows)
+    assert [r.pctp_norm for r in rows] == [1.0, 0.975]
+
+
 def test_benchmark_csv_shape():
     rows = benchmark(bench_designs(), (Protocol.RTZ,))
     csv_text = bench_to_csv(rows)

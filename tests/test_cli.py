@@ -7,16 +7,23 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdilab.analysis import exhaustive_verify, worst_case
-from qdilab.cli import CliConfig, load_config_file, main
-from qdilab.components import emit_strong_and2
+from qdilab.cli import CHOICES, MODEL_READERS, READERS, CliConfig, load_config_file, main
+from qdilab.components import emit_strong_and2, strong_and2
 from qdilab.encoding import Protocol
 from qdilab.multiplier import MultiplierSpec, array_multiplier, product_oracle
 from qdilab.netlist import GateKind, NetlistBuilder, from_json, to_json
 from qdilab.sim import RandomUniformDelay, TableDelay
+
+from test_netlist import _mutate
 
 
 def run_inproc(*argv):
@@ -404,6 +411,19 @@ def test_config_echo_covers_every_field(tmp_path):
 # ---------------------------------------------------------------------------
 # artifacts
 
+def test_build_prints_block_counts_only_from_complete_metadata(tmp_path, capsys):
+    """A saved multiplier whose metadata lost one block count builds, and
+    its summary leaves the block line out."""
+    doc = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
+    del doc["meta"]["const_carries"]
+    saved = tmp_path / "m.json"
+    saved.write_text(json.dumps(doc))
+    assert run_inproc("build", "--netlist", str(saved)) == 0
+    assert "blocks:" not in capsys.readouterr().out
+    assert run_inproc("build", "--n", "2") == 0
+    assert "  blocks: 4 AND, 2 FA, 2 constant carries\n" in capsys.readouterr().out
+
+
 def test_export_stdout_and_files(tmp_path, capsys):
     assert run_inproc("export", "--component", "dims_fa") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -440,6 +460,24 @@ def test_a_verify_that_exits_2_leaves_an_existing_trace_alone(tmp_path):
             run_inproc("verify", *argv, "--trace", str(trace))
         assert exc.value.code == 2
         assert trace.read_text() == "time,net,value\n0,1,1\n"
+
+
+def test_a_saved_netlist_runs_under_the_protocol_it_was_built_for(tmp_path, capsys):
+    """A saved RTO multiplier runs with ``--protocol rto``; without it each
+    simulating command exits 2 with one error line naming the design."""
+    saved = tmp_path / "m_rto.json"
+    assert run_inproc("build", "--n", "2", "--protocol", "rto", "--out", str(saved)) == 0
+    assert run_inproc("verify", "--netlist", str(saved), "--protocol", "rto") == 0
+    capsys.readouterr()
+    for argv in (["verify"], ["classify"], ["fuzz", "--trials", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run_inproc(*argv, "--netlist", str(saved))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith("qdilab: error: design 'mult2x2_weak_fa_rto' is not built for rtz: "
+                            "input ports ['A0', 'A1', 'B0', 'B1', 'CC0', 'CC1'] do not rest "
+                            "at its spacer level 0\n")
 
 
 def test_bench_writes_csv_and_json(tmp_path):
@@ -565,3 +603,128 @@ def _pinned_run(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(PIN_RUNS))
 def test_pinned_cli_outputs(tmp_path, case):
     assert _pinned_run(tmp_path, case) == PINNED_OUTPUTS[case]
+
+
+# ---------------------------------------------------------------------------
+# the CLI never tracebacks: any drawn command line exits 0, 1 or 2, and on 2
+# it names its error last and writes nothing
+
+_SAVED = {  # saved netlists: the RTO multiplier runs without its --protocol too, the
+    # sabotaged multiplier fails verify, and the orphan AND fails fuzz
+    "m_rto.json": json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTO)))),
+    "and.json": json.loads(to_json(strong_and2(Protocol.RTZ))),
+    "sabotaged.json": _sabotaged_doc(), "orphan.json": json.loads(to_json(_orphan_and2())),
+}
+_TABLES = {  # delay tables and weights files, well formed or not
+    "star.json": {"*": 3}, "kinds.json": {"*": 2, "C2": 3}, "ids.json": {"0": 4, "3": 2},
+    "zero.json": {"AND2": 0}, "bools.json": {"C2": True}, "floats.json": {"OR2": 2.5},
+    "weights.json": {"C2": 2.5},
+    "nan.json": {"AND2": float("nan")}, "unknown.json": {"AND": 1}, "list.json": [1, 2],
+    "huge.json": {"C2": 10**400}, "negative.json": {"INV": -1},
+}
+_INPUTS = {"junk.txt": "{not json", **{name: json.dumps(doc) for name, doc in
+                                        {**_SAVED, **_TABLES}.items()}}
+_BAD_FILES = ("missing.json", "junk.txt", "list.json")
+# each option's values as a user types them: (well formed, malformed); the
+# sizes stay small, and a 3x3 multiplier is too wide to classify quickly
+# (46,080 scenarios against 384 at 2x2)
+_VALUES = {
+    **{key: (choices, ("nosuch",)) for key, choices in CHOICES.items()},
+    "n": (("2", "3"), ("1", "x")), "seed": (("0", "7", "-3"), ("x",)),
+    "trials": (("1", "3"), ("0", "x")), "transactions": (("1", "3"), ("-1",)),
+    "delay_low": (("1", "3"), ("0",)), "delay_high": (("2", "16"), ("0", "x")),
+    "delay_table": (("star.json",),
+                    ("zero.json", "bools.json", "floats.json", "unknown.json", *_BAD_FILES)),
+    "weights": (("weights.json",), ("kinds.json", "huge.json", "nan.json", *_BAD_FILES)),
+    "netlist": ((*_SAVED, "mutated.json"), _BAD_FILES),
+    # "" names the run's directory itself
+    "out": (("out.json", "out.csv"), ("nodir/out.json", "")),
+    "dot": (("m.dot",), ("nodir/m.dot", "")), "trace": (("t.csv",), ("nodir/t.csv", "")),
+}
+_TABLE_FOR = {"perkind": ("star.json", "kinds.json", "huge.json"),
+              "pergate": ("star.json", "ids.json")}
+_PATHS = {"delay_table", "weights", "netlist", "out", "dot", "trace"}
+_TARGETS = ("n", "fa", "component", "netlist")
+_COMMANDS = ("build", "verify", "bench", "scale", "classify", "fuzz", "export")
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its options, some of them in a config file: mostly
+    options the command reads, with well-formed values, one circuit, and
+    every so often a malformed value, an ignored option or a junk config
+    line.  A multiplier gets its width and fuzz its counts every time, so no
+    default can make a run big."""
+    def rarely():
+        return draw(st.integers(0, 7)) == 0
+
+    def give(key, good=None):
+        """Give ``key`` a value, as a flag or a config line."""
+        good, bad = good or _VALUES[key][0], _VALUES[key][1]
+        if key == "n" and command == "classify":
+            good = ("2",)
+        options[key] = draw(st.sampled_from(bad if rarely() else good)), draw(st.booleans())
+
+    command = draw(st.sampled_from(_COMMANDS))
+    reads = [key for key in _VALUES if command in READERS.get(key, (command,))]
+    # the delay options that --delay picks are drawn with it
+    modelled = MODEL_READERS if "delay" in reads else {}
+    options: dict = {}
+    for key in reads:
+        if key not in (*_TARGETS, *modelled) and draw(st.integers(0, 2)) == 0:
+            give(key)
+    delay = options.get("delay", ("unit",))[0]
+    for key, models in modelled.items():
+        if delay in models and not rarely():
+            give(key, _TABLE_FOR.get(delay))
+    target = draw(st.sampled_from([key for key in ("n", "component", "netlist") if key in reads]))
+    give(target)
+    if "fa" in reads and target == "n" and draw(st.booleans()):
+        give("fa")
+    if command == "fuzz":
+        give("trials")
+        give("transactions")
+    if rarely():  # an option the command ignores, or a second circuit
+        give(draw(st.sampled_from(sorted(_VALUES))))
+    junk = draw(st.lists(st.sampled_from(["nosuch = 1", "no equals sign", "n = x"]),
+                         max_size=1)) if rarely() else []
+    mutated = json.loads(json.dumps(_SAVED[draw(st.sampled_from(sorted(_SAVED)))]))
+    for _ in range(draw(st.integers(0, 2))):
+        _mutate(SimpleNamespace(draw=draw), mutated)
+    existing = draw(st.lists(st.sampled_from(["out.json", "out.csv", "m.dot", "t.csv"])))
+    return command, options, junk, mutated, existing
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_the_cli_never_tracebacks(case):
+    command, options, junk, mutated, existing = case
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        for name, text in _INPUTS.items():
+            (d / name).write_text(text)
+        (d / "mutated.json").write_text(json.dumps(mutated))
+        for name in existing:
+            (d / name).write_text("kept\n")
+        argv, config = [command], list(junk)
+        for key, (value, in_config) in options.items():
+            value = str(d / value) if key in _PATHS else value
+            if in_config:
+                config.append(f"{key} = {value}")
+            else:
+                argv += [f"--{key.replace('_', '-')}", value]
+        if config:
+            (d / "run.cfg").write_text("\n".join(config) + "\n")
+            argv += ["--config", str(d / "run.cfg")]
+        before = {p.name: p.read_bytes() for p in d.iterdir()}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            # argparse names the subcommand in the errors it finds itself
+            assert re.fullmatch(r"qdilab( \w+)?: error: .+", err.getvalue().splitlines()[-1])
+            assert {p.name: p.read_bytes() for p in d.iterdir()} == before, argv

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from qdilab.analysis import classify_indication, exhaustive_verify, measure_latencies
+from qdilab.analysis import (classify_indication, exhaustive_verify, measure_latencies,
+                             orphan_scan)
 from qdilab.components import COMPONENTS, ripple_carry_adder, strong_and2
 from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
                               build_completion_detector, decode)
 from qdilab.multiplier import MultiplierSpec, array_multiplier, input_vector, product_oracle
 from qdilab.netlist import GateKind, NetlistBuilder, ValidationError, validate
-from qdilab.sim import RandomUniformDelay, Stimulus, TableDelay, initialize
+from qdilab.sim import InitializationError, RandomUniformDelay, Stimulus, TableDelay, initialize
 
 from test_analysis import dead_end_and2, glitch_design
 
@@ -46,6 +47,54 @@ def test_harness_rejects_an_invalid_base_with_its_findings():
         HandshakeHarness(base, Protocol.RTZ)
     assert exc.value.findings == validate(base).findings
     assert [f.code for f in exc.value.findings] == ["multi-driver"]
+
+
+def other(protocol):
+    return Protocol.RTO if protocol is Protocol.RTZ else Protocol.RTZ
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_a_design_built_for_the_other_protocol_is_refused(protocol):
+    """A design's input rails rest at the spacer of the protocol it was built
+    for; the harness names the design, the protocol and those inputs."""
+    wrong = other(protocol)
+    with pytest.raises(InitializationError, match=(
+            rf"^design 'strong_and2_{protocol.value}' is not built for {wrong.value}: input ports "
+            rf"\['X', 'Y'\] do not rest at its spacer level {wrong.spacer_level}$")):
+        HandshakeHarness(strong_and2(protocol), wrong)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_a_multiplier_is_refused_under_the_other_protocol(protocol):
+    """Every analysis builds its harness first, so each raises before it
+    simulates anything; the constant carry ports are named with the data
+    inputs."""
+    netlist = array_multiplier(MultiplierSpec(2, protocol))
+    wrong = other(protocol)
+    oracle = product_oracle(2)
+    for run in (lambda: measure_latencies(netlist, wrong),
+                lambda: classify_indication(netlist, wrong),
+                lambda: exhaustive_verify(netlist, wrong, oracle),
+                lambda: orphan_scan(netlist, wrong, oracle, trials=1)):
+        with pytest.raises(InitializationError, match=(
+                rf"^design 'mult2x2_weak_fa_{protocol.value}' is not built for {wrong.value}: "
+                rf"input ports \['A0', 'A1', 'B0', 'B1', 'CC0', 'CC1'\] do not rest at "
+                rf"its spacer level {wrong.spacer_level}$")):
+            run()
+
+
+def test_a_design_whose_inputs_rest_apart_is_refused_under_both_protocols():
+    """A valid design whose data input rests at 0 and whose unread constant
+    rests at 1 is built for neither protocol; the harness names the input
+    off each one's spacer, constants included."""
+    b = NetlistBuilder("apart")
+    a = b.add_input_port("A", init=0)
+    b.add_const_port("B", 1, init=1)
+    b.add_output_port("Z", *a.rails)
+    base = b.build()
+    for protocol, off in ((Protocol.RTZ, "B"), (Protocol.RTO, "A")):
+        with pytest.raises(InitializationError, match=rf"input ports \['{off}'\]"):
+            HandshakeHarness(base, protocol)
 
 
 def test_a_generated_design_and_its_harness_skip_validate(monkeypatch):
@@ -120,7 +169,7 @@ def test_detector_asserts_iff_all_pairs_complete(protocol, k):
     for bits in itertools.product((0, 1), repeat=k):
         for present in itertools.chain.from_iterable(
                 itertools.combinations(range(k), r) for r in range(k + 1)):
-            state = initialize(netlist, protocol)
+            state = initialize(netlist)
             assert state.values[ackout] == idle
             drive = {}
             for i in present:
@@ -208,13 +257,13 @@ def test_a_harness_refuses_a_state_it_did_not_build():
     for run in (lambda s: harness.run_transaction(s, input_vector(2, 3, 2)),
                 lambda s: harness.run_phase(s, "data", input_vector(2, 3, 2)),
                 lambda s: harness.run_phase(s, "return")):
-        state = initialize(base, Protocol.RTZ)
+        state = initialize(base)
         before = list(state.values)
         with pytest.raises(TransactionError, match=message):
             run(state)
         assert state.values == before and state.now == state.transitions == 0
     # the netlist is judged before the state's inputs are
-    state = initialize(base, Protocol.RTZ)
+    state = initialize(base)
     state.apply_and_settle({base.port("A0").rail1: 1})
     with pytest.raises(TransactionError, match=message):
         harness.run_transaction(state, input_vector(2, 3, 2))

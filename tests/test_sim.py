@@ -36,7 +36,7 @@ def test_reset_state_is_quiescent_spacer(protocol):
     spacer = protocol.spacer_level
     for name, build in RESET_DESIGNS.items():
         netlist = build(protocol)
-        state = initialize(netlist, protocol)
+        state = initialize(netlist)
         assert state.now == 0 and state.transitions == 0, name
         assert state.is_quiescent(), name
         assert state.values == list(netlist.net_init), name
@@ -47,30 +47,28 @@ def test_reset_state_is_quiescent_spacer(protocol):
                 == spacer_rails(protocol)
 
 
-@pytest.mark.parametrize("protocol", list(Protocol))
-def test_reset_under_the_other_protocol_names_an_excited_gate(protocol):
-    other = Protocol.RTO if protocol is Protocol.RTZ else Protocol.RTZ
-    with pytest.raises(InitializationError, match=r"gate \d+ \((AND2|OR2|INV|C2)\) is excited"):
-        initialize(strong_and2(protocol), other)
-
-
-def test_initialize_rejects_inconsistent_reset():
+def inconsistent_and2():
+    """An unvalidated netlist whose AND2 stores 1 over inputs that reset to 0."""
     b = NetlistBuilder("bad")
     x = b.add_input_port("X")
     y = b.add_input_port("Y")
     out = b.new_net(init=1)
     b.wire_gate(GateKind.AND2, (x.rail1, y.rail1), out, init=1)
     b.add_output_port("Z", out, x.rail0)
-    netlist = b.build_unchecked()
-    with pytest.raises(InitializationError):
-        initialize(netlist, Protocol.RTZ)
+    return b.build_unchecked()
+
+
+def test_initialize_rejects_inconsistent_reset():
+    with pytest.raises(InitializationError, match=r"^reset state is not quiescent: "
+                       r"gate 0 \(AND2\) is excited$"):
+        initialize(inconsistent_and2())
 
 
 def test_states_share_no_list_with_each_other_or_the_reset_image():
     harness = HandshakeHarness(array_multiplier(MultiplierSpec(2, Protocol.RTZ)), Protocol.RTZ)
     a, b = harness.initialize(), harness.initialize(RandomUniformDelay(1, 16, 3))
     compiled = harness.netlist.compiled
-    image = compiled.reset_image(Protocol.RTZ.spacer_level)
+    image = compiled.reset
     # the compiled form's arrays are read only, and shared by design
     shared = [getattr(compiled, name) for name in compiled.__slots__]
     lists = [name for name in SimState.__slots__
@@ -84,8 +82,8 @@ def test_states_share_no_list_with_each_other_or_the_reset_image():
 
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_a_reset_after_a_settled_vector_equals_a_fresh_one(protocol):
-    """The reset state is built once per netlist and spacer level; a state
-    that moves must leave it as it was for the next ``initialize``."""
+    """The reset state is built once per netlist; a state that moves must
+    leave it as it was for the next ``initialize``."""
     netlist = array_multiplier(MultiplierSpec(2, protocol))
     harness = HandshakeHarness(netlist, protocol)
     used = harness.initialize()
@@ -102,14 +100,13 @@ def test_a_reset_after_a_settled_vector_equals_a_fresh_one(protocol):
 
 
 def test_a_failed_reset_raises_on_every_call():
-    netlist = strong_and2(Protocol.RTZ)
+    netlist = inconsistent_and2()
     messages = []
     for _ in range(2):
         with pytest.raises(InitializationError) as exc:
-            initialize(netlist, Protocol.RTO)
+            initialize(netlist)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
-    assert initialize(netlist, Protocol.RTZ).is_quiescent()  # the other level is kept apart
 
 
 def wire_fixture():
@@ -126,7 +123,7 @@ def test_equal_delays_cancel_the_pulse_inertially():
     """With matched delays the inverter's fall lands at the same instant as
     the AND's scheduled rise and disables it: the output never pulses."""
     netlist, x = wire_fixture()
-    state = initialize(netlist, Protocol.RTZ)
+    state = initialize(netlist)
     report = state.apply_and_settle({x.rail1: 1})
     assert report.elapsed == 1
     assert report.transitions == 2  # the input rail and the inverter only
@@ -138,8 +135,7 @@ def test_equal_delays_cancel_the_pulse_inertially():
 def test_glitch_pulse_under_asymmetric_delays():
     """A slower inverter stretches the static hazard into a visible pulse."""
     netlist, x = wire_fixture()
-    state = initialize(netlist, Protocol.RTZ,
-                       TableDelay({0: 3}, default=1))  # INV=3, AND=1
+    state = initialize(netlist, TableDelay({0: 3}, default=1))  # INV=3, AND=1
     pulses = []
     state.trace = lambda t, net, val: pulses.append((t, net, val))
     z = netlist.gates[1].output
@@ -153,8 +149,7 @@ def test_cancelled_excitation_is_recorded_as_hazard():
     """If the AND is slower than the inverter, its pending rise is disabled
     before it commits; the simulator cancels it and records the hazard."""
     netlist, x = wire_fixture()
-    state = initialize(netlist, Protocol.RTZ,
-                       TableDelay({1: 5}, default=3))  # AND=5, INV=3
+    state = initialize(netlist, TableDelay({1: 5}, default=3))  # AND=5, INV=3
     z = netlist.gates[1].output
     report = state.apply_and_settle({x.rail1: 1})
     assert state.values[z] == 0  # the pulse never surfaced
@@ -170,7 +165,7 @@ def test_stimulus_errors():
     into a :class:`Stimulus` or handed to a settle as a mapping; a net that
     is not an int is no environment net."""
     netlist, x = wire_fixture()
-    state = initialize(netlist, Protocol.RTZ)
+    state = initialize(netlist)
     gate_out = netlist.gates[0].output
     for bad in ({gate_out: 1}, {x.rail1: 2},
                 {x.rail1: 1.0},  # equal to 1, but not a bit
@@ -206,7 +201,7 @@ def test_a_rejected_stimulus_batch_queues_nothing():
     other, y = two_port_fixture()
     assert not netlist.compiled.env[y.rail1]  # the wire fixture's gate output
     for batch in ({x.rail1: 1, 9999: 0}, Stimulus(other, {x.rail1: 1, y.rail1: 0})):
-        state = initialize(netlist, Protocol.RTZ)
+        state = initialize(netlist)
         values = state.values[:]
         with pytest.raises(StimulusError, match="is not environment-driven"):
             state.apply_and_settle(batch)
@@ -217,7 +212,7 @@ def test_a_rejected_stimulus_batch_queues_nothing():
 def test_a_foreign_stimulus_on_shared_input_rails_settles_like_its_mapping():
     netlist, x = wire_fixture()
     other, _ = two_port_fixture()
-    reports = [asdict(initialize(netlist, Protocol.RTZ).apply_and_settle(batch))
+    reports = [asdict(initialize(netlist).apply_and_settle(batch))
                for batch in ({x.rail1: 1}, Stimulus(other, {x.rail1: 1}))]
     assert reports[0] == reports[1] and reports[0]["transitions"] == 2
 
@@ -231,11 +226,13 @@ def test_joined_stimuli_must_share_a_netlist_and_drive_disjoint_nets():
         Stimulus.join([a, Stimulus(netlist, {x.rail1: 0})])
     with pytest.raises(ValueError, match="different netlists"):
         Stimulus.join([a, Stimulus(other, {x.rail0: 0})])
+    with pytest.raises(ValueError, match="no stimuli"):
+        Stimulus.join([])
 
 
 def test_settle_limit_raises():
     netlist = strong_and2(Protocol.RTZ)
-    state = initialize(netlist, Protocol.RTZ)
+    state = initialize(netlist)
     x, y = netlist.port("X"), netlist.port("Y")
     with pytest.raises(NonQuiescenceError):
         # (0,0) ripples through the C2 and both merge levels: > 1 event
@@ -248,11 +245,11 @@ def test_settle_resumes_after_the_limit_trips():
     netlist = strong_and2(Protocol.RTZ)
     x, y, z = netlist.port("X"), netlist.port("Y"), netlist.port("Z")
     stimulus = {x.rail0: 1, y.rail0: 1}
-    state = initialize(netlist, Protocol.RTZ)
+    state = initialize(netlist)
     with pytest.raises(NonQuiescenceError):
         state.apply_and_settle(stimulus, limit=1)
     assert state.apply_and_settle({}).steps > 0
-    fresh = initialize(netlist, Protocol.RTZ)
+    fresh = initialize(netlist)
     fresh.apply_and_settle(stimulus)
     assert state.is_quiescent()
     assert (state.values[z.rail1], state.values[z.rail0]) == (0, 1)  # data0
@@ -266,7 +263,7 @@ def test_a_stimulus_given_on_resume_commits_ahead_of_the_queued_events():
     commits first, and time never runs backwards."""
     netlist = strong_and2(Protocol.RTZ)
     x, y = netlist.port("X"), netlist.port("Y")
-    state = initialize(netlist, Protocol.RTZ)
+    state = initialize(netlist)
     with pytest.raises(NonQuiescenceError):
         state.apply_and_settle({x.rail0: 1, y.rail0: 1}, limit=1)
     events = []
@@ -286,7 +283,7 @@ def test_delay_models_resolve_per_gate():
     # a gate's own entry wins over its kind's
     assert TableDelay({"AND2": 4, 1: 7, "INV": 3}).resolve(netlist) == [3, 7]
     with pytest.raises(ValueError):
-        initialize(netlist, Protocol.RTZ, TableDelay({0: 0}, default=1))
+        initialize(netlist, TableDelay({0: 0}, default=1))
 
 
 def test_delay_tables_reject_delays_below_one_even_unused():
@@ -325,6 +322,11 @@ def test_delay_tables_reject_unknown_keys():
         TableDelay({2: 3}).resolve(netlist)  # two gates: ids 0 and 1
     with pytest.raises(ValueError):
         TableDelay({-1: 3}).resolve(netlist)
+    # a key is a kind name or a gate id, an int and no bool: any other is
+    # refused as the table is built, not taken for the gate it equals
+    for key in (True, False, 2.0, 1.0, None, (1,), b"C2"):
+        with pytest.raises(ValueError, match=re.escape(f"got [{key!r}]")):
+            TableDelay({key: 5})
 
 
 def test_random_delays_are_seed_deterministic():
@@ -336,9 +338,13 @@ def test_random_delays_are_seed_deterministic():
     assert a != c
     assert all(1 <= d <= 16 for d in a)
     # bounds must be ints with 1 <= low <= high
-    for low, high in ((1, 3.5), (1.0, 3), (0, 3), (4, 3)):
-        with pytest.raises(ValueError, match=re.escape(f"bad delay range [{low}, {high}]")):
+    for low, high in ((1, 3.5), (1.0, 3), (0, 3), (4, 3), (True, 3), (1, True), ("1", 3)):
+        with pytest.raises(ValueError, match=re.escape(f"bad delay range [{low!r}, {high!r}]")):
             RandomUniformDelay(low, high).resolve(netlist)
+    # an unseeded draw would differ from run to run
+    for seed in (None, 1.0, True, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"delay seed must be an int, got {seed!r}")):
+            RandomUniformDelay(1, 16, seed).resolve(netlist)
     with pytest.raises(ValueError, match=re.escape("non-integer range [0, 1.5]")):
         uniform_draws(random.Random(0), 0, 1.5, 3)
 
@@ -379,7 +385,7 @@ def test_simulation_is_deterministic_under_any_seed(seed):
     netlist = strong_and2(Protocol.RTZ)
     runs = []
     for _ in range(2):
-        state = initialize(netlist, Protocol.RTZ, RandomUniformDelay(1, 9, seed))
+        state = initialize(netlist, RandomUniformDelay(1, 9, seed))
         x, y = netlist.port("X"), netlist.port("Y")
         state.apply_and_settle({x.rail1: 1, y.rail1: 1})
         runs.append((state.now, state.transitions, tuple(state.values)))
@@ -392,7 +398,7 @@ def test_per_net_transition_parity_over_full_cycle(protocol):
     binary net is back at its reset value exactly when it toggled an even
     number of times."""
     netlist = strong_and2(protocol)
-    state = initialize(netlist, protocol)
+    state = initialize(netlist)
     x, y = netlist.port("X"), netlist.port("Y")
     active = protocol.active_level
     spacer = protocol.spacer_level
@@ -424,7 +430,7 @@ def assert_codes_match_values(state):
 @pytest.mark.parametrize("delays", [UnitDelay(), TableDelay({1: 5}, default=3)])
 def test_gate_codes_follow_the_hazard_cancelling_wire(delays):
     netlist, x = wire_fixture()
-    state = initialize(netlist, Protocol.RTZ, delays)
+    state = initialize(netlist, delays)
     assert_codes_match_values(state)
     for value in (1, 0, 1):
         state.apply_and_settle({x.rail1: value})
@@ -435,7 +441,7 @@ def test_gate_codes_follow_the_hazard_cancelling_wire(delays):
 def test_gate_codes_survive_a_tripped_limit_and_a_stimulus_on_resume():
     netlist = strong_and2(Protocol.RTZ)
     x, y = netlist.port("X"), netlist.port("Y")
-    state = initialize(netlist, Protocol.RTZ)
+    state = initialize(netlist)
     with pytest.raises(NonQuiescenceError):
         state.apply_and_settle({x.rail0: 1, y.rail0: 1}, limit=1)
     assert_codes_match_values(state)
@@ -482,7 +488,7 @@ def _stimuli(harness, vectors):
 
 
 def _kernel_digests(netlist, delays, stimuli):
-    state = initialize(netlist, Protocol.RTZ, delays)
+    state = initialize(netlist, delays)
     trace = []
     state.trace = lambda t, net, val: trace.append((t, net, val))
     reports = [asdict(state.apply_and_settle(s)) for s in stimuli]
@@ -601,8 +607,8 @@ def kernel_cases(draw):
 
 
 def _run_against_reference(netlist, delays, settles):
-    state = initialize(netlist, Protocol.RTZ, delays)
-    ref = ReferenceKernel(netlist, Protocol.RTZ, delays.resolve(netlist))
+    state = initialize(netlist, delays)
+    ref = ReferenceKernel(netlist, delays.resolve(netlist))
     trace = []
     state.trace = lambda t, net, val: trace.append((t, net, val))
     for assignments, limit in settles:
@@ -640,7 +646,7 @@ def test_a_mapping_and_its_stimulus_settle_identically(case, data):
     for delays in (UnitDelay(), TableDelay(table)):
         runs = []
         for form in (dict, lambda assignments: Stimulus(netlist, assignments)):
-            state = initialize(netlist, Protocol.RTZ, delays)
+            state = initialize(netlist, delays)
             trace = []
             state.trace = lambda t, net, val: trace.append((t, net, val))
             outcomes = []
@@ -696,7 +702,7 @@ def test_a_cancelled_entry_at_t_does_not_commit_its_rescheduled_event():
     rise = b.add_gate(GateKind.OR2, (c, c))  # rises at t=2
     o = b.add_gate(GateKind.OR2, (a, rise))
     netlist = b.build()
-    state = initialize(netlist, Protocol.RTZ)
+    state = initialize(netlist)
     events = []
     state.trace = lambda t, net, val: events.append((t, net, val))
     report = state.apply_and_settle({x.rail1: 1})
@@ -713,7 +719,7 @@ def test_a_step_of_superseded_entries_does_not_move_the_clock():
     b = NetlistBuilder("cancel")
     x, y = b.add_input_port("X"), b.add_input_port("Y")
     z = b.add_gate(GateKind.AND2, (x.rail1, y.rail1))
-    state = initialize(b.build(), Protocol.RTZ)
+    state = initialize(b.build())
     state.apply_and_settle({y.rail1: 1})  # the AND stays low
     report = state.apply_and_settle({x.rail1: 1, y.rail1: 0})
     assert (report.elapsed, report.transitions, state.now) == (0, 2, 0)
@@ -743,7 +749,7 @@ def test_a_trip_pours_an_unsorted_next_step_into_the_heap():
     stimulus = {x.rail1: 1, y.rail1: 1}
 
     def run(*limits):
-        state = initialize(netlist, Protocol.RTZ)
+        state = initialize(netlist)
         trace = []
         state.trace = lambda t, net, val: trace.append((t, net, val))
         for assignments, limit in zip((stimulus, {}), limits):
