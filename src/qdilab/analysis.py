@@ -18,7 +18,7 @@ from .encoding import Protocol
 from .handshake import HandshakeHarness, TransactionError, TransactionMetrics
 from .netlist import Netlist, check_weights, stats
 from .sim import (DelayModel, RandomUniformDelay, SimulationError, UnitDelay,
-                  uniform_draws)
+                  check_seed, uniform_draws)
 
 Oracle = Callable[[Mapping[str, int]], Mapping[str, int]]
 
@@ -56,8 +56,9 @@ def measure_latencies(netlist: Netlist, protocol: Protocol,
     """Worst-case forward/reverse latency and cycle time at the output ports.
 
     Exhaustive over input codewords up to ``sample_limit`` vectors; wider
-    components get the two corner vectors plus a seeded random sample.
+    components get the two corner vectors plus a sample drawn from ``seed``.
     """
+    check_seed(seed)
     harness = HandshakeHarness(netlist, protocol)
     state = harness.initialize(delay_model)
     names = [p.name for p in harness.inputs]
@@ -260,8 +261,10 @@ def orphan_scan(netlist: Netlist, protocol: Protocol, oracle: Oracle,
     sequence, then checks three things per transaction: no hazard records
     (disabled excitations), datapath quiescence at the instant the outputs
     complete in each phase, and functional agreement with the oracle.
-    A netlist not built for ``protocol`` raises :class:`InitializationError`.
+    A netlist not built for ``protocol`` raises :class:`InitializationError`,
+    and a ``seed`` that is not an int >= 0 ``ValueError``.
     """
+    check_seed(seed)
     harness = HandshakeHarness(netlist, protocol)
     names = [p.name for p in harness.inputs]
     report = OrphanReport(netlist.name, protocol.value, trials, transactions,

@@ -134,6 +134,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[common], help="strong/weak/neither indication")
     sub.add_parser("fuzz", parents=[common], help="randomized orphan scan")
     sub.add_parser("export", parents=[common], help="re-emit a netlist as JSON/DOT")
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(parser=command_parser)
     return parser
 
 
@@ -435,8 +437,8 @@ def cmd_fuzz(config: CliConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    parser = args.parser  # the command's own, so every usage error names the command
     config = merge_config(args, parser)
     commands = {"build": cmd_build, "verify": cmd_verify, "bench": cmd_bench,
                 "scale": cmd_scale, "classify": cmd_classify, "fuzz": cmd_fuzz,

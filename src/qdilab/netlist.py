@@ -69,16 +69,6 @@ NEXT_STATE = (
 )
 
 
-def first_excited(codes: Sequence[int]) -> int | None:
-    """The position of the first gate code whose ``NEXT_STATE`` entry
-    differs from its present output (bit 0), or None.  Bits above the
-    table index (the simulator's pending flag) are ignored."""
-    for g, c in enumerate(codes):
-        if NEXT_STATE[c & 31] != c & 1:
-            return g
-    return None
-
-
 class Gate(NamedTuple):  # id: position in ``Netlist.gates``; reset level: ``net_init[output]``
     kind: GateKind
     inputs: tuple[NetId, ...]
@@ -165,8 +155,10 @@ class Netlist:
 
     @cached_property
     def compiled(self) -> "CompiledNetlist":
-        """The flat form the simulator runs on, built on first use."""
-        return CompiledNetlist(self)
+        """The flat form the simulator runs on, built on first use from the
+        validated netlist: an invalid one raises :class:`ValidationError`
+        with its cached findings, on every use."""
+        return CompiledNetlist(self.validated())
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -182,16 +174,15 @@ class Netlist:
 
 class ResetImage(NamedTuple):
     """A compiled netlist's reset state: every net at its ``net_init`` level,
-    every gate's code followed by the spare slot's 0, and the first excited
-    gate, or None (always, on a validated netlist)."""
+    and every gate's code followed by the spare slot's 0.  Validation holds
+    each gate's init to its inputs' reset levels, so no gate is excited."""
 
     values: list[int]
     code: list[int]
-    excited: int | None
 
 
 class CompiledNetlist:
-    """A netlist flattened into per-gate and per-net arrays.
+    """A valid netlist flattened into per-gate and per-net arrays.
 
     Gate ``g`` with inputs ``(a, b)`` (an inverter's ``b`` repeats its
     ``a``) and output ``o`` computes ``NEXT_STATE[KIND_CODE[kind] << 3 |
@@ -202,15 +193,15 @@ class CompiledNetlist:
     bits that ``n`` sets (4 for ``a``, 2 for ``b``, 6 when the gate reads
     ``n`` on both, as every inverter does) and ``out`` is the gate's output
     net.  ``driver[n]`` is the gate driving net ``n``, whose ``cur`` bit (1)
-    a change of ``n`` flips; the rails of input ports all map to one spare
-    slot, ``len(gates)``.  ``env[n]`` is true for those rails.  Gates are
-    indexed by position, which is their id.
+    a change of ``n`` flips; the rails of input ports, the only nets no gate
+    drives, all map to one spare slot, ``len(gates)``.  Gates are indexed by
+    position, which is their id.
     ``out_key[g]`` is ``o << 1``, the output net's part of an event key,
     into which each simulation state ORs the gate's shifted delay.
     ``reset`` is the reset state, which every simulation state copies.
     """
 
-    __slots__ = ("out_key", "fanout", "driver", "env", "reset")
+    __slots__ = ("out_key", "fanout", "driver", "reset")
 
     def __init__(self, netlist: Netlist):
         gates, values = netlist.gates, list(netlist.net_init)
@@ -228,11 +219,7 @@ class CompiledNetlist:
             self.driver[o] = i
             code.append(KIND_CODE[kind] << 3 | values[a] << 2 | values[b] << 1 | values[o])
         self.fanout = [tuple(f) for f in fanout]
-        self.env = [False] * netlist.net_count
-        for p in netlist.ports:
-            if p.direction == "input":
-                self.env[p.rail1] = self.env[p.rail0] = True
-        self.reset = ResetImage(values, code + [0], first_excited(code))
+        self.reset = ResetImage(values, code + [0])
 
 
 def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> list[Finding]:

@@ -10,13 +10,13 @@ observable.  ``RandomUniformDelay`` draws its delays with ``uniform_draws``,
 which makes the same ``getrandbits`` calls as ``randint`` without its call
 layers: the same delays, and the generator left in the same state.
 
-Reset computes nothing, and takes no protocol: a state starts with every net
-at its ``net_init`` level, where a design's input rails rest at its protocol's
-spacer (the handshake harness refuses one that does not), and raises if any
-gate is excited there, which validation rules out for a valid netlist.  That
-state does not depend on the delays, so the compiled form builds it once
-(``CompiledNetlist.reset``), with its gate codes and its first excited gate;
-each state raises on that gate, or else copies its lists.
+The simulator runs only valid netlists: the compiled form is built from the
+validated netlist, so ``initialize``, ``SimState`` and ``Stimulus`` raise
+``ValidationError`` with ``validate``'s findings for any other.  A state
+starts, with no protocol, at every net's ``net_init`` level, where validation
+rules out an excited gate and a design's input rails rest at its protocol's
+spacer (the harness refuses one that does not).  The compiled form builds
+that state once (``CompiledNetlist.reset``), and each state copies its lists.
 
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
 fanout entries and drivers, the reset state, and the one ``NEXT_STATE`` table
@@ -99,7 +99,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .encoding import is_bit
-from .netlist import NEXT_STATE, GateKind, Netlist, first_excited
+from .netlist import NEXT_STATE, GateKind, Netlist
 
 
 class SimulationError(Exception):
@@ -107,8 +107,7 @@ class SimulationError(Exception):
 
 
 class InitializationError(SimulationError):
-    """The reset state (every net at its ``net_init`` level) has an excited
-    gate, or a harness's design does not rest at its protocol's spacer."""
+    """A harness's design does not rest at its protocol's spacer."""
 
 
 class NonQuiescenceError(SimulationError):
@@ -147,6 +146,17 @@ def uniform_draws(rng: random.Random, low: int, high: int, count: int) -> list[i
             r = getrandbits(k)
         out.append(low + r)
     return out
+
+
+def check_seed(seed: int, what: str = "seed") -> int:
+    """``seed``, if it is an int (no bool) of at least 0; else ``ValueError``.
+    ``random.Random`` seeds with ``abs(seed)``, so a negative seed would draw
+    exactly what its positive twin draws."""
+    if type(seed) is not int:
+        raise ValueError(f"{what} must be an int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"{what} must be >= 0, got {seed}")
+    return seed
 
 
 # --------------------------------------------------------------------------
@@ -200,19 +210,18 @@ def _check_delays(delays: Iterable[int]) -> None:
 @dataclass(frozen=True)
 class RandomUniformDelay:
     """Independent per-gate draws from [low, high], int bounds with
-    ``1 <= low <= high``, fixed by the seed, an int; neither is a bool."""
+    ``1 <= low <= high``, fixed by the seed, an int >= 0; none is a bool."""
 
     low: int
     high: int
     seed: int = 0
 
     def resolve(self, netlist: Netlist) -> list[int]:
-        low, high, seed = self.low, self.high, self.seed
+        low, high = self.low, self.high
         if type(low) is not int or type(high) is not int or not 1 <= low <= high:
             raise ValueError(f"bad delay range [{low!r}, {high!r}]")
-        if type(seed) is not int:
-            raise ValueError(f"delay seed must be an int, got {seed!r}")
-        return uniform_draws(random.Random(seed), low, high, len(netlist.gates))
+        rng = random.Random(check_seed(self.seed, "delay seed"))
+        return uniform_draws(rng, low, high, len(netlist.gates))
 
 
 DelayModel = UnitDelay | TableDelay | RandomUniformDelay
@@ -264,10 +273,11 @@ class Stimulus:
         for net, _ in items:
             if not isinstance(net, int):
                 raise StimulusError(f"net {net!r} is not environment-driven")
-        env = netlist.compiled.env
+        # on a valid netlist the input rails, and only they, map to the spare slot
+        driver, spare = netlist.compiled.driver, len(netlist.gates)
         codes = []
         for net, value in sorted(items):
-            if not 0 <= net < len(env) or not env[net]:
+            if not 0 <= net < len(driver) or driver[net] != spare:
                 raise StimulusError(f"net {net} is not environment-driven")
             if not is_bit(value):
                 raise StimulusError(f"net {net} assigned non-bit {value!r}")
@@ -316,13 +326,9 @@ class SimState:
         # every event is due one unit after its cause: settles run on the
         # per-step lists
         self._unit = delays.count(1) == len(delays)
-        # the reset state, which must be quiescent, copied from the compiled
-        # one: one code per gate, plus the spare slot input-rail commits flip
+        # the reset state, copied from the compiled one: one code per gate,
+        # plus the spare slot input-rail commits flip
         image = compiled.reset
-        g = image.excited
-        if g is not None:
-            raise InitializationError(f"reset state is not quiescent: "
-                                      f"gate {g} ({netlist.gates[g].kind.value}) is excited")
         self.values = image.values[:]
         self._code = image.code[:]
         self.now = 0
@@ -468,13 +474,14 @@ class SimState:
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""
-        # the spare slot is no gate
-        return max(self._pending, default=-1) < 0 and first_excited(self._code[:-1]) is None
+        # the spare slot is no gate; bit 5 (the pending flag) is no index bit
+        return (max(self._pending, default=-1) < 0
+                and all(NEXT_STATE[c & 31] == c & 1 for c in self._code[:-1]))
 
 
 def initialize(netlist: Netlist, delay_model: DelayModel = UnitDelay()) -> SimState:
     """Build the reset-state simulation at time zero: every net, input rails
-    included, at its ``net_init`` level.  That state must already be
-    quiescent; reset computes nothing, it only checks."""
+    included, at its ``net_init`` level.  The delays are resolved first, so a
+    bad delay table is reported before a :class:`ValidationError`."""
     return SimState(netlist, delay_model.resolve(netlist))
 

@@ -285,6 +285,18 @@ def test_orphan_scan_is_seed_deterministic():
     assert a == b
 
 
+def test_a_seed_is_an_int_of_at_least_zero():
+    """``random.Random`` seeds with ``abs(seed)``: a negative seed would draw
+    what its positive twin draws, so it is refused like a non-int one."""
+    netlist, oracle = strong_and2(Protocol.RTZ), COMPONENT_ORACLES["strong_and2"]
+    for seed, message in ((-5, "seed must be >= 0, got -5"), (1.0, "seed must be an int, got 1.0"),
+                          (True, "seed must be an int, got True")):
+        for run in (lambda: orphan_scan(netlist, Protocol.RTZ, oracle, trials=1, seed=seed),
+                    lambda: measure_latencies(netlist, Protocol.RTZ, seed=seed)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run()
+
+
 # ---------------------------------------------------------------------------
 # benchmark table
 

@@ -45,14 +45,20 @@ def test_build_and_verify_succeed(tmp_path):
     assert run_inproc("verify", "--n", "2") == 0
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
+    """Errors argparse finds, errors found after parsing and errors a
+    command raises all end in one ``qdilab <command>: error:`` line."""
     for argv in (["build", "--n", "1"],
+                 ["verify", "--n", "x"],
                  ["verify", "--component", "nosuch"],
                  ["bench", "--n", "2", "--delay", "pergate"],
                  ["fuzz", "--n", "2", "--trials", "0"]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1].startswith(f"qdilab {argv[0]}: error: "), argv
 
 
 def test_a_multiplier_too_wide_to_enumerate_is_refused_before_it_is_built(
@@ -69,7 +75,7 @@ def test_a_multiplier_too_wide_to_enumerate_is_refused_before_it_is_built(
             run_inproc(command, "--n", "9")
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(
-            f"error: 18 inputs is too wide for {purpose}\n")
+            f"qdilab {command}: error: 18 inputs is too wide for {purpose}\n")
 
 
 def test_classify_weak_exits_zero_and_reports(tmp_path, capsys):
@@ -280,6 +286,23 @@ def test_a_netlist_without_an_oracle_exits_2(tmp_path, capsys):
                 in capsys.readouterr().err
 
 
+def test_a_negative_seed_exits_2(tmp_path, capsys):
+    """A negative seed would draw what its positive twin draws; every
+    command that draws from it refuses it before writing anything."""
+    out = tmp_path / "r.json"
+    for argv, message in ((["fuzz", "--n", "2", "--trials", "1"], "seed must be >= 0, got -5"),
+                          (["scale", "--n", "2"], "seed must be >= 0, got -5"),
+                          (["verify", "--n", "2", "--delay", "random"],
+                           "delay seed must be >= 0, got -5")):
+        with pytest.raises(SystemExit) as exc:
+            run_inproc(*argv, "--seed", "-5", "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith(f"qdilab {argv[0]}: error: {message}\n")
+        assert not out.exists()
+
+
 def test_an_ignored_option_names_the_commands_that_read_it(capsys):
     for argv, message in ((["bench", "--component", "strong_and2"],
                            "--component is read only by build, export, verify, classify, "
@@ -475,8 +498,8 @@ def test_a_saved_netlist_runs_under_the_protocol_it_was_built_for(tmp_path, caps
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1
-        assert err.endswith("qdilab: error: design 'mult2x2_weak_fa_rto' is not built for rtz: "
-                            "input ports ['A0', 'A1', 'B0', 'B1', 'CC0', 'CC1'] do not rest "
+        assert err.endswith(f"qdilab {argv[0]}: error: design 'mult2x2_weak_fa_rto' is not "
+                            "built for rtz: input ports ['A0', 'A1', 'B0', 'B1', 'CC0', 'CC1'] do not rest "
                             "at its spacer level 0\n")
 
 
@@ -630,7 +653,7 @@ _BAD_FILES = ("missing.json", "junk.txt", "list.json")
 # (46,080 scenarios against 384 at 2x2)
 _VALUES = {
     **{key: (choices, ("nosuch",)) for key, choices in CHOICES.items()},
-    "n": (("2", "3"), ("1", "x")), "seed": (("0", "7", "-3"), ("x",)),
+    "n": (("2", "3"), ("1", "x")), "seed": (("0", "7"), ("-3", "x")),
     "trials": (("1", "3"), ("0", "x")), "transactions": (("1", "3"), ("-1",)),
     "delay_low": (("1", "3"), ("0",)), "delay_high": (("2", "16"), ("0", "x")),
     "delay_table": (("star.json",),
@@ -725,6 +748,6 @@ def test_the_cli_never_tracebacks(case):
                 code = exc.code
         assert code in (0, 1, 2), argv
         if code == 2:
-            # argparse names the subcommand in the errors it finds itself
-            assert re.fullmatch(r"qdilab( \w+)?: error: .+", err.getvalue().splitlines()[-1])
+            # every usage error, argparse's own or found later, names the command
+            assert re.fullmatch(rf"qdilab {command}: error: .+", err.getvalue().splitlines()[-1])
             assert {p.name: p.read_bytes() for p in d.iterdir()} == before, argv

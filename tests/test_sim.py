@@ -5,7 +5,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +15,9 @@ from qdilab.components import COMPONENTS, FA_VARIANTS, strong_and2
 from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
-from qdilab.netlist import KIND_CODE, NEXT_STATE, GateKind, NetlistBuilder
-from qdilab.sim import (HazardRecord, InitializationError, NonQuiescenceError,
+from qdilab.netlist import (KIND_CODE, NEXT_STATE, GateKind, NetlistBuilder, ValidationError,
+                            validate)
+from qdilab.sim import (HazardRecord, NonQuiescenceError,
                         RandomUniformDelay, SimState, Stimulus, StimulusError,
                         TableDelay, UnitDelay, initialize, uniform_draws)
 
@@ -59,9 +60,56 @@ def inconsistent_and2():
 
 
 def test_initialize_rejects_inconsistent_reset():
-    with pytest.raises(InitializationError, match=r"^reset state is not quiescent: "
-                       r"gate 0 \(AND2\) is excited$"):
+    with pytest.raises(ValidationError, match=r"^gate 0 \(AND2\) init 1 but inputs reset to 0$"):
         initialize(inconsistent_and2())
+
+
+def two_drivers():
+    """Two inverters wired onto one net, each consistent at reset: raising
+    and lowering ``X.rail1`` would leave the net at 0, where both drive 1,
+    record a hazard on an event of gate 0 already committed, and leave the
+    state not quiescent."""
+    b = NetlistBuilder("two drivers")
+    x = b.add_input_port("X")
+    net = b.new_net(init=1)
+    for rail in x.rails:
+        b.wire_gate(GateKind.INV, (rail,), net, init=1)
+    b.add_output_port("Z", net, x.rail0)
+    return b.build_unchecked()
+
+
+def dangling_input():
+    """An inverter reading a net past the last one."""
+    b = NetlistBuilder("dangling")
+    x = b.add_input_port("X")
+    net = b.new_net(init=1)
+    b.wire_gate(GateKind.INV, (net + 1,), net, init=1)
+    b.add_output_port("Z", net, x.rail0)
+    return b.build_unchecked()
+
+
+def float_level():
+    """``strong_and2`` with one input rail resting at the float 1.0."""
+    netlist = strong_and2(Protocol.RTZ)
+    return replace(netlist, net_init=(1.0, *netlist.net_init[1:]))
+
+
+@pytest.mark.parametrize("build", [two_drivers, dangling_input, float_level, inconsistent_and2])
+def test_the_simulator_runs_only_valid_netlists(build):
+    """``initialize`` and ``Stimulus`` raise ``validate``'s findings for an
+    invalid netlist, never another error or a silent run; a bad delay table
+    is still reported first."""
+    netlist = build()
+    findings = validate(netlist).findings
+    assert findings
+    rail = netlist.ports[0].rail1
+    for run in (lambda: initialize(netlist), lambda: Stimulus(netlist, {rail: 1})):
+        with pytest.raises(ValidationError) as exc:
+            run()
+        assert exc.value.findings == findings
+    gates = len(netlist.gates)
+    with pytest.raises(ValueError, match=rf"^delay table names gates \[{gates}\]"):
+        initialize(netlist, TableDelay({gates: 2}))
 
 
 def test_states_share_no_list_with_each_other_or_the_reset_image():
@@ -103,7 +151,7 @@ def test_a_failed_reset_raises_on_every_call():
     netlist = inconsistent_and2()
     messages = []
     for _ in range(2):
-        with pytest.raises(InitializationError) as exc:
+        with pytest.raises(ValidationError) as exc:
             initialize(netlist)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
@@ -199,7 +247,7 @@ def test_a_rejected_stimulus_batch_queues_nothing():
     another netlist is checked again, against this one."""
     netlist, x = wire_fixture()
     other, y = two_port_fixture()
-    assert not netlist.compiled.env[y.rail1]  # the wire fixture's gate output
+    assert y.rail1 == netlist.gates[0].output  # the wire fixture's gate output
     for batch in ({x.rail1: 1, 9999: 0}, Stimulus(other, {x.rail1: 1, y.rail1: 0})):
         state = initialize(netlist)
         values = state.values[:]
@@ -345,6 +393,9 @@ def test_random_delays_are_seed_deterministic():
     for seed in (None, 1.0, True, "3"):
         with pytest.raises(ValueError, match=re.escape(f"delay seed must be an int, got {seed!r}")):
             RandomUniformDelay(1, 16, seed).resolve(netlist)
+    # random.Random seeds with abs(seed): -1 would draw what 1 draws
+    with pytest.raises(ValueError, match=re.escape("delay seed must be >= 0, got -1")):
+        RandomUniformDelay(1, 16, -1).resolve(netlist)
     with pytest.raises(ValueError, match=re.escape("non-integer range [0, 1.5]")):
         uniform_draws(random.Random(0), 0, 1.5, 3)
 
@@ -404,8 +455,9 @@ def test_per_net_transition_parity_over_full_cycle(protocol):
     spacer = protocol.spacer_level
     state.apply_and_settle({x.rail1: active, y.rail1: active})
     state.apply_and_settle({x.rail1: spacer, y.rail1: spacer})
+    env = {r for p in netlist.input_ports + netlist.const_ports for r in p.rails}
     for net in range(netlist.net_count):
-        expected = spacer if netlist.compiled.env[net] else netlist.net_init[net]
+        expected = spacer if net in env else netlist.net_init[net]
         assert state.values[net] == expected
 
 
