@@ -33,22 +33,15 @@ CHOICES = {"protocol": ("rtz", "rto"), "fa": tuple(sorted(FA_VARIANTS)),
            "component": tuple(sorted(COMPONENTS))}
 # vectors measured per design by `scale` once a width is too wide to exhaust
 SCALE_SAMPLES = 64
-# the commands that read each option some command would otherwise ignore
-_TARGET_READERS = ("build", "export", "verify", "classify", "fuzz")
-_DELAY_READERS = ("verify", "bench", "scale", "classify")  # the --delay model
-_DRAW_READERS = ("fuzz", *_DELAY_READERS)  # --seed and the random delay range
-READERS = {"trace": ("verify",), "dot": ("build", "export"),
-           "netlist": _TARGET_READERS, "component": _TARGET_READERS, "fa": _TARGET_READERS,
-           "protocol": (*_TARGET_READERS, "scale"), "seed": _DRAW_READERS,
-           "trials": ("fuzz",), "transactions": ("fuzz",), "weights": ("build", "bench"),
-           "delay": _DELAY_READERS, "delay_table": _DELAY_READERS,
-           "delay_low": _DRAW_READERS, "delay_high": _DRAW_READERS}
-# the --delay models that read each option of a --delay reader
-MODEL_READERS = {"delay_table": ("perkind", "pergate"), "delay_low": ("random",),
-                 "delay_high": ("random",)}
-# the options that pick a circuit, each ignored beside the ones after it
-TARGET_PICKS = {"n": ("component", "netlist"), "fa": ("component", "netlist"),
-                "component": ("netlist",)}
+# what each command reads whatever else is given, --config and --out aside
+_CIRCUIT = ("netlist", "component", "n", "fa", "protocol")
+READS = {"build": (*_CIRCUIT, "weights", "dot"), "export": (*_CIRCUIT, "dot"),
+         "verify": (*_CIRCUIT, "delay", "trace"), "bench": ("n", "delay", "weights"),
+         "scale": ("n", "protocol", "delay", "seed"), "classify": (*_CIRCUIT, "delay"),
+         "fuzz": (*_CIRCUIT, "seed", "trials", "transactions", "delay_low", "delay_high")}
+# what each --delay model adds for a command that reads --delay
+MODEL_READS = {"unit": (), "perkind": ("delay_table",), "pergate": ("delay_table",),
+               "random": ("seed", "delay_low", "delay_high")}
 
 
 @dataclass(frozen=True)
@@ -69,9 +62,6 @@ class CliConfig:
     out: str | None = None
     dot: str | None = None
     trace: str | None = None
-
-    def echo(self) -> dict:
-        return asdict(self)
 
 
 _INT_KEYS = {k for k, t in get_type_hints(CliConfig).items() if t is int}
@@ -139,6 +129,34 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_reads(command: str, delay: str, given) -> set[str]:
+    """What ``command`` under ``--delay delay`` reads beside the ``given``
+    options: a saved netlist hides the other circuit picks, and the protocol of
+    build and export, which only generate; a library block hides --n and --fa."""
+    reads = {"out", *READS[command], *(MODEL_READS[delay] if "delay" in READS[command] else ())}
+    if "netlist" in given & reads:
+        reads -= {"component", "n", "fa", *(["protocol"] if command in ("build", "export") else [])}
+    elif "component" in given & reads:
+        reads -= {"n", "fa"}
+    return reads
+
+
+def _ignored(key: str, command: str, delay: str, given) -> str:
+    """The usage error of a run of ``command`` given ``key``, which it does not read."""
+    flag = f"--{key.replace('_', '-')}"
+    if key in run_reads(command, delay, set()):  # a circuit pick hides it
+        pick = "netlist" if "netlist" in given else "component"
+        return f"{flag} picks the circuit too; {command} --{pick} would ignore it"
+    always = [c for c, keys in READS.items() if key in keys]
+    models = [m for m, keys in MODEL_READS.items() if key in keys]
+    if models and "delay" in READS[command]:  # the delay model is what ignores it
+        readers = " and by ".join(filter(None, (", ".join(always),
+                                                f"--delay {' and '.join(models)}")))
+        return f"{flag} is read only by {readers}; {command} --delay {delay} would ignore it"
+    readers = [c for c, keys in READS.items() if c in always or models and "delay" in keys]
+    return f"{flag} is read only by {', '.join(readers)}; {command} would ignore it"
+
+
 def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CliConfig:
     config = CliConfig()
     from_file: dict = {}
@@ -152,30 +170,16 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
                  if getattr(args, f.name, None) is not None}
     config = replace(config, **overrides)
     given = from_file.keys() | overrides.keys()  # a default is not given
-    if config.n < 2:
-        parser.error(f"--n must be >= 2, got {config.n}")
+    for key, least in (("n", 2), ("trials", 1), ("transactions", 1)):
+        if getattr(config, key) < least:
+            parser.error(f"--{key} must be >= {least}, got {getattr(config, key)}")
     for key, allowed in CHOICES.items():
         value = getattr(config, key)
         if value is not None and value not in allowed:
             parser.error(f"unknown {key} {value!r}")
-    for key in ("trials", "transactions"):
-        if getattr(config, key) < 1:
-            parser.error(f"--{key} must be >= 1")
-    for key, commands in READERS.items():
-        if key in given and args.command not in commands:
-            parser.error(f"--{key.replace('_', '-')} is read only by {', '.join(commands)}; "
-                         f"{args.command} would ignore it")
-    for key, models in MODEL_READERS.items():
-        if key in given and args.command in _DELAY_READERS and config.delay not in models:
-            readers = [c for c in READERS[key] if c not in _DELAY_READERS]
-            readers.append(f"--delay {' and '.join(models)}")
-            parser.error(f"--{key.replace('_', '-')} is read only by {' and by '.join(readers)}; "
-                         f"{args.command} --delay {config.delay} would ignore it")
-    for key, targets in TARGET_PICKS.items():
-        for target in targets:
-            if key in given and target in given:
-                parser.error(f"--{key} picks the circuit too; {args.command} --{target} "
-                             "would ignore it")
+    reads = run_reads(args.command, config.delay, given)
+    for key in (f.name for f in fields(CliConfig) if f.name in given - reads):
+        parser.error(_ignored(key, args.command, config.delay, given))
     for path in filter(None, (config.out, config.dot, config.trace)):  # before any is written
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             parser.error(f"output {path!r} is not a file in an existing directory")
@@ -236,9 +240,8 @@ def _oracle_for(netlist: Netlist):
                          f"string component, got n={n!r}, component={component!r}")
     oracle = product_oracle(n) if n is not None else COMPONENT_ORACLES.get(component)
     if oracle is None:
-        raise ValueError(
-            f"no reference oracle for netlist {netlist.name!r}; "
-            "verify/fuzz need one to judge outputs")
+        raise ValueError(f"no reference oracle for netlist {netlist.name!r}; "
+                         "verify/fuzz need one to judge outputs")
     try:
         expected = oracle({p.name: 0 for p in netlist.input_ports})
     except KeyError as e:
@@ -255,7 +258,7 @@ def write_report(config: CliConfig, payload: dict, path: str | Path | None = Non
     default ``--out``; without either, write nothing."""
     path = path or config.out
     if path:
-        payload = {"config": config.echo(), **payload}
+        payload = {"config": asdict(config), **payload}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -321,12 +324,10 @@ def cmd_verify(config: CliConfig) -> int:
     protocol = Protocol(config.protocol)
     oracle = _oracle_for(netlist)
     tracer = _Tracer(config.trace) if config.trace else None
+    mark = (lambda v: tracer.mark(f"vector {sorted(v.items())}")) if tracer else None
     try:
-        report = exhaustive_verify(
-            netlist, protocol, oracle, delay_model(config),
-            trace=tracer,
-            on_vector=(lambda v: tracer.mark(f"vector {sorted(v.items())}"))
-            if tracer else None)
+        report = exhaustive_verify(netlist, protocol, oracle, delay_model(config),
+                                   trace=tracer, on_vector=mark)
     finally:
         if tracer:
             tracer.close()
@@ -368,8 +369,7 @@ def cmd_bench(config: CliConfig) -> int:
         print(f"{r.design:<22} {r.protocol:<5} {r.cycle_units:>5} {r.area_proxy:>8.1f} "
               f"{r.transitions_per_cycle:>9.2f} {r.pctp_norm:>6.3f}")
     if config.out:
-        out = Path(config.out)
-        csv_path = out if out.suffix == ".csv" else out.with_suffix(".csv")
+        csv_path = Path(config.out).with_suffix(".csv")
         json_path = csv_path.with_suffix(".json")
         csv_path.write_text(bench_to_csv(rows))
         write_report(config, {"rows": [asdict(r) for r in rows]}, json_path)
@@ -447,7 +447,6 @@ def main(argv: list[str] | None = None) -> int:
         return commands[args.command](config)
     except (NetlistError, InitializationError, ValueError, OSError) as e:
         parser.error(str(e))
-        return 2  # unreachable; parser.error exits
 
 
 def entry() -> None:

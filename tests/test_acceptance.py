@@ -173,7 +173,7 @@ def test_criterion_7_benchmark_orders_designs():
 def test_criterion_8_deterministic_reports(tmp_path):
     """Re-running the CLI with one configuration reproduces identical bytes."""
     jobs = [
-        ("classify", "--component", "weak_fa", "--seed", "3"),
+        ("classify", "--component", "weak_fa", "--delay", "random", "--seed", "3"),
         ("fuzz", "--n", "2", "--trials", "20", "--transactions", "3"),
         ("bench", "--n", "2"),
     ]

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdilab.analysis import exhaustive_verify, worst_case
-from qdilab.cli import CHOICES, MODEL_READERS, READERS, CliConfig, load_config_file, main
+from qdilab.cli import (CHOICES, MODEL_READS, READS, CliConfig, load_config_file, main,
+                        run_reads)
 from qdilab.components import emit_strong_and2, strong_and2
 from qdilab.encoding import Protocol
 from qdilab.multiplier import MultiplierSpec, array_multiplier, product_oracle
@@ -303,7 +304,17 @@ def test_a_negative_seed_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_an_ignored_option_names_the_commands_that_read_it(capsys):
+def test_an_ignored_option_names_the_commands_that_read_it(tmp_path, capsys):
+    """One error line names the commands (or delay models) that read the
+    option, and nothing is written, whether it came as a flag or a config
+    line."""
+    saved = tmp_path / "m.json"
+    saved.write_text(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
+    seeded = tmp_path / "seed.cfg"
+    seeded.write_text("seed = 7\n")
+    out = tmp_path / "r.json"
+    seed_ignored = ("--seed is read only by scale, fuzz and by --delay random; "
+                    "{} --delay unit would ignore it")
     for argv, message in ((["bench", "--component", "strong_and2"],
                            "--component is read only by build, export, verify, classify, "
                            "fuzz; bench would ignore it"),
@@ -319,10 +330,43 @@ def test_an_ignored_option_names_the_commands_that_read_it(capsys):
                            "--delay-low is read only by fuzz and by --delay random; "
                            "verify --delay unit would ignore it"),
                           (["classify", "--component", "weak_fa", "--n", "3"],
-                           "--n picks the circuit too; classify --component would ignore it")):
-        with pytest.raises(SystemExit):
-            run_inproc(*argv)
-        assert message in capsys.readouterr().err
+                           "--n picks the circuit too; classify --component would ignore it"),
+                          (["verify", "--n", "2", "--seed", "-5"], seed_ignored.format("verify")),
+                          (["bench", "--n", "2", "--seed", "9"], seed_ignored.format("bench")),
+                          (["classify", "--component", "weak_fa", "--seed", "9"],
+                           seed_ignored.format("classify")),
+                          (["classify", "--component", "weak_fa", "--config", str(seeded)],
+                           seed_ignored.format("classify")),
+                          (["verify", "--n", "2", "--delay", "perkind", "--seed", "9"],
+                           "--seed is read only by scale, fuzz and by --delay random; "
+                           "verify --delay perkind would ignore it"),
+                          (["build", "--n", "2", "--seed", "9"],
+                           "--seed is read only by verify, bench, scale, classify, fuzz; "
+                           "build would ignore it"),
+                          *(([cmd, "--netlist", str(saved), "--protocol", protocol],
+                             f"--protocol picks the circuit too; {cmd} --netlist would ignore it")
+                            for cmd in ("build", "export") for protocol in ("rtz", "rto"))):
+        with pytest.raises(SystemExit) as exc:
+            run_inproc(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith(f"qdilab {argv[0]}: error: {message}\n"), argv
+        assert not out.exists()
+
+
+def test_an_option_read_at_any_delay_or_beside_a_saved_netlist_runs(tmp_path):
+    """``scale`` and ``fuzz`` read --seed at every delay, a --delay reader
+    reads it under --delay random, and a simulating command reads --protocol
+    beside a saved netlist, as the protocol to run it under."""
+    saved = tmp_path / "m.json"
+    saved.write_text(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
+    for argv in (["scale", "--n", "2", "--seed", "5"],
+                 ["fuzz", "--n", "2", "--trials", "1", "--seed", "5"],
+                 ["verify", "--n", "2", "--delay", "random", "--seed", "5"],
+                 ["verify", "--netlist", str(saved), "--protocol", "rtz"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_inproc(*argv) == 0, argv
 
 
 def _sabotaged_doc():
@@ -398,11 +442,12 @@ def test_config_file_and_flag_precedence(tmp_path):
     values = load_config_file(str(cfg))
     assert values == {"protocol": "rto", "seed": 9}
     out_a = tmp_path / "a.json"
-    assert run_inproc("classify", "--component", "weak_fa", "--config",
+    # classify reads the seed under random delays only
+    assert run_inproc("classify", "--component", "weak_fa", "--delay", "random", "--config",
                       str(cfg), "--out", str(out_a)) == 0
     assert json.loads(out_a.read_text())["protocol"] == "rto"
     out_b = tmp_path / "b.json"
-    assert run_inproc("classify", "--component", "weak_fa", "--config",
+    assert run_inproc("classify", "--component", "weak_fa", "--delay", "random", "--config",
                       str(cfg), "--protocol", "rtz", "--out", str(out_b)) == 0
     assert json.loads(out_b.read_text())["protocol"] == "rtz"
 
@@ -689,19 +734,20 @@ def command_lines(draw):
         options[key] = draw(st.sampled_from(bad if rarely() else good)), draw(st.booleans())
 
     command = draw(st.sampled_from(_COMMANDS))
-    reads = [key for key in _VALUES if command in READERS.get(key, (command,))]
-    # the delay options that --delay picks are drawn with it
-    modelled = MODEL_READERS if "delay" in reads else {}
     options: dict = {}
-    for key in reads:
-        if key not in (*_TARGETS, *modelled) and draw(st.integers(0, 2)) == 0:
-            give(key)
-    delay = options.get("delay", ("unit",))[0]
-    for key, models in modelled.items():
-        if delay in models and not rarely():
-            give(key, _TABLE_FOR.get(delay))
-    target = draw(st.sampled_from([key for key in ("n", "component", "netlist") if key in reads]))
+    target = draw(st.sampled_from([key for key in ("n", "component", "netlist")
+                                   if key in READS[command]]))
     give(target)
+    # what the command reads beside its circuit, whatever the delay model
+    reads = [key for key in _VALUES if key in run_reads(command, "unit", {target})]
+    for key in reads:
+        if key not in _TARGETS and draw(st.integers(0, 2)) == 0:
+            give(key)
+    # the delay options that --delay picks are drawn with it
+    delay = options.get("delay", ("unit",))[0]
+    for key in MODEL_READS.get(delay, ()) if "delay" in reads else ():
+        if key not in reads and not rarely():
+            give(key, _TABLE_FOR.get(delay))
     if "fa" in reads and target == "n" and draw(st.booleans()):
         give("fa")
     if command == "fuzz":

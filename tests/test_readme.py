@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import qdilab
-from qdilab.cli import MODEL_READERS, READERS
+from qdilab.cli import MODEL_READS, READS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,12 +47,17 @@ def test_library_tour_names_only_what_exists():
 
 def test_option_tables_name_the_commands_that_read_each_option():
     """The two ``| option | read by |`` tables give each option exactly the
-    readers that ``cli.READERS`` and ``cli.MODEL_READERS`` give it; text in
-    parentheses is a note, not a reader."""
+    commands whose ``cli.READS`` hold it, unless every command does, and the
+    delay models whose ``cli.MODEL_READS`` hold it; text in parentheses is a
+    note, not a reader."""
     tables = re.findall(r"^\| option \| read by \|\n\|[- |]+\|\n((?:\|.*\|\n)+)",
                         README.read_text(), re.M)
     assert len(tables) == 2
-    for table, readers in zip(tables, (READERS, MODEL_READERS)):
+    commands, models = ({key: {name for name, keys in table.items() if key in keys}
+                         for keys in table.values() for key in keys}
+                        for table in (READS, MODEL_READS))
+    commands = {key: names for key, names in commands.items() if names != READS.keys()}
+    for table, readers in zip(tables, (commands, models)):
         documented = {}
         for options, read_by in re.findall(r"^\| (.*) \| (.*) \|$", table, re.M):
             read_by = re.sub(r"\([^)]*\)", "", read_by)
