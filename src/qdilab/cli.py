@@ -180,10 +180,24 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
     reads = run_reads(args.command, config.delay, given)
     for key in (f.name for f in fields(CliConfig) if f.name in given - reads):
         parser.error(_ignored(key, args.command, config.delay, given))
-    for path in filter(None, (config.out, config.dot, config.trace)):  # before any is written
+    written = output_paths(args.command, config)
+    for i, path in enumerate(written):  # before any is written
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             parser.error(f"output {path!r} is not a file in an existing directory")
+        if Path(path).resolve() in [Path(p).resolve() for p in written[:i]]:
+            parser.error(f"two outputs name one file, {path!r}")
     return config
+
+
+def output_paths(command: str, config: CliConfig) -> list[str]:
+    """The files a run of ``command`` writes: bench a CSV and a JSON named
+    after --out (a directory names no file, and is left as given), any
+    other command each of --out, --dot and --trace given."""
+    named = [p for p in (config.out, config.dot, config.trace) if p]
+    if command != "bench" or not named or Path(named[0]).is_dir():
+        return named
+    csv_path = Path(named[0]).with_suffix(".csv")
+    return [str(csv_path), str(csv_path.with_suffix(".json"))]
 
 
 def delay_model(config: CliConfig):
@@ -369,9 +383,8 @@ def cmd_bench(config: CliConfig) -> int:
         print(f"{r.design:<22} {r.protocol:<5} {r.cycle_units:>5} {r.area_proxy:>8.1f} "
               f"{r.transitions_per_cycle:>9.2f} {r.pctp_norm:>6.3f}")
     if config.out:
-        csv_path = Path(config.out).with_suffix(".csv")
-        json_path = csv_path.with_suffix(".json")
-        csv_path.write_text(bench_to_csv(rows))
+        csv_path, json_path = output_paths("bench", config)
+        Path(csv_path).write_text(bench_to_csv(rows))
         write_report(config, {"rows": [asdict(r) for r in rows]}, json_path)
         print(f"wrote {csv_path} and {json_path}")
     return 0 if len(rows) == 2 * len(designs) else 1

@@ -24,7 +24,7 @@ from .sim import (DelayModel, HazardRecord, InitializationError, SimState, Stimu
 
 class TransactionError(Exception):
     """A transaction broke the handshake contract (incomplete outputs, an
-    illegal codeword, a datapath hazard, or a wrong acknowledge level)."""
+    illegal codeword, a datapath hazard, or values a phase does not read)."""
 
 
 def build_completion_detector(builder: NetlistBuilder, ports: Sequence[DualRailPort],
@@ -134,7 +134,6 @@ class HandshakeHarness:
         # built once and checked once: each input's data stimuli keyed by
         # bit, and its spacer stimulus, the constants per phase, the return
         # phase's one simultaneous batch, and each phase's target rail pairs
-        # and acknowledge level
         words = (encode(protocol, 0), encode(protocol, 1), spacer_rails(protocol))
         netlist = self.netlist
         self._stimuli = {p.name: {bit: Stimulus(netlist, dict(zip(p.rails, words[bit])))
@@ -148,13 +147,13 @@ class HandshakeHarness:
                                          for r, v in zip(p.rails, words[2])}),
         }
         self._return_batch = Stimulus.join([self._const["return"], *self._spacer.values()])
-        self._targets = {"data": (set(words[:2]), protocol.active_level),
-                         "return": ({words[2]}, protocol.spacer_level)}
+        self._targets = {"data": set(words[:2]), "return": {words[2]}}
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
         return initialize(self.netlist, delay_model)
 
     def decode_outputs(self, state: SimState) -> dict[str, int]:
+        self._refuse_foreign(state)
         values, spacer = state.values, self._spacer_level  # by decode's rule
         out = {}
         for p in self.outputs:
@@ -187,9 +186,13 @@ class HandshakeHarness:
             try:
                 rails = {name: words[index(values[name])]
                          for name, words in self._stimuli.items()}
+                if len(values) != len(rails):
+                    raise KeyError  # a value for what is not an input
             except (KeyError, TypeError):
                 self._reject(values)
                 raise
+        elif values:
+            raise TransactionError(f"return phase reads no input values, got {dict(values)}")
         elif order is None:
             return [self._return_batch]
         else:
@@ -216,14 +219,17 @@ class HandshakeHarness:
 
     def _reject(self, values: Mapping[str, int] | None) -> None:
         """Raise the error for data-phase ``values`` that the stimulus lookup
-        refused: no values, then missing inputs, then the first value that
-        is not an integer 0 or 1 (a bool is the int it equals, and a float
-        is refused)."""
+        refused: no values, then missing inputs, then names that are not
+        inputs, then the first value that is not an integer 0 or 1 (a bool is
+        the int it equals, and a float is refused)."""
         if values is None:
             raise TransactionError("data phase needs input values")
         missing = [p.name for p in self.inputs if p.name not in values]
         if missing:
             raise TransactionError(f"missing values for inputs {missing}")
+        unknown = [name for name in values if name not in self._stimuli]
+        if unknown:
+            raise TransactionError(f"values for unknown inputs {unknown}")
         for name, words in self._stimuli.items():
             bit = values[name]
             try:
@@ -242,14 +248,15 @@ class HandshakeHarness:
         from their phase-start values are recorded in ``early``; the scan is
         skipped while no output rail has committed an event in the phase,
         since every output then still holds its phase-start value.
-        Raises :class:`TransactionError` on another netlist's state, an arrival
-        order that repeats, misses or names an unknown input, incomplete or
-        illegal outputs, a datapath hazard, or a wrong final acknowledge level.
+        Raises :class:`TransactionError` on another netlist's state, values
+        the phase does not read or missing inputs, an arrival order that
+        repeats, misses or names an unknown input, incomplete or illegal
+        outputs, or a datapath hazard.
         """
         if state.netlist is not self.netlist:
             self._refuse_foreign(state)
         try:
-            targets, ack_expect = self._targets[phase]
+            targets = self._targets[phase]
         except KeyError:
             raise ValueError(f"unknown phase {phase!r}") from None
 
@@ -306,10 +313,6 @@ class HandshakeHarness:
         if last_move is None or not targets.issuperset(_pairs(rails)):
             off = [p.name for p, pair in zip(self.outputs, _pairs(rails)) if pair not in targets]
             raise TransactionError(f"{phase} phase left outputs incomplete: {off}")
-        ack = values_arr[self.ackout]
-        if ack != ack_expect or values_arr[self.ackin] != ack_expect ^ 1:
-            raise TransactionError(
-                f"acknowledge level wrong after {phase} phase: ackout={ack}")
         return PhaseReport(phase, last_move - t0, state.transitions - tr0,
                            last_move, last_datapath, early, hazards)
 
@@ -317,7 +320,7 @@ class HandshakeHarness:
 
     def run_transaction(self, state: SimState, values: Mapping[str, int]) -> TransactionResult:
         """One complete handshake: data phase then return phase, both settled
-        through the closed loop (completion detector and acknowledge checked)."""
+        through the closed loop, completion detector included."""
         self._refuse_foreign(state)
         rails, spacer = state.values, self._spacer_level
         for p in self.inputs:

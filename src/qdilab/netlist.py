@@ -172,15 +172,6 @@ class Netlist:
         return self
 
 
-class ResetImage(NamedTuple):
-    """A compiled netlist's reset state: every net at its ``net_init`` level,
-    and every gate's code followed by the spare slot's 0.  Validation holds
-    each gate's init to its inputs' reset levels, so no gate is excited."""
-
-    values: list[int]
-    code: list[int]
-
-
 class CompiledNetlist:
     """A valid netlist flattened into per-gate and per-net arrays.
 
@@ -198,10 +189,12 @@ class CompiledNetlist:
     position, which is their id.
     ``out_key[g]`` is ``o << 1``, the output net's part of an event key,
     into which each simulation state ORs the gate's shifted delay.
-    ``reset`` is the reset state, which every simulation state copies.
+    ``values`` and ``code`` are the reset state, which every simulation
+    state copies: each net's ``net_init`` level, and each gate's code then
+    the spare slot's 0.
     """
 
-    __slots__ = ("out_key", "fanout", "driver", "reset")
+    __slots__ = ("out_key", "fanout", "driver", "values", "code")
 
     def __init__(self, netlist: Netlist):
         gates, values = netlist.gates, list(netlist.net_init)
@@ -219,7 +212,7 @@ class CompiledNetlist:
             self.driver[o] = i
             code.append(KIND_CODE[kind] << 3 | values[a] << 2 | values[b] << 1 | values[o])
         self.fanout = [tuple(f) for f in fanout]
-        self.reset = ResetImage(values, code + [0])
+        self.values, self.code = values, code + [0]
 
 
 def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> list[Finding]:
@@ -676,21 +669,11 @@ def from_json(text: str) -> Netlist:
         raise FormatError(f"net_count {net_count} outside 0..{drivers}, the "
                           "number of gate outputs and input rails")
 
-    net_init = [0] * net_count
-    for p, init in ports:
-        if p.direction == "input":
-            for rail in p.rails:
-                if not 0 <= rail < net_count:
-                    raise FormatError(f"port {p.name} references dangling net {rail}")
-                net_init[rail] = init
-    for gid, (g, init) in enumerate(gates):
-        for net in (*g.inputs, g.output):
-            if not 0 <= net < net_count:
-                raise FormatError(f"gate {gid} references dangling net {net}")
-        net_init[g.output] = init
-
+    # each driver's level; validate judges the nets out of range
+    level = {rail: init for p, init in ports if p.direction == "input" for rail in p.rails}
+    level.update((g.output, init) for g, init in gates)
     return Netlist(name, tuple(g for g, _ in gates), tuple(p for p, _ in ports),
-                   tuple(net_init), meta).validated()
+                   tuple(level.get(net, 0) for net in range(net_count)), meta).validated()
 
 
 def _quoted(text: str) -> str:

@@ -16,7 +16,8 @@ validated netlist, so ``initialize``, ``SimState`` and ``Stimulus`` raise
 starts, with no protocol, at every net's ``net_init`` level, where validation
 rules out an excited gate and a design's input rails rest at its protocol's
 spacer (the harness refuses one that does not).  The compiled form builds
-that state once (``CompiledNetlist.reset``), and each state copies its lists.
+that state once, as ``CompiledNetlist.values`` and ``code``, which each
+state copies.
 
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
 fanout entries and drivers, the reset state, and the one ``NEXT_STATE`` table
@@ -25,8 +26,8 @@ of gate functions).  It is built the first time a state or a
 shared by every later state over the same netlist.
 
 Each gate's ``NEXT_STATE`` index, its *code* ``kind | a << 2 | b << 1 |
-cur``, is kept by the state in ``_code``, copied from the reset image at
-construction, with bit 5 (32) set while the gate's output has an event
+cur``, is kept by the state in ``_code``, copied from the compiled ``code``
+at construction, with bit 5 (32) set while the gate's output has an event
 pending.  Every commit flips its net's value, so it XORs each fanout entry's
 mask into the code of the gate reading it, and 33 into the code of the net's
 driver (flip ``cur``, clear the pending flag).  A gate's next value is then
@@ -328,9 +329,8 @@ class SimState:
         self._unit = delays.count(1) == len(delays)
         # the reset state, copied from the compiled one: one code per gate,
         # plus the spare slot input-rail commits flip
-        image = compiled.reset
-        self.values = image.values[:]
-        self._code = image.code[:]
+        self.values = compiled.values[:]
+        self._code = compiled.code[:]
         self.now = 0
         self.transitions = 0
         self.datapath_nets = 0

@@ -530,6 +530,36 @@ def test_a_verify_that_exits_2_leaves_an_existing_trace_alone(tmp_path):
         assert trace.read_text() == "time,net,value\n0,1,1\n"
 
 
+def test_every_file_a_run_writes_is_judged_before_it_runs(tmp_path, capsys):
+    """A run exits 2, printing and writing nothing, when a file it would
+    write is a directory (bench's JSON beside its CSV included) or when two
+    of its outputs are one file, by name or through a link; a saved
+    netlist read and rewritten in place still runs."""
+    (tmp_path / "r.json").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path)
+    saved = tmp_path / "m.json"
+    assert run_inproc("build", "--n", "2", "--out", str(saved)) == 0
+    capsys.readouterr()
+    same, linked, a = (str(tmp_path / name) for name in ("same.txt", "link/same.txt", "a.json"))
+    for argv, message in (
+            (["bench", "--out", str(tmp_path / "r.csv")],
+             f"output {str(tmp_path / 'r.json')!r} is not a file in an existing directory"),
+            (["verify", "--out", same, "--trace", same], f"two outputs name one file, {same!r}"),
+            (["verify", "--out", same, "--trace", linked],
+             f"two outputs name one file, {linked!r}"),
+            (["build", "--out", a, "--dot", a], f"two outputs name one file, {a!r}")):
+        before = {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(SystemExit) as exc:
+            run_inproc(*argv, "--n", "2")
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"qdilab {argv[0]}: error: {message}\n"), argv
+        assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
+    text = saved.read_text()
+    assert run_inproc("export", "--netlist", str(saved), "--out", str(saved)) == 0
+    assert saved.read_text() == text
+
+
 def test_a_saved_netlist_runs_under_the_protocol_it_was_built_for(tmp_path, capsys):
     """A saved RTO multiplier runs with ``--protocol rto``; without it each
     simulating command exits 2 with one error line naming the design."""

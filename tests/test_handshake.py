@@ -249,14 +249,16 @@ def test_transaction_requires_spacer_start():
 
 def test_a_harness_refuses_a_state_it_did_not_build():
     """A state over the bare design (or any netlist that is not the
-    harness's) is refused before any settle, naming both netlists; a state
-    from a second harness over the same base is structurally the same."""
+    harness's) is refused before any settle or output read, naming both
+    netlists; a state from a second harness over the same base is
+    structurally the same."""
     base = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
     harness = HandshakeHarness(base, Protocol.RTZ)
     message = r"^state simulates 'mult2x2_weak_fa_rtz', not 'mult2x2_weak_fa_rtz\+cd'$"
     for run in (lambda s: harness.run_transaction(s, input_vector(2, 3, 2)),
                 lambda s: harness.run_phase(s, "data", input_vector(2, 3, 2)),
-                lambda s: harness.run_phase(s, "return")):
+                lambda s: harness.run_phase(s, "return"),
+                lambda s: harness.decode_outputs(s)):
         state = initialize(base)
         before = list(state.values)
         with pytest.raises(TransactionError, match=message):
@@ -317,6 +319,33 @@ def test_data_phase_requires_all_inputs():
         harness.run_phase(state, "data", None)
     with pytest.raises(TransactionError, match=r"missing values for inputs \['Y'\]"):
         harness.run_phase(state, "data", {"X": 1.0})  # reported before the bad bit
+
+
+def test_a_phase_refuses_values_it_does_not_read():
+    """A return phase takes no values, and a data phase no value for what is
+    not an input (a constant port included); both raise before any rail
+    moves.  Missing inputs are named before unknown names, and unknown
+    names before a bad bit."""
+    harness = HandshakeHarness(strong_and2(Protocol.RTZ), Protocol.RTZ)
+    state = harness.initialize()
+    before = list(state.values)
+    with pytest.raises(TransactionError, match=r"^return phase reads no input values, "
+                                               r"got \{'X': 0, 'junk': 5\}$"):
+        harness.run_phase(state, "return", {"X": 0, "junk": 5})
+    for run in (lambda v: harness.run_transaction(state, v),
+                lambda v: harness.run_phase(state, "data", v),
+                lambda v: harness.run_phase(state, "data", v, order=[["X", "Y"]])):
+        with pytest.raises(TransactionError, match=r"^values for unknown inputs \['Q'\]$"):
+            run({"X": 1, "Y": 1, "Q": 7})
+        with pytest.raises(TransactionError, match=r"^values for unknown inputs \['Q'\]$"):
+            run({"X": 1, "Y": 2.5, "Q": 7})  # before the bad bit
+        with pytest.raises(TransactionError, match=r"^missing values for inputs \['Y'\]$"):
+            run({"X": 1, "Q": 7})
+    assert state.values == before and state.now == 0
+    mult = HandshakeHarness(array_multiplier(MultiplierSpec(2, Protocol.RTZ)), Protocol.RTZ)
+    assert [p.name for p in mult.consts] == ["CC0", "CC1"]
+    with pytest.raises(TransactionError, match=r"^values for unknown inputs \['CC0'\]$"):
+        mult.run_transaction(mult.initialize(), {**input_vector(2, 3, 2), "CC0": 0})
 
 
 def test_a_bool_data_value_is_the_bit_it_equals():

@@ -578,7 +578,7 @@ def test_from_json_rejects_malformed():
         from_json(json.dumps(doc))
     doc = json.loads(to_json(build_sample()))
     doc["gates"][0]["inputs"] = [99]
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError):  # a net out of range is validate's finding
         from_json(json.dumps(doc))
     # dict() would read a list of pairs as an object
     doc = json.loads(to_json(build_sample()))
@@ -586,6 +586,25 @@ def test_from_json_rejects_malformed():
         doc["meta"] = meta
         with pytest.raises(FormatError, match=f"^meta must be an object, got {re.escape(shown)}$"):
             from_json(json.dumps(doc))
+
+
+def test_from_json_leaves_nets_out_of_range_to_validate():
+    """A document that names a net out of range loads up to validation,
+    which raises every finding ``validate`` makes of the same netlist built
+    directly, not only the first bad net."""
+    sample = build_sample()  # 7 nets
+    gates, ports = sample.gates, sample.ports
+    moved = lambda name, **rails: tuple(replace(p, **rails) if p.name == name else p
+                                        for p in ports)
+    for bad in (replace(sample, gates=(gates[0]._replace(inputs=(99,)), *gates[1:])),
+                replace(sample, gates=(*gates[:2], gates[2]._replace(output=-1))),
+                replace(sample, ports=moved("X", rail0=7)),
+                replace(sample, ports=moved("Z", rail1=7, rail0=12))):
+        findings = validate(bad).findings
+        assert "net-range" in {f.code for f in findings}
+        with pytest.raises(ValidationError) as exc:
+            from_json(to_json(bad))
+        assert exc.value.findings == findings
 
 
 def test_from_json_wraps_malformed_entries():

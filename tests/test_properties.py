@@ -1,6 +1,7 @@
 """Properties every design and delay model must keep: protocol duality (an
-RTO netlist is its RTZ twin complemented) and delay scaling (multiplying
-every gate delay by k multiplies every event time by k)."""
+RTO netlist is its RTZ twin complemented), delay scaling (multiplying
+every gate delay by k multiplies every event time by k), and a completed
+phase leaving the acknowledge at its phase's level."""
 
 from dataclasses import asdict, replace
 
@@ -147,3 +148,32 @@ def test_scaling_every_gate_delay_by_k_scales_every_event_time_by_k(case, protoc
     assert k_results == _scaled(results, k)
     assert (k_state.now, k_state.values, k_state.transitions) == (
         k * state.now, state.values, state.transitions)
+
+
+# and the 3x3 multipliers, whose detectors merge six output pairs
+ACK_DESIGNS = {**DESIGNS,
+               **{f"mult3x3_{fa}": lambda p, fa=fa: array_multiplier(MultiplierSpec(3, p, fa))
+                  for fa in FA_VARIANTS}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ACK_DESIGNS)), st.sampled_from(list(Protocol)), st.booleans(),
+       st.data())
+def test_a_completed_phase_leaves_the_acknowledge_at_its_level(name, protocol, unit, data):
+    """The harness reads no acknowledge net: outputs that all reach the
+    phase target in a settled state put every merge gate of the detector at
+    one level, so ackout sits at the active level after a data phase and at
+    the spacer level after a return phase, and ackin at its complement.
+    Vectors arrive at once or in a drawn order, under unit or random delays."""
+    harness = HandshakeHarness(ACK_DESIGNS[name](protocol), protocol)
+    delays = UnitDelay() if unit else RandomUniformDelay(1, 16, data.draw(st.integers(0, 2**16)))
+    state = harness.initialize(delays)
+    inputs = [p.name for p in harness.inputs]
+    levels = {"data": protocol.active_level, "return": protocol.spacer_level}
+    for values in data.draw(st.lists(st.fixed_dictionaries({n: st.integers(0, 1) for n in inputs}),
+                                     min_size=1, max_size=3)):
+        order = data.draw(st.none() | st.permutations(inputs).map(lambda p: [[n] for n in p]))
+        for phase, given_values in (("data", values), ("return", None)):
+            harness.run_phase(state, phase, given_values, order=order)
+            ack = levels[phase]
+            assert (state.values[harness.ackout], state.values[harness.ackin]) == (ack, ack ^ 1)

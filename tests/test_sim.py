@@ -116,7 +116,7 @@ def test_states_share_no_list_with_each_other_or_the_reset_image():
     harness = HandshakeHarness(array_multiplier(MultiplierSpec(2, Protocol.RTZ)), Protocol.RTZ)
     a, b = harness.initialize(), harness.initialize(RandomUniformDelay(1, 16, 3))
     compiled = harness.netlist.compiled
-    image = compiled.reset
+    image = compiled.values, compiled.code
     # the compiled form's arrays are read only, and shared by design
     shared = [getattr(compiled, name) for name in compiled.__slots__]
     lists = [name for name in SimState.__slots__
