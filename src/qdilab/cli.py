@@ -33,6 +33,8 @@ CHOICES = {"protocol": ("rtz", "rto"), "fa": tuple(sorted(FA_VARIANTS)),
            "component": tuple(sorted(COMPONENTS))}
 # vectors measured per design by `scale` once a width is too wide to exhaust
 SCALE_SAMPLES = 64
+# the widest multiplier built: about 29 * n**2 gates, 117,000 to 121,000 at 64
+MAX_N = 64
 # what each command reads whatever else is given, --config and --out aside
 _CIRCUIT = ("netlist", "component", "n", "fa", "protocol")
 READS = {"build": (*_CIRCUIT, "weights", "dot"), "export": (*_CIRCUIT, "dot"),
@@ -173,6 +175,8 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
     for key, least in (("n", 2), ("trials", 1), ("transactions", 1)):
         if getattr(config, key) < least:
             parser.error(f"--{key} must be >= {least}, got {getattr(config, key)}")
+    if config.n > MAX_N:  # refuse before generating
+        parser.error(f"--n must be <= {MAX_N}, got {config.n}")
     for key, allowed in CHOICES.items():
         value = getattr(config, key)
         if value is not None and value not in allowed:

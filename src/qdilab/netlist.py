@@ -185,20 +185,16 @@ class CompiledNetlist:
     ``n`` on both, as every inverter does) and ``out`` is the gate's output
     net.  ``driver[n]`` is the gate driving net ``n``, whose ``cur`` bit (1)
     a change of ``n`` flips; the rails of input ports, the only nets no gate
-    drives, all map to one spare slot, ``len(gates)``.  Gates are indexed by
-    position, which is their id.
-    ``out_key[g]`` is ``o << 1``, the output net's part of an event key,
-    into which each simulation state ORs the gate's shifted delay.
-    ``values`` and ``code`` are the reset state, which every simulation
-    state copies: each net's ``net_init`` level, and each gate's code then
-    the spare slot's 0.
+    drives, all map to ``len(gates)``, one past the last gate.  Gates are
+    indexed by position, which is their id.  ``values`` and ``code`` are the
+    reset state, which every simulation state copies: each net's
+    ``net_init`` level, and one code per gate.
     """
 
-    __slots__ = ("out_key", "fanout", "driver", "values", "code")
+    __slots__ = ("fanout", "driver", "values", "code")
 
     def __init__(self, netlist: Netlist):
         gates, values = netlist.gates, list(netlist.net_init)
-        self.out_key = [g.output << 1 for g in gates]
         fanout: list[list[tuple[int, int, int]]] = [[] for _ in range(netlist.net_count)]
         self.driver = [len(gates)] * netlist.net_count
         code = []
@@ -212,7 +208,7 @@ class CompiledNetlist:
             self.driver[o] = i
             code.append(KIND_CODE[kind] << 3 | values[a] << 2 | values[b] << 1 | values[o])
         self.fanout = [tuple(f) for f in fanout]
-        self.values, self.code = values, code + [0]
+        self.values, self.code = values, code
 
 
 def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> list[Finding]:

@@ -10,20 +10,17 @@ observable.  ``RandomUniformDelay`` draws its delays with ``uniform_draws``,
 which makes the same ``getrandbits`` calls as ``randint`` without its call
 layers: the same delays, and the generator left in the same state.
 
-The simulator runs only valid netlists: the compiled form is built from the
-validated netlist, so ``initialize``, ``SimState`` and ``Stimulus`` raise
-``ValidationError`` with ``validate``'s findings for any other.  A state
-starts, with no protocol, at every net's ``net_init`` level, where validation
-rules out an excited gate and a design's input rails rest at its protocol's
-spacer (the harness refuses one that does not).  The compiled form builds
-that state once, as ``CompiledNetlist.values`` and ``code``, which each
-state copies.
-
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
-fanout entries and drivers, the reset state, and the one ``NEXT_STATE`` table
-of gate functions).  It is built the first time a state or a
-:class:`Stimulus` needs it, not when the netlist is built or validated, and is
-shared by every later state over the same netlist.
+fanout entries and drivers, and the reset state), built from the validated
+netlist the first time a state or a :class:`Stimulus` needs it and shared by
+every later state over it, so ``initialize``, ``SimState`` and ``Stimulus``
+raise ``ValidationError`` with ``validate``'s findings for an invalid one.
+A state starts, with no protocol, at every net's ``net_init`` level, where
+validation rules out an excited gate and a design's input rails rest at its
+protocol's spacer (the harness refuses one that does not).  It copies that
+reset state, ``CompiledNetlist.values`` and ``code``, and appends one spare
+code, which ``driver`` names for every input rail, so that a stimulus
+commit has a code to flip.
 
 Each gate's ``NEXT_STATE`` index, its *code* ``kind | a << 2 | b << 1 |
 cur``, is kept by the state in ``_code``, copied from the compiled ``code``
@@ -49,7 +46,7 @@ delays, not by an option.  Both hold the same keys and commit them in
 value``, with ``shift`` wide enough for any ``net << 1 | value``, so keys sort
 by ``(time, net id, value)``, and gate g excited at t schedules ``(t << shift)
 + sched[g] + value``, where the state's ``sched[g]`` ORs the gate's shifted
-delay into the compiled ``out_key[g]``.
+delay into ``out << 1``, the net part of the key of its output ``out``.
 
 - The heap serves every delay model.
 - Per-step lists serve a state whose resolved delays are all 1, while its
@@ -274,7 +271,7 @@ class Stimulus:
         for net, _ in items:
             if not isinstance(net, int):
                 raise StimulusError(f"net {net!r} is not environment-driven")
-        # on a valid netlist the input rails, and only they, map to the spare slot
+        # on a valid netlist the input rails, and only they, map to len(gates)
         driver, spare = netlist.compiled.driver, len(netlist.gates)
         codes = []
         for net, value in sorted(items):
@@ -323,14 +320,15 @@ class SimState:
         # event keys are t << shift | net << 1 | value; gate g excited at
         # time t schedules (t << shift) + sched[g] + value
         shift = netlist.net_count.bit_length() + 1
-        sched = [d << shift | o for d, o in zip(delays, compiled.out_key)]
+        sched = [d << shift | g.output << 1 for d, g in zip(delays, netlist.gates)]
         # every event is due one unit after its cause: settles run on the
         # per-step lists
         self._unit = delays.count(1) == len(delays)
         # the reset state, copied from the compiled one: one code per gate,
-        # plus the spare slot input-rail commits flip
+        # plus the spare slot that ``driver`` names for every input rail, so
+        # that input-rail commits have a code to flip
         self.values = compiled.values[:]
-        self._code = compiled.code[:]
+        self._code = compiled.code + [0]
         self.now = 0
         self.transitions = 0
         self.datapath_nets = 0

@@ -79,6 +79,23 @@ def test_a_multiplier_too_wide_to_enumerate_is_refused_before_it_is_built(
             f"qdilab {command}: error: 18 inputs is too wide for {purpose}\n")
 
 
+def test_a_multiplier_wider_than_64_is_refused_before_it_is_built(
+        monkeypatch, capsys, tmp_path):
+    """build, export, fuzz and scale exit 2 on --n 65 without generating a
+    multiplier (about 120,000 gates) or writing anything."""
+    def refuse(spec):
+        pytest.fail(f"generated a {spec.n}x{spec.n} multiplier")
+    monkeypatch.setattr("qdilab.cli.array_multiplier", refuse)
+    out = tmp_path / "out.json"
+    for command in ("build", "export", "fuzz", "scale"):
+        with pytest.raises(SystemExit) as exc:
+            run_inproc(command, "--n", "65", "--out", str(out))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"qdilab {command}: error: --n must be <= 64, got 65\n")
+        assert not out.exists()
+
+
 def test_classify_weak_exits_zero_and_reports(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert run_inproc("classify", "--component", "weak_fa",

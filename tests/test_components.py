@@ -53,6 +53,11 @@ def test_ripple_carry_adder_exhaustive(protocol, variant):
         res = harness.run_transaction(state, vec)
         assert res.outputs == {"S0": total & 1, "S1": (total >> 1) & 1,
                                "Cout": total >> 2}
+    with pytest.raises(ValueError, match="^width must be >= 1$"):
+        ripple_carry_adder(protocol, 0, variant)
+    # a cell, but not a full adder
+    with pytest.raises(ValueError, match="^unknown full-adder variant 'strong_and2'$"):
+        ripple_carry_adder(protocol, 2, "strong_and2")
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,18 @@ def test_each_harness_stimulus_is_checked_once(monkeypatch, run):
 
 
 def test_detector_rejects_empty():
-    with pytest.raises(ValueError):
+    message = "^completion detector needs at least one port$"
+    with pytest.raises(ValueError, match=message):
         build_completion_detector(NetlistBuilder("x"), [], Protocol.RTZ)
+    # a harness over a design without outputs is refused by its detector,
+    # after the protocol check
+    b = NetlistBuilder("mute")
+    b.add_input_port("A")
+    base = b.build()
+    with pytest.raises(InitializationError):
+        HandshakeHarness(base, Protocol.RTO)
+    with pytest.raises(ValueError, match=message):
+        HandshakeHarness(base, Protocol.RTZ)
 
 
 def detector_fixture(protocol, k):

@@ -15,8 +15,8 @@ from qdilab.components import COMPONENTS, ripple_carry_adder
 from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
 from qdilab.multiplier import MultiplierSpec, array_multiplier
-from qdilab.netlist import (KIND_CODE, NEXT_STATE, Cell, FormatError, Gate, GateKind,
-                            NetlistBuilder, NetlistError, ValidationError,
+from qdilab.netlist import (KIND_CODE, NEXT_STATE, Cell, CompiledNetlist, FormatError, Gate,
+                            GateKind, NetlistBuilder, NetlistError, ValidationError,
                             check_weights, dual_of, from_json, stats, structurally_equal,
                             to_dot, to_json, validate)
 
@@ -57,6 +57,9 @@ def test_builder_assigns_ids_and_derives_inits():
     assert netlist.net_init == (0, 0, 0, 0, 0, 1)
     assert Gate._fields == ("kind", "inputs", "output")
     assert not hasattr(x, "init")
+    assert netlist.port("Z").rails == (n_inv, n_and)
+    with pytest.raises(KeyError):
+        netlist.port("W")
 
 
 def test_c2_requires_matching_or_explicit_init():
@@ -75,6 +78,10 @@ def test_add_gate_rejects_wrong_arity():
         b.add_gate(GateKind.INV, (x.rail1, y.rail1))
     with pytest.raises(NetlistError):
         b.add_gate(GateKind.AND2, (x.rail1,))
+    for net in (-1, b.net_count):  # the fresh output net is no input yet
+        with pytest.raises(NetlistError, match=f"^unknown net {net}$"):
+            b.add_gate(GateKind.AND2, (x.rail1, net))
+    assert b.net_count == 4  # nothing was added
 
 
 @pytest.mark.parametrize("level", [8, -1])
@@ -149,7 +156,8 @@ def check_fanout_and_driver(netlist):
     index bits that net sets (4 for the first input, 2 for the last, both
     when they are one net) and its own output net; those masks OR to the
     bits it reads.  ``driver`` names each gate's output net, and input rails
-    map to the spare slot ``len(gates)``."""
+    map to ``len(gates)``.  ``code`` holds each gate's reset code and nothing
+    else: the compiled form keeps netlist facts only."""
     compiled = netlist.compiled
     entries = {}
     for net, fanout in enumerate(compiled.fanout):
@@ -173,6 +181,10 @@ def check_fanout_and_driver(netlist):
     rails = {r for p in netlist.input_ports + netlist.const_ports for r in p.rails}
     assert {n for n, d in enumerate(drivers) if d == len(netlist.gates)} == rails
     assert compiled.driver == drivers
+    v = netlist.net_init
+    assert compiled.code == [KIND_CODE[kind] << 3 | v[ins[0]] << 2 | v[ins[-1]] << 1 | v[out]
+                             for kind, ins, out in netlist.gates]
+    assert CompiledNetlist.__slots__ == ("fanout", "driver", "values", "code")
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
