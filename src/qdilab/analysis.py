@@ -25,6 +25,8 @@ Oracle = Callable[[Mapping[str, int]], Mapping[str, int]]
 # full arrival-permutation enumeration is factorial; past this many inputs
 # the classifier falls back to withholding each input last
 PERMUTATION_INPUT_LIMIT = 6
+# latency is exhaustive up to this many codewords; past it, corners + this many draws
+SAMPLE_LIMIT = 64
 
 
 def _check_exhaustible(inputs: int, purpose: str) -> None:
@@ -52,13 +54,15 @@ def _sampled_codewords(names: Sequence[str], limit: int, seed: int):
 
 def measure_latencies(netlist: Netlist, protocol: Protocol,
                       delay_model: DelayModel = UnitDelay(),
-                      sample_limit: int = 1024, seed: int = 0) -> TransactionMetrics:
+                      sample_limit: int = SAMPLE_LIMIT, seed: int = 0) -> TransactionMetrics:
     """Worst-case forward/reverse latency and cycle time at the output ports.
 
     Exhaustive over input codewords up to ``sample_limit`` vectors; wider
     components get the two corner vectors plus a sample drawn from ``seed``.
+    A ``sample_limit`` or ``seed`` that is not an int >= 0 raises ``ValueError``.
     """
     check_seed(seed)
+    check_seed(sample_limit, "sample_limit")
     harness = HandshakeHarness(netlist, protocol)
     state = harness.initialize(delay_model)
     names = [p.name for p in harness.inputs]
@@ -261,10 +265,12 @@ def orphan_scan(netlist: Netlist, protocol: Protocol, oracle: Oracle,
     sequence, then checks three things per transaction: no hazard records
     (disabled excitations), datapath quiescence at the instant the outputs
     complete in each phase, and functional agreement with the oracle.
-    A netlist not built for ``protocol`` raises :class:`InitializationError`,
-    and a ``seed`` that is not an int >= 0 ``ValueError``.
+    A netlist not built for ``protocol`` raises :class:`InitializationError`, and a
+    ``seed``, ``trials`` or ``transactions`` that is not an int >= 0 ``ValueError``.
     """
     check_seed(seed)
+    check_seed(trials, "trials")
+    check_seed(transactions, "transactions")
     harness = HandshakeHarness(netlist, protocol)
     names = [p.name for p in harness.inputs]
     report = OrphanReport(netlist.name, protocol.value, trials, transactions,

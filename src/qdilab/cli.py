@@ -31,8 +31,6 @@ from .sim import InitializationError, RandomUniformDelay, TableDelay, UnitDelay
 CHOICES = {"protocol": ("rtz", "rto"), "fa": tuple(sorted(FA_VARIANTS)),
            "delay": ("unit", "perkind", "pergate", "random"),
            "component": tuple(sorted(COMPONENTS))}
-# vectors measured per design by `scale` once a width is too wide to exhaust
-SCALE_SAMPLES = 64
 # the widest multiplier built: about 29 * n**2 gates, 117,000 to 121,000 at 64
 MAX_N = 64
 # what each command reads whatever else is given, --config and --out aside
@@ -396,8 +394,8 @@ def cmd_bench(config: CliConfig) -> int:
 
 def cmd_scale(config: CliConfig) -> int:
     """Worst latencies and gate counts of both multiplier variants at each
-    width from 2 to ``--n``: exhaustive while a width has at most
-    ``SCALE_SAMPLES`` vectors, corners plus a seeded sample beyond."""
+    width from 2 to ``--n``, sampled by ``measure_latencies``' own rule,
+    ``analysis.SAMPLE_LIMIT``."""
     protocol = Protocol(config.protocol)
     delays = delay_model(config)
     rows = []
@@ -405,8 +403,7 @@ def cmd_scale(config: CliConfig) -> int:
     for n in range(2, config.n + 1):
         for design in _bench_designs(n):
             netlist = design.builder(protocol)
-            m = measure_latencies(netlist, protocol, delays,
-                                  sample_limit=SCALE_SAMPLES, seed=config.seed)
+            m = measure_latencies(netlist, protocol, delays, seed=config.seed)
             gates = len(netlist.gates)
             print(f"{netlist.name:<22} {gates:>6} {m.forward_latency:>4} "
                   f"{m.reverse_latency:>4} {m.cycle_time:>6}")

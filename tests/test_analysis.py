@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from qdilab.analysis import (BenchDesign, Indication, bench_to_csv,
+from qdilab.analysis import (SAMPLE_LIMIT, BenchDesign, Indication, bench_to_csv,
                              benchmark, classify_indication, exhaustive_verify,
                              measure_latencies, orphan_scan)
 from qdilab.components import (COMPONENT_ORACLES, dims_full_adder,
@@ -40,6 +40,20 @@ def test_sampled_latencies_on_a_wide_design():
     metrics = measure_latencies(netlist, Protocol.RTZ, sample_limit=20, seed=1)
     assert metrics.forward_latency == metrics.reverse_latency
     assert metrics.cycle_time == metrics.forward_latency * 2
+
+
+def test_the_default_sample_limit_is_the_one_rule():
+    """``measure_latencies`` samples by ``SAMPLE_LIMIT`` unless told
+    otherwise: a 4x4 multiplier's 256 codewords get the corners plus seeded
+    draws, which at seed 7 miss the worst case, and a 2x2's 16 are all run."""
+    wide = array_multiplier(MultiplierSpec(4, Protocol.RTZ, "weak_fa"))
+    sampled = measure_latencies(wide, Protocol.RTZ, seed=7)
+    assert sampled == measure_latencies(wide, Protocol.RTZ, sample_limit=SAMPLE_LIMIT, seed=7)
+    exhaustive = measure_latencies(wide, Protocol.RTZ, sample_limit=1 << 8, seed=7)
+    assert sampled.cycle_time < exhaustive.cycle_time
+    narrow = array_multiplier(MultiplierSpec(2, Protocol.RTZ, "weak_fa"))
+    assert measure_latencies(narrow, Protocol.RTZ, seed=7) \
+        == measure_latencies(narrow, Protocol.RTZ, sample_limit=1 << 4)
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +299,26 @@ def test_orphan_scan_is_seed_deterministic():
     assert a == b
 
 
-def test_a_seed_is_an_int_of_at_least_zero():
+def test_a_seed_is_an_int_of_at_least_zero(monkeypatch):
     """``random.Random`` seeds with ``abs(seed)``: a negative seed would draw
-    what its positive twin draws, so it is refused like a non-int one."""
+    what its positive twin draws, so it is refused like a non-int one.  The
+    counts beside it, ``sample_limit``, ``trials`` and ``transactions``, are
+    judged by the same rule, and each is refused before a harness is built."""
     netlist, oracle = strong_and2(Protocol.RTZ), COMPONENT_ORACLES["strong_and2"]
-    for seed, message in ((-5, "seed must be >= 0, got -5"), (1.0, "seed must be an int, got 1.0"),
-                          (True, "seed must be an int, got True")):
-        for run in (lambda: orphan_scan(netlist, Protocol.RTZ, oracle, trials=1, seed=seed),
-                    lambda: measure_latencies(netlist, Protocol.RTZ, seed=seed)):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                run()
+    monkeypatch.setattr("qdilab.analysis.HandshakeHarness",
+                        lambda *args: pytest.fail("a harness was built"))
+    runs = {"seed": (lambda v: orphan_scan(netlist, Protocol.RTZ, oracle, trials=1, seed=v),
+                     lambda v: measure_latencies(netlist, Protocol.RTZ, seed=v)),
+            "sample_limit": (lambda v: measure_latencies(netlist, Protocol.RTZ, sample_limit=v),),
+            "trials": (lambda v: orphan_scan(netlist, Protocol.RTZ, oracle, trials=v),),
+            "transactions": (lambda v: orphan_scan(netlist, Protocol.RTZ, oracle, trials=1,
+                                                   transactions=v),)}
+    for what, calls in runs.items():
+        for value, message in ((-1, ">= 0, got -1"), (1.0, "an int, got 1.0"),
+                               (2.5, "an int, got 2.5"), (True, "an int, got True")):
+            for run in calls:
+                with pytest.raises(ValueError, match=f"^{what} must be {re.escape(message)}$"):
+                    run(value)
 
 
 # ---------------------------------------------------------------------------
