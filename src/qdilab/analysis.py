@@ -265,23 +265,23 @@ def orphan_scan(netlist: Netlist, protocol: Protocol, oracle: Oracle,
     sequence, then checks three things per transaction: no hazard records
     (disabled excitations), datapath quiescence at the instant the outputs
     complete in each phase, and functional agreement with the oracle.
-    A netlist not built for ``protocol`` raises :class:`InitializationError`, and a
-    ``seed``, ``trials`` or ``transactions`` that is not an int >= 0 ``ValueError``.
+    A netlist not built for ``protocol`` raises :class:`InitializationError`; a ``seed``,
+    ``trials`` or ``transactions`` not an int >= 0, or a bad delay range, ``ValueError``.
     """
     check_seed(seed)
     check_seed(trials, "trials")
     check_seed(transactions, "transactions")
+    RandomUniformDelay(delay_low, delay_high)  # judges the range
     harness = HandshakeHarness(netlist, protocol)
     names = [p.name for p in harness.inputs]
     report = OrphanReport(netlist.name, protocol.value, trials, transactions,
                           seed, delay_low, delay_high)
     rng = random.Random(seed)
     for trial in range(trials):
-        delay_seed = rng.getrandbits(32)
+        delays = RandomUniformDelay(delay_low, delay_high, rng.getrandbits(32))
         # the trial's own generator draws each vector as its transaction
         # starts, so no trial holds more than one vector's bits
         draw = random.Random(rng.getrandbits(32))
-        delays = RandomUniformDelay(delay_low, delay_high, delay_seed)
         state = harness.initialize(delays)
         for ti in range(transactions):
             vec = dict(zip(names, uniform_draws(draw, 0, 1, len(names))))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .components import merge_kind
 from .encoding import Protocol, encode, spacer_rails
-from .netlist import DualRailPort, GateKind, Netlist, NetlistBuilder, NetId, structurally_equal
+from .netlist import DualRailPort, GateKind, Netlist, NetlistBuilder, NetId
 from .sim import (DelayModel, HazardRecord, InitializationError, SimState, Stimulus,
                   UnitDelay, initialize)
 
@@ -102,9 +102,9 @@ class TransactionResult:
 
 class HandshakeHarness:
     """Closed-loop bench: netlist + output completion detector + environment,
-    over a valid base whose input ports, constants included, rest at the
-    spacer level of ``protocol``; any other base raises, and one without
-    output ports is refused by ``build_completion_detector``."""
+    over a valid base whose input ports, constants included, rest at the spacer
+    level of ``protocol`` (any other base raises, as does one without outputs);
+    it runs only the states its own :meth:`initialize` built."""
 
     def __init__(self, base: Netlist, protocol: Protocol):
         self.protocol = protocol
@@ -118,7 +118,6 @@ class HandshakeHarness:
         self.datapath_nets = builder.net_count  # nets below this id are datapath
         self.ackout, self.ackin = build_completion_detector(
             builder, base.output_ports, protocol)
-        builder.metadata["harness"] = "closed-loop-cd"
         self.netlist = builder.build()
         self.inputs = self.netlist.input_ports
         self.consts = self.netlist.const_ports
@@ -164,10 +163,10 @@ class HandshakeHarness:
         return out
 
     def _refuse_foreign(self, state: SimState) -> None:
-        """Refuse a state over a netlist other than this one or its structural twin."""
-        own = self.netlist
-        if state.netlist is not own and not structurally_equal(state.netlist, own):
-            raise TransactionError(f"state simulates {state.netlist.name!r}, not {own.name!r}")
+        """Refuse a state :meth:`initialize` did not build, even a structural twin's."""
+        if state.netlist is not self.netlist:
+            raise TransactionError("state was not initialized by this harness "
+                                   f"(it simulates {state.netlist.name!r})")
 
     # -- phase driving ------------------------------------------------------
 
@@ -247,13 +246,12 @@ class HandshakeHarness:
         from their phase-start values are recorded in ``early``; the scan is
         skipped while no output rail has committed an event in the phase,
         since every output then still holds its phase-start value.
-        Raises :class:`TransactionError` on another netlist's state, values
-        the phase does not read or missing inputs, an arrival order that
-        repeats, misses or names an unknown input, incomplete or illegal
-        outputs, or a datapath hazard.
+        Raises :class:`TransactionError` on a state this harness did not
+        initialize, values the phase does not read or missing inputs, an
+        arrival order that repeats, misses or names an unknown input,
+        incomplete or illegal outputs, or a datapath hazard.
         """
-        if state.netlist is not self.netlist:
-            self._refuse_foreign(state)
+        self._refuse_foreign(state)
         try:
             targets = self._targets[phase]
         except KeyError:

@@ -207,19 +207,21 @@ def _check_delays(delays: Iterable[int]) -> None:
 
 @dataclass(frozen=True)
 class RandomUniformDelay:
-    """Independent per-gate draws from [low, high], int bounds with
-    ``1 <= low <= high``, fixed by the seed, an int >= 0; none is a bool."""
+    """Independent per-gate draws from [low, high], fixed by the seed.  Bounds but
+    ints with ``1 <= low <= high``, or a seed but an int >= 0 (no bool), raise when built."""
 
     low: int
     high: int
     seed: int = 0
 
-    def resolve(self, netlist: Netlist) -> list[int]:
+    def __post_init__(self) -> None:
         low, high = self.low, self.high
         if type(low) is not int or type(high) is not int or not 1 <= low <= high:
             raise ValueError(f"bad delay range [{low!r}, {high!r}]")
-        rng = random.Random(check_seed(self.seed, "delay seed"))
-        return uniform_draws(rng, low, high, len(netlist.gates))
+        check_seed(self.seed, "delay seed")
+
+    def resolve(self, netlist: Netlist) -> list[int]:
+        return uniform_draws(random.Random(self.seed), self.low, self.high, len(netlist.gates))
 
 
 DelayModel = UnitDelay | TableDelay | RandomUniformDelay

@@ -144,6 +144,25 @@ def test_holdback_with_no_data_input_simulates_as_exhaustive_does(protocol, soun
         assert "output Z hit an illegal codeword" in verdicts[0].witness.detail
 
 
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("mode,arrived", [("exhaustive", "A0, A1, B0"),
+                                          ("holdback", "A0, B0, B1")],
+                         ids=["exhaustive", "holdback"])
+def test_an_early_witness_names_only_the_inputs_that_arrived(protocol, mode, arrived):
+    """The 2x2 multiplier drives its constant carries as a group of their
+    own ahead of the data inputs: the early record's group index counts that
+    group, and the witness names the inputs that arrived, a strict prefix of
+    its order, not the input still missing."""
+    netlist = array_multiplier(MultiplierSpec(2, protocol, "weak_fa"))
+    assert netlist.const_ports
+    verdict = classify_indication(netlist, protocol, mode=mode)
+    w = verdict.witness
+    assert (verdict.verdict, w.kind, w.phase) == (Indication.WEAK, "early-output", "data")
+    assert w.detail == f"outputs P0 moved with only {arrived} arrived"
+    names = arrived.split(", ")
+    assert len(names) < len(w.order) and w.order[:len(names)] == tuple(names)
+
+
 def test_an_output_complete_before_the_last_input_is_a_premature_complete_witness():
     """Z copies X and nothing reads Y: with X first, every output completes
     while Y is still missing."""
@@ -303,7 +322,8 @@ def test_a_seed_is_an_int_of_at_least_zero(monkeypatch):
     """``random.Random`` seeds with ``abs(seed)``: a negative seed would draw
     what its positive twin draws, so it is refused like a non-int one.  The
     counts beside it, ``sample_limit``, ``trials`` and ``transactions``, are
-    judged by the same rule, and each is refused before a harness is built."""
+    judged by the same rule, and each is refused before a harness is built,
+    as is a delay range ``RandomUniformDelay`` refuses."""
     netlist, oracle = strong_and2(Protocol.RTZ), COMPONENT_ORACLES["strong_and2"]
     monkeypatch.setattr("qdilab.analysis.HandshakeHarness",
                         lambda *args: pytest.fail("a harness was built"))
@@ -319,6 +339,13 @@ def test_a_seed_is_an_int_of_at_least_zero(monkeypatch):
             for run in calls:
                 with pytest.raises(ValueError, match=f"^{what} must be {re.escape(message)}$"):
                     run(value)
+    # the delay range is judged as RandomUniformDelay judges it, even with no trial to draw
+    for trials in (0, 1):
+        for low, high in ((5, 1), (0, 16), (1, 2.5), (True, 3)):
+            message = re.escape(f"bad delay range [{low!r}, {high!r}]")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                orphan_scan(netlist, Protocol.RTZ, oracle, trials=trials,
+                            delay_low=low, delay_high=high)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from qdilab.encoding import Protocol, encode, spacer_rails
 from qdilab.handshake import (EarlyRecord, HandshakeHarness, TransactionError,
                               build_completion_detector, decode)
 from qdilab.multiplier import MultiplierSpec, array_multiplier, input_vector, product_oracle
-from qdilab.netlist import GateKind, NetlistBuilder, ValidationError, validate
+from qdilab.netlist import GateKind, NetlistBuilder, ValidationError, structurally_equal, validate
 from qdilab.sim import InitializationError, RandomUniformDelay, Stimulus, TableDelay, initialize
 
 from test_analysis import dead_end_and2, glitch_design
@@ -258,31 +258,36 @@ def test_transaction_requires_spacer_start():
 
 
 def test_a_harness_refuses_a_state_it_did_not_build():
-    """A state over the bare design (or any netlist that is not the
-    harness's) is refused before any settle or output read, naming both
-    netlists; a state from a second harness over the same base is
-    structurally the same."""
+    """A state over the bare design, or over a second harness's netlist
+    (structurally equal to this one's), is refused before any settle or
+    output read, naming the netlist it simulates: a harness runs only the
+    states its own ``initialize`` built."""
     base = array_multiplier(MultiplierSpec(2, Protocol.RTZ))
     harness = HandshakeHarness(base, Protocol.RTZ)
-    message = r"^state simulates 'mult2x2_weak_fa_rtz', not 'mult2x2_weak_fa_rtz\+cd'$"
-    for run in (lambda s: harness.run_transaction(s, input_vector(2, 3, 2)),
-                lambda s: harness.run_phase(s, "data", input_vector(2, 3, 2)),
-                lambda s: harness.run_phase(s, "return"),
-                lambda s: harness.decode_outputs(s)):
-        state = initialize(base)
-        before = list(state.values)
-        with pytest.raises(TransactionError, match=message):
-            run(state)
-        assert state.values == before and state.now == state.transitions == 0
+    twin = HandshakeHarness(base, Protocol.RTZ)
+    assert twin.netlist is not harness.netlist
+    assert structurally_equal(twin.netlist, harness.netlist)
+    message = r"^state was not initialized by this harness \(it simulates '{}'\)$"
+    for make, name in ((lambda: initialize(base), "mult2x2_weak_fa_rtz"),
+                       (twin.initialize, r"mult2x2_weak_fa_rtz\+cd")):
+        for run in (lambda s: harness.run_transaction(s, input_vector(2, 3, 2)),
+                    lambda s: harness.run_phase(s, "data", input_vector(2, 3, 2)),
+                    lambda s: harness.run_phase(s, "return"),
+                    lambda s: harness.decode_outputs(s)):
+            state = make()
+            before = list(state.values)
+            with pytest.raises(TransactionError, match=message.format(name)):
+                run(state)
+            assert state.values == before and state.now == state.transitions == 0
     # the netlist is judged before the state's inputs are
     state = initialize(base)
     state.apply_and_settle({base.port("A0").rail1: 1})
-    with pytest.raises(TransactionError, match=message):
+    with pytest.raises(TransactionError, match=message.format("mult2x2_weak_fa_rtz")):
         harness.run_transaction(state, input_vector(2, 3, 2))
-    twin = HandshakeHarness(base, Protocol.RTZ)
-    assert twin.netlist is not harness.netlist
-    assert harness.run_transaction(twin.initialize(), input_vector(2, 3, 2)).outputs \
-        == product_oracle(2)(input_vector(2, 3, 2))
+    # each harness runs the states it built
+    for h in (harness, twin):
+        assert h.run_transaction(h.initialize(), input_vector(2, 3, 2)).outputs \
+            == product_oracle(2)(input_vector(2, 3, 2))
 
 
 def test_a_datapath_hazard_fails_the_phase():

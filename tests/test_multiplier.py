@@ -142,10 +142,10 @@ NETLIST_DIGESTS = {
 
 # The same two digests of the closed loop a harness runs a 3x3 multiplier in.
 HARNESS_DIGESTS = {
-    "mult3x3_dims_fa_rto": ("824113fb83a48e11", "98287a1c5a559376"),
-    "mult3x3_dims_fa_rtz": ("4be4dcdb0ec2b53d", "c270211cf93bfb98"),
-    "mult3x3_weak_fa_rto": ("685b5ed5c82aebc2", "fd9e0b1eaba0a950"),
-    "mult3x3_weak_fa_rtz": ("f8587138da659ae5", "c38377b835fcbd1d"),
+    "mult3x3_dims_fa_rto": ("338b781c3b61d05c", "98287a1c5a559376"),
+    "mult3x3_dims_fa_rtz": ("97245ecc6b9c1808", "c270211cf93bfb98"),
+    "mult3x3_weak_fa_rto": ("5bba5731216b30f0", "fd9e0b1eaba0a950"),
+    "mult3x3_weak_fa_rtz": ("1c033d4a0e0a0b38", "c38377b835fcbd1d"),
 }
 
 
@@ -162,4 +162,6 @@ def test_generated_netlists_are_pinned(n, variant, protocol):
     netlist = array_multiplier(MultiplierSpec(n, protocol, variant))
     assert pin(netlist) == NETLIST_DIGESTS[netlist.name]
     if n == 3:
-        assert pin(HandshakeHarness(netlist, protocol).netlist) == HARNESS_DIGESTS[netlist.name]
+        closed = HandshakeHarness(netlist, protocol).netlist
+        assert closed.metadata == netlist.metadata  # the harness adds gates, not tags
+        assert pin(closed) == HARNESS_DIGESTS[netlist.name]

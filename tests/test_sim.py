@@ -385,17 +385,20 @@ def test_random_delays_are_seed_deterministic():
     assert a == b
     assert a != c
     assert all(1 <= d <= 16 for d in a)
-    # bounds must be ints with 1 <= low <= high
+    # bounds must be ints with 1 <= low <= high, judged when the model is built
     for low, high in ((1, 3.5), (1.0, 3), (0, 3), (4, 3), (True, 3), (1, True), ("1", 3)):
         with pytest.raises(ValueError, match=re.escape(f"bad delay range [{low!r}, {high!r}]")):
-            RandomUniformDelay(low, high).resolve(netlist)
+            RandomUniformDelay(low, high)
     # an unseeded draw would differ from run to run
     for seed in (None, 1.0, True, "3"):
         with pytest.raises(ValueError, match=re.escape(f"delay seed must be an int, got {seed!r}")):
-            RandomUniformDelay(1, 16, seed).resolve(netlist)
+            RandomUniformDelay(1, 16, seed)
     # random.Random seeds with abs(seed): -1 would draw what 1 draws
     with pytest.raises(ValueError, match=re.escape("delay seed must be >= 0, got -1")):
-        RandomUniformDelay(1, 16, -1).resolve(netlist)
+        RandomUniformDelay(1, 16, -1)
+    # the bounds are judged before the seed
+    with pytest.raises(ValueError, match=re.escape("bad delay range [0, 5]")):
+        RandomUniformDelay(0, 5, -3)
     with pytest.raises(ValueError, match=re.escape("non-integer range [0, 1.5]")):
         uniform_draws(random.Random(0), 0, 1.5, 3)
 
