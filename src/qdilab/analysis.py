@@ -16,9 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 from .encoding import Protocol
 from .handshake import HandshakeHarness, TransactionError, TransactionMetrics
-from .netlist import Netlist, check_weights, stats
-from .sim import (DelayModel, RandomUniformDelay, SimulationError, UnitDelay,
-                  check_seed, uniform_draws)
+from .netlist import Netlist, check_int, check_weights, stats
+from .sim import DelayModel, RandomUniformDelay, SimulationError, UnitDelay, uniform_draws
 
 Oracle = Callable[[Mapping[str, int]], Mapping[str, int]]
 
@@ -59,10 +58,11 @@ def measure_latencies(netlist: Netlist, protocol: Protocol,
 
     Exhaustive over input codewords up to ``sample_limit`` vectors; wider
     components get the two corner vectors plus a sample drawn from ``seed``.
-    A ``sample_limit`` or ``seed`` that is not an int >= 0 raises ``ValueError``.
+    A ``sample_limit`` or ``seed`` that ``check_int`` refuses (anything but an int >= 0)
+    raises ``ValueError``.
     """
-    check_seed(seed)
-    check_seed(sample_limit, "sample_limit")
+    check_int(seed, "seed")
+    check_int(sample_limit, "sample_limit")
     harness = HandshakeHarness(netlist, protocol)
     state = harness.initialize(delay_model)
     names = [p.name for p in harness.inputs]
@@ -118,6 +118,8 @@ def classify_indication(netlist: Netlist, protocol: Protocol,
     x arrival permutation; holdback mode withholds each single input last.
     Constant ports are driven at phase start and take no part in orders.
     """
+    if mode not in ("auto", "exhaustive", "holdback"):  # before a harness is built
+        raise ValueError(f"unknown mode {mode!r}")
     harness = HandshakeHarness(netlist, protocol)
     names = [p.name for p in harness.inputs]
     _check_exhaustible(len(names), "classification")
@@ -125,12 +127,10 @@ def classify_indication(netlist: Netlist, protocol: Protocol,
         mode = "exhaustive" if len(names) <= PERMUTATION_INPUT_LIMIT else "holdback"
     if mode == "exhaustive":
         orders = [tuple([n] for n in perm) for perm in itertools.permutations(names)]
-    elif mode == "holdback":
+    else:
         # the rest first, then h (no rest for one input; one empty order for none)
         orders = [tuple(g for g in ([m for m in names if m != h], [h]) if g)
                   for h in names] or [()]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     state = harness.initialize(delay_model)
     const_groups = 1 if harness.consts else 0
@@ -266,11 +266,13 @@ def orphan_scan(netlist: Netlist, protocol: Protocol, oracle: Oracle,
     (disabled excitations), datapath quiescence at the instant the outputs
     complete in each phase, and functional agreement with the oracle.
     A netlist not built for ``protocol`` raises :class:`InitializationError`; a ``seed``,
-    ``trials`` or ``transactions`` not an int >= 0, or a bad delay range, ``ValueError``.
+    ``trials`` or ``transactions`` that ``check_int`` refuses (anything but an int >= 0), or
+    a bad delay range, ``ValueError``.  No count has an upper bound: draws are lazy, so a
+    huge count is a long run, not a large allocation.
     """
-    check_seed(seed)
-    check_seed(trials, "trials")
-    check_seed(transactions, "transactions")
+    check_int(seed, "seed")
+    check_int(trials, "trials")
+    check_int(transactions, "transactions")
     RandomUniformDelay(delay_low, delay_high)  # judges the range
     harness = HandshakeHarness(netlist, protocol)
     names = [p.name for p in harness.inputs]

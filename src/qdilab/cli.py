@@ -24,7 +24,7 @@ from .analysis import (BenchDesign, Indication, _check_exhaustible, bench_to_csv
 from .components import COMPONENT_ORACLES, COMPONENTS, FA_VARIANTS
 from .encoding import Protocol
 from .multiplier import MultiplierSpec, array_multiplier, product_oracle
-from .netlist import Netlist, NetlistError, check_weights, from_json, stats, to_dot, to_json
+from .netlist import Netlist, NetlistError, check_int, check_weights, from_json, stats, to_dot, to_json
 from .sim import InitializationError, RandomUniformDelay, TableDelay, UnitDelay
 
 # the values each string option accepts, from flags and config files alike
@@ -171,8 +171,7 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
     config = replace(config, **overrides)
     given = from_file.keys() | overrides.keys()  # a default is not given
     for key, least in (("n", 2), ("trials", 1), ("transactions", 1)):
-        if getattr(config, key) < least:
-            parser.error(f"--{key} must be >= {least}, got {getattr(config, key)}")
+        check_int(getattr(config, key), f"--{key}", least)  # main reports the ValueError
     if config.n > MAX_N:  # refuse before generating
         parser.error(f"--n must be <= {MAX_N}, got {config.n}")
     for key, allowed in CHOICES.items():
@@ -251,9 +250,9 @@ def _oracle_for(netlist: Netlist):
     exactly its outputs."""
     n = netlist.metadata.get("n")
     component = netlist.metadata.get("component", "")
-    if (n is not None and type(n) is not int) or not isinstance(component, str):
-        raise ValueError(f"netlist {netlist.name!r} metadata needs an integer n or a "
-                         f"string component, got n={n!r}, component={component!r}")
+    if not isinstance(component, str):
+        raise ValueError(f"netlist {netlist.name!r} metadata needs a string component, "
+                         f"got {component!r}")
     oracle = product_oracle(n) if n is not None else COMPONENT_ORACLES.get(component)
     if oracle is None:
         raise ValueError(f"no reference oracle for netlist {netlist.name!r}; "
@@ -453,12 +452,11 @@ def cmd_fuzz(config: CliConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     parser = args.parser  # the command's own, so every usage error names the command
-    config = merge_config(args, parser)
     commands = {"build": cmd_build, "verify": cmd_verify, "bench": cmd_bench,
                 "scale": cmd_scale, "classify": cmd_classify, "fuzz": cmd_fuzz,
                 "export": cmd_export}
     try:
-        return commands[args.command](config)
+        return commands[args.command](merge_config(args, parser))
     except (NetlistError, InitializationError, ValueError, OSError) as e:
         parser.error(str(e))
 

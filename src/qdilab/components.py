@@ -38,7 +38,7 @@ from functools import cache
 from typing import Callable, Mapping, Sequence
 
 from .encoding import Protocol
-from .netlist import Cell, GateKind, Netlist, NetlistBuilder, NetId
+from .netlist import Cell, GateKind, Netlist, NetlistBuilder, NetId, check_int
 
 Rails = tuple[NetId, NetId]  # (rail1, rail0)
 
@@ -170,8 +170,7 @@ def ripple_carry_adder(protocol: Protocol, width: int,
     cascading two strongly indicating stages already degrades the whole to
     weak indication, since the low sum can complete before the high operands
     arrive."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    check_int(width, "width", 1)
     if fa_variant not in FA_VARIANTS:
         raise ValueError(f"unknown full-adder variant {fa_variant!r}")
     fa = cell(fa_variant, protocol)
@@ -200,6 +199,7 @@ def _fa_oracle(vec: Mapping[str, int]) -> dict[str, int]:
 
 
 def rca_oracle(width: int) -> Callable[[Mapping[str, int]], dict[str, int]]:
+    check_int(width, "width", 1)
     def oracle(vec: Mapping[str, int]) -> dict[str, int]:
         a = sum(vec[f"A{i}"] << i for i in range(width))
         b = sum(vec[f"B{i}"] << i for i in range(width))

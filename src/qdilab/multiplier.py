@@ -30,7 +30,7 @@ from typing import Callable, Mapping
 
 from .components import FA_VARIANTS, cell
 from .encoding import Protocol
-from .netlist import Netlist, NetlistBuilder
+from .netlist import Netlist, NetlistBuilder, check_int
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class MultiplierSpec:
     fa_variant: str = "weak_fa"
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"multiplier width must be >= 2, got {self.n}")
+        check_int(self.n, "multiplier width", 2)
         if self.fa_variant not in FA_VARIANTS:
             raise ValueError(f"unknown full-adder variant {self.fa_variant!r}")
 
@@ -113,6 +112,7 @@ def product_bits(n: int, p: int) -> dict[str, int]:
 
 def product_oracle(n: int) -> Callable[[Mapping[str, int]], dict[str, int]]:
     """Oracle mapping an input port vector to the expected product bits."""
+    check_int(n, "width", 1)
 
     def oracle(values: Mapping[str, int]) -> dict[str, int]:
         a = sum(values[f"A{j}"] << j for j in range(n))

@@ -521,6 +521,16 @@ class NetlistBuilder:
                        tuple(self._net_init), dict(self.metadata))
 
 
+def check_int(value: int, what: str, least: int = 0) -> int:
+    """``value``, if it is an int (no bool) of at least ``least``; else
+    ``ValueError``: the one rule for every width, seed, count and delay."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def check_weights(weights: Mapping[str, float]) -> Mapping[str, float]:
     """``weights``, if each names a gate kind and is an int or float that a
     float holds, at least 0, and not a bool; else ``ValueError``."""

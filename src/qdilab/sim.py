@@ -94,10 +94,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .encoding import is_bit
-from .netlist import NEXT_STATE, GateKind, Netlist
+from .netlist import NEXT_STATE, GateKind, Netlist, check_int
 
 
 class SimulationError(Exception):
@@ -146,17 +146,6 @@ def uniform_draws(rng: random.Random, low: int, high: int, count: int) -> list[i
     return out
 
 
-def check_seed(seed: int, what: str = "seed") -> int:
-    """``seed``, if it is an int (no bool) of at least 0; else ``ValueError``.
-    ``random.Random`` seeds with ``abs(seed)``, so a negative seed would draw
-    exactly what its positive twin draws."""
-    if type(seed) is not int:
-        raise ValueError(f"{what} must be an int, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"{what} must be >= 0, got {seed}")
-    return seed
-
-
 # --------------------------------------------------------------------------
 # delay models
 
@@ -170,8 +159,10 @@ class UnitDelay:
 class TableDelay:
     """Per-gate delays from a table keyed by kind name (``"AND2"``) or by
     gate id (its position, an int and no bool); a gate's own entry wins over
-    its kind's, and a gate named by neither gets ``default``.  Any other key,
-    and any delay or default but an int >= 1 and no bool, used or not, raises."""
+    its kind's, and a gate named by neither gets ``default``.  Any other key
+    raises, and so does any delay or default, used or not, that
+    ``check_int(d, "gate delays", 1)`` refuses, when built and at each
+    ``resolve``, since the table is the caller's and may change."""
 
     table: Mapping[str | int, int]
     default: int = 1
@@ -181,7 +172,8 @@ class TableDelay:
         unknown = [k for k in self.table if k not in kinds and type(k) is not int]
         if unknown:
             raise ValueError(f"delay table keys must be gate kind names or ids, got {unknown}")
-        _check_delays((*self.table.values(), self.default))
+        for d in (*self.table.values(), self.default):
+            check_int(d, "gate delays", 1)
 
     def resolve(self, netlist: Netlist) -> list[int]:
         gates = netlist.gates
@@ -191,18 +183,10 @@ class TableDelay:
             raise ValueError(f"delay table names gates {unknown}, outside "
                              f"0..{len(gates) - 1}")
         table = self.table
-        delays = [table.get(gid, table.get(g.kind.value, self.default))
-                  for gid, g in enumerate(gates)]
-        _check_delays(delays)  # the table is the caller's, who may have changed it
-        return delays
-
-
-def _check_delays(delays: Iterable[int]) -> None:
-    for d in delays:
-        if type(d) is not int:  # a bool is no delay
-            raise ValueError(f"gate delays must be ints, got {d!r}")
-        if d < 1:
-            raise ValueError(f"gate delays must be >= 1, got {d}")
+        for d in (*table.values(), self.default):  # the caller may have changed the table
+            check_int(d, "gate delays", 1)
+        return [table.get(gid, table.get(g.kind.value, self.default))
+                for gid, g in enumerate(gates)]
 
 
 @dataclass(frozen=True)
@@ -218,7 +202,7 @@ class RandomUniformDelay:
         low, high = self.low, self.high
         if type(low) is not int or type(high) is not int or not 1 <= low <= high:
             raise ValueError(f"bad delay range [{low!r}, {high!r}]")
-        check_seed(self.seed, "delay seed")
+        check_int(self.seed, "delay seed")
 
     def resolve(self, netlist: Netlist) -> list[int]:
         return uniform_draws(random.Random(self.seed), self.low, self.high, len(netlist.gates))

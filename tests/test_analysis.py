@@ -179,10 +179,18 @@ def test_an_output_complete_before_the_last_input_is_a_premature_complete_witnes
     assert w.detail == "every output completed before the final input"
 
 
-def test_classifier_mode_validation():
+def test_classifier_mode_validation(monkeypatch):
     with pytest.raises(ValueError):
         classify_indication(strong_and2(Protocol.RTZ), Protocol.RTZ,
                             mode="telepathy")
+    # the mode is judged before a harness is built, so the design's protocol
+    # error cannot hide it
+    with pytest.raises(ValueError, match="^unknown mode 'telepathy'$"):
+        classify_indication(strong_and2(Protocol.RTZ), Protocol.RTO, mode="telepathy")
+    monkeypatch.setattr("qdilab.analysis.HandshakeHarness",
+                        lambda *args: pytest.fail("a harness was built"))
+    with pytest.raises(ValueError, match="^unknown mode 'telepathy'$"):
+        classify_indication(strong_and2(Protocol.RTZ), Protocol.RTZ, mode="telepathy")
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,9 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     and2 = tmp_path / "and.json"  # an RTZ netlist cannot reset under RTO
     assert run_inproc("export", "--component", "strong_and2", "--out", str(and2)) == 0
     mult2 = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
-    bad_meta = []  # oracle metadata of the wrong JSON type, or metadata that is no object
+    bad_meta = []  # oracle metadata of the wrong JSON type or width, or metadata no object
     pairs = [list(item) for item in mult2["meta"].items()]  # dict() would read it as the meta
-    for i, (base, meta) in enumerate([*((mult2, {"n": n}) for n in ([2], {"a": 1}, "2", 2.0, True)),
+    for i, (base, meta) in enumerate([*((mult2, {"n": n}) for n in ([2], {"a": 1}, "2", 2.0, True, -1)),
                                       (mult2, pairs), (mult2, None),
                                       (json.loads(and2.read_text()), {"component": [1]})]):
         bad_meta.append(tmp_path / f"meta{i}.json")
@@ -240,6 +240,7 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     assert "pergate delay table key 'AND2' is not a gate id" in err
     assert err.count("error: output port Z carries a constant\n") == 3
     assert err.count("error: meta must be an object, got ") == 2
+    assert "error: width must be >= 1, got -1\n" in err  # a saved meta.n of -1
 
 
 def _verify_report(tmp_path, *argv):

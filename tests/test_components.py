@@ -7,7 +7,7 @@ import pytest
 
 from qdilab.components import (CELLS, COMPONENTS, cell, dims_full_adder,
                                emit_dims_full_adder, emit_strong_and2,
-                               emit_weak_full_adder, ripple_carry_adder,
+                               emit_weak_full_adder, rca_oracle, ripple_carry_adder,
                                strong_and2, weak_full_adder)
 from qdilab.encoding import Protocol
 from qdilab.handshake import HandshakeHarness
@@ -53,8 +53,11 @@ def test_ripple_carry_adder_exhaustive(protocol, variant):
         res = harness.run_transaction(state, vec)
         assert res.outputs == {"S0": total & 1, "S1": (total >> 1) & 1,
                                "Cout": total >> 2}
-    with pytest.raises(ValueError, match="^width must be >= 1$"):
-        ripple_carry_adder(protocol, 0, variant)
+    for width, message in ((0, ">= 1, got 0"), (-1, ">= 1, got -1"),
+                           (True, "an int, got True"), (2.0, "an int, got 2.0")):
+        for build in (lambda w: ripple_carry_adder(protocol, w, variant), rca_oracle):
+            with pytest.raises(ValueError, match=f"^width must be {message}$"):
+                build(width)
     # a cell, but not a full adder
     with pytest.raises(ValueError, match="^unknown full-adder variant 'strong_and2'$"):
         ripple_carry_adder(protocol, 2, "strong_and2")

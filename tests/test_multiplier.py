@@ -23,6 +23,12 @@ def test_spec_validation():
         MultiplierSpec(1, Protocol.RTZ)
     with pytest.raises(ValueError):
         MultiplierSpec(4, Protocol.RTZ, "fancy_fa")
+    for n, message in ((1, ">= 2, got 1"), (2.0, "an int, got 2.0"), (True, "an int, got True")):
+        with pytest.raises(ValueError, match=f"^multiplier width must be {message}$"):
+            MultiplierSpec(n, Protocol.RTZ)
+    for n, message in ((-1, ">= 1, got -1"), (2.0, "an int, got 2.0")):
+        with pytest.raises(ValueError, match=f"^width must be {message}$"):
+            product_oracle(n)
     assert MultiplierSpec(4, Protocol.RTO, "dims_fa").name == "mult4x4_dims_fa_rto"
 
 

@@ -344,7 +344,7 @@ def test_delay_tables_reject_delays_below_one_even_unused():
     for table, default, bad in (({"C2": 1.9}, 1, "1.9"), ({"C2": "3"}, 1, "'3'"),
                                 ({0: 2}, 2.0, "2.0"), ({"INV": float("nan")}, 1, "nan"),
                                 ({"C2": True}, 1, "True"), ({0: 2}, False, "False")):
-        with pytest.raises(ValueError, match=f"gate delays must be ints, got {bad}"):
+        with pytest.raises(ValueError, match=f"gate delays must be an int, got {bad}"):
             TableDelay(table, default)
     netlist, _ = wire_fixture()
     table = {"AND2": 2}
@@ -353,10 +353,10 @@ def test_delay_tables_reject_delays_below_one_even_unused():
     with pytest.raises(ValueError, match="gate delays must be >= 1, got 0"):
         delay.resolve(netlist)
     table["AND2"] = 2.5
-    with pytest.raises(ValueError, match="gate delays must be ints, got 2.5"):
+    with pytest.raises(ValueError, match="gate delays must be an int, got 2.5"):
         delay.resolve(netlist)
     table["AND2"] = True
-    with pytest.raises(ValueError, match="gate delays must be ints, got True"):
+    with pytest.raises(ValueError, match="gate delays must be an int, got True"):
         delay.resolve(netlist)
     # an int too large for a float is still an int of at least 1
     assert TableDelay({"C2": 10**400}).default == 1
