@@ -80,6 +80,8 @@ def load_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is given twice")
         if key in _INT_KEYS:
             try:
                 value = int(value)
@@ -170,14 +172,15 @@ def merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> C
                  if getattr(args, f.name, None) is not None}
     config = replace(config, **overrides)
     given = from_file.keys() | overrides.keys()  # a default is not given
-    for key, least in (("n", 2), ("trials", 1), ("transactions", 1)):
-        check_int(getattr(config, key), f"--{key}", least)  # main reports the ValueError
-    if config.n > MAX_N:  # refuse before generating
-        parser.error(f"--n must be <= {MAX_N}, got {config.n}")
+    for key in ("trials", "transactions"):
+        check_int(getattr(config, key), f"--{key}", 1)  # main reports the ValueError
     for key, allowed in CHOICES.items():
         value = getattr(config, key)
         if value is not None and value not in allowed:
             parser.error(f"unknown {key} {value!r}")
+    MultiplierSpec(config.n, Protocol(config.protocol), config.fa)  # the one judge of --n
+    if config.n > MAX_N:  # refuse before generating
+        parser.error(f"--n must be <= {MAX_N}, got {config.n}")
     reads = run_reads(args.command, config.delay, given)
     for key in (f.name for f in fields(CliConfig) if f.name in given - reads):
         parser.error(_ignored(key, args.command, config.delay, given))

@@ -177,18 +177,29 @@ class HandshakeHarness:
         of one input is that input's prebuilt stimulus, and the return
         phase's simultaneous batch is prebuilt too: both are shared, not
         copied.  Any other batch joins prebuilt stimuli, which are checked
-        already."""
+        already.  Data-phase ``values`` are judged in one pass that raises the
+        first of: no values, every missing input, every name that is not an
+        input, then the first value in input order that is not an integer 0
+        or 1 (a bool is the int it equals, and a float is refused)."""
         if phase == "data":
-            # ``index`` refuses a float such as 1.0, which the bit keys
-            # would take for 1, and the keys refuse every other int
-            try:
-                rails = {name: words[index(values[name])]
-                         for name, words in self._stimuli.items()}
-                if len(values) != len(rails):
-                    raise KeyError  # a value for what is not an input
-            except (KeyError, TypeError):
-                self._reject(values)
-                raise
+            if values is None:
+                raise TransactionError("data phase needs input values")
+            rails, missing, bad = {}, [], None
+            for name, words in self._stimuli.items():
+                if name not in values:
+                    missing.append(name)
+                    continue
+                try:  # ``index`` refuses 1.0, which the bit keys would take for 1
+                    rails[name] = words[index(values[name])]
+                except (KeyError, TypeError):
+                    bad = bad or f"input {name}: bit must be 0 or 1, got {values[name]!r}"
+            if missing:
+                raise TransactionError(f"missing values for inputs {missing}")
+            if len(values) != len(self._stimuli):
+                unknown = [name for name in values if name not in self._stimuli]
+                raise TransactionError(f"values for unknown inputs {unknown}")
+            if bad:
+                raise ValueError(bad)
         elif values:
             raise TransactionError(f"return phase reads no input values, got {dict(values)}")
         elif order is None:
@@ -214,26 +225,6 @@ class HandshakeHarness:
         if len(seen) < len(rails):
             raise TransactionError(f"arrival order misses inputs {sorted(rails.keys() - seen)}")
         return groups
-
-    def _reject(self, values: Mapping[str, int] | None) -> None:
-        """Raise the error for data-phase ``values`` that the stimulus lookup
-        refused: no values, then missing inputs, then names that are not
-        inputs, then the first value that is not an integer 0 or 1 (a bool is
-        the int it equals, and a float is refused)."""
-        if values is None:
-            raise TransactionError("data phase needs input values")
-        missing = [p.name for p in self.inputs if p.name not in values]
-        if missing:
-            raise TransactionError(f"missing values for inputs {missing}")
-        unknown = [name for name in values if name not in self._stimuli]
-        if unknown:
-            raise TransactionError(f"values for unknown inputs {unknown}")
-        for name, words in self._stimuli.items():
-            bit = values[name]
-            try:
-                words[index(bit)]
-            except (KeyError, TypeError):
-                raise ValueError(f"input {name}: bit must be 0 or 1, got {bit!r}") from None
 
     def run_phase(self, state: SimState, phase: str,
                   values: Mapping[str, int] | None = None,

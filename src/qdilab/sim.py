@@ -161,8 +161,8 @@ class TableDelay:
     gate id (its position, an int and no bool); a gate's own entry wins over
     its kind's, and a gate named by neither gets ``default``.  Any other key
     raises, and so does any delay or default, used or not, that
-    ``check_int(d, "gate delays", 1)`` refuses, when built and at each
-    ``resolve``, since the table is the caller's and may change."""
+    ``check_int(d, "gate delays", 1)`` refuses, when built; the model keeps
+    its own copy of the table it judged."""
 
     table: Mapping[str | int, int]
     default: int = 1
@@ -174,17 +174,14 @@ class TableDelay:
             raise ValueError(f"delay table keys must be gate kind names or ids, got {unknown}")
         for d in (*self.table.values(), self.default):
             check_int(d, "gate delays", 1)
+        object.__setattr__(self, "table", dict(self.table))
 
     def resolve(self, netlist: Netlist) -> list[int]:
-        gates = netlist.gates
-        unknown = [k for k in self.table
-                   if not isinstance(k, str) and k not in range(len(gates))]
+        gates, table = netlist.gates, self.table
+        unknown = [k for k in table if not isinstance(k, str) and k not in range(len(gates))]
         if unknown:
-            raise ValueError(f"delay table names gates {unknown}, outside "
-                             f"0..{len(gates) - 1}")
-        table = self.table
-        for d in (*table.values(), self.default):  # the caller may have changed the table
-            check_int(d, "gate delays", 1)
+            raise ValueError(f"delay table names gates {unknown}, but {netlist.name!r} "
+                             f"has {len(gates)} gates")
         return [table.get(gid, table.get(g.kind.value, self.default))
                 for gid, g in enumerate(gates)]
 

@@ -53,7 +53,8 @@ def test_usage_errors_exit_2(capsys):
                  ["verify", "--n", "x"],
                  ["verify", "--component", "nosuch"],
                  ["bench", "--n", "2", "--delay", "pergate"],
-                 ["fuzz", "--n", "2", "--trials", "0"]):
+                 ["fuzz", "--n", "2", "--trials", "0"],
+                 ["scale", "--n", "1"]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
@@ -484,6 +485,9 @@ def test_config_file_rejects_junk(tmp_path):
     bad.write_text("# operand width\nn = four\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:2: n must be an integer, "
                                          "got 'four'$"):
+        load_config_file(str(bad))
+    bad.write_text("n = 3\nn = 2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:2: key 'n' is given twice$"):
         load_config_file(str(bad))
 
 

@@ -334,6 +334,8 @@ def test_data_phase_requires_all_inputs():
         harness.run_phase(state, "data", None)
     with pytest.raises(TransactionError, match=r"missing values for inputs \['Y'\]"):
         harness.run_phase(state, "data", {"X": 1.0})  # reported before the bad bit
+    with pytest.raises(ValueError, match=r"^input X: bit must be 0 or 1, got 2$"):
+        harness.run_phase(state, "data", {"Y": 3, "X": 2})  # the first bad bit in input order
 
 
 def test_a_phase_refuses_values_it_does_not_read():
