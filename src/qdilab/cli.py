@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -68,11 +69,11 @@ _INT_KEYS = {k for k, t in get_type_hints(CliConfig).items() if t is int}
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines; a '#' at a line's start or after whitespace starts a comment."""
     values: dict = {}
     known = {f.name for f in fields(CliConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -230,7 +231,10 @@ def load_weights(config: CliConfig) -> dict[str, float] | None:
 
 def _load_table(path: str) -> dict:
     """The JSON object read from ``path``; the library judges its values."""
-    table = json.loads(Path(path).read_text())
+    try:
+        table = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as e:  # the latter: nested too deeply
+        raise ValueError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(table, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return table

@@ -11,7 +11,7 @@ return-to-zero circuits to all-zeros.
 Construction goes through :class:`NetlistBuilder`, which copies validated
 blocks (:class:`Cell`) as whole instances and whose ``build()`` refuses a
 netlist that fails structural validation.  Built netlists are treated as
-immutable, so each caches its validation verdict (``Netlist.validation``).
+immutable, so each caches its validation findings (``Netlist.validation``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class ValidationError(NetlistError):
     """Raised when a netlist fails structural validation."""
 
     def __init__(self, findings: Sequence["Finding"]):
-        self.findings = list(findings)
+        self.findings = tuple(findings)
         super().__init__("; ".join(f.message for f in self.findings))
 
 
@@ -57,8 +57,8 @@ class GateKind(str, Enum):
 
 
 # Every gate kind's Boolean function, written once: the next output value of
-# a gate, indexed by ``KIND_CODE[kind] << 3 | a << 2 | b << 1 | cur`` where
-# ``a``/``b`` are its input values (an inverter reads ``a`` only) and ``cur``
+# a gate, indexed by its *code* ``_gate_code(kind, a, b, cur)``, where ``a``
+# and ``b`` are its input values (an inverter reads ``a`` only) and ``cur``
 # its present output (only the C-element, which holds on disagreement, uses it).
 KIND_CODE = {GateKind.AND2: 0, GateKind.OR2: 1, GateKind.INV: 2, GateKind.C2: 3}
 NEXT_STATE = (
@@ -67,6 +67,11 @@ NEXT_STATE = (
     1, 1, 1, 1, 0, 0, 0, 0,  # INV:  not a
     0, 0, 0, 1, 0, 1, 1, 1,  # C2:   a if a == b else cur
 )
+
+
+def _gate_code(kind: GateKind, a: int, b: int, cur: int) -> int:
+    """The ``NEXT_STATE`` index of a ``kind`` gate at levels ``a``, ``b`` (inputs) and ``cur``."""
+    return KIND_CODE[kind] << 3 | a << 2 | b << 1 | cur
 
 
 class Gate(NamedTuple):  # id: position in ``Netlist.gates``; reset level: ``net_init[output]``
@@ -98,15 +103,6 @@ class DualRailPort:
 class Finding:
     code: str
     message: str
-
-
-@dataclass
-class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 @dataclass
@@ -161,14 +157,14 @@ class Netlist:
         return CompiledNetlist(self.validated())
 
     @cached_property
-    def validation(self) -> "ValidationReport":
-        """The structural validation verdict, computed on first use."""
+    def validation(self) -> tuple[Finding, ...]:
+        """``validate``'s findings, computed on first use: empty when valid."""
         return validate(self)
 
     def validated(self) -> "Netlist":
         """This netlist, or :class:`ValidationError` with its cached findings."""
-        if not self.validation.ok:
-            raise ValidationError(self.validation.findings)
+        if self.validation:
+            raise ValidationError(self.validation)
         return self
 
 
@@ -176,28 +172,26 @@ class CompiledNetlist:
     """A valid netlist flattened into per-gate and per-net arrays.
 
     Gate ``g`` with inputs ``(a, b)`` (an inverter's ``b`` repeats its
-    ``a``) and output ``o`` computes ``NEXT_STATE[KIND_CODE[kind] << 3 |
-    v[a] << 2 | v[b] << 1 | v[o]]`` over net values ``v``.  That index is the
-    gate's *code*, and the simulator keeps it up to date instead of
-    rebuilding it: ``fanout[n]`` lists, in gate order, one ``(gate, mask,
-    out)`` entry per gate reading net ``n``, where ``mask`` holds the index
-    bits that ``n`` sets (4 for ``a``, 2 for ``b``, 6 when the gate reads
-    ``n`` on both, as every inverter does) and ``out`` is the gate's output
-    net.  ``driver[n]`` is the gate driving net ``n``, whose ``cur`` bit (1)
-    a change of ``n`` flips; the rails of input ports, the only nets no gate
-    drives, all map to ``len(gates)``, one past the last gate.  Gates are
-    indexed by position, which is their id.  ``values`` and ``code`` are the
-    reset state, which every simulation state copies: each net's
-    ``net_init`` level, and one code per gate.
+    ``a``) and output ``o`` computes ``NEXT_STATE[_gate_code(kind, v[a],
+    v[b], v[o])]`` over net values ``v``.  ``code`` holds that index, the
+    gate's *code*, at the ``net_init`` levels; the simulator copies it and
+    keeps it up to date instead of rebuilding it: ``fanout[n]`` lists, in
+    gate order, one ``(gate, mask, out)`` entry per gate reading net ``n``,
+    where ``mask`` holds the index bits that ``n`` sets (4 for ``a``, 2 for
+    ``b``, 6 when the gate reads ``n`` on both, as every inverter does) and
+    ``out`` is the gate's output net.  ``driver[n]`` is the gate driving net
+    ``n``, whose ``cur`` bit (1) a change of ``n`` flips; the rails of input
+    ports, the only nets no gate drives, all map to ``len(gates)``, one past
+    the last gate.  Gates are indexed by position, which is their id.
     """
 
-    __slots__ = ("fanout", "driver", "values", "code")
+    __slots__ = ("fanout", "driver", "code")
 
     def __init__(self, netlist: Netlist):
-        gates, values = netlist.gates, list(netlist.net_init)
+        gates, init = netlist.gates, netlist.net_init
         fanout: list[list[tuple[int, int, int]]] = [[] for _ in range(netlist.net_count)]
         self.driver = [len(gates)] * netlist.net_count
-        code = []
+        self.code = code = []
         for i, (kind, ins, o) in enumerate(gates):
             a, b = ins[0], ins[-1]
             if a == b:
@@ -206,9 +200,8 @@ class CompiledNetlist:
                 fanout[a].append((i, 4, o))
                 fanout[b].append((i, 2, o))
             self.driver[o] = i
-            code.append(KIND_CODE[kind] << 3 | values[a] << 2 | values[b] << 1 | values[o])
+            code.append(_gate_code(kind, init[a], init[b], init[o]))
         self.fanout = [tuple(f) for f in fanout]
-        self.values, self.code = values, code
 
 
 def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> list[Finding]:
@@ -239,11 +232,11 @@ def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> li
     return findings
 
 
-def validate(netlist: Netlist) -> ValidationReport:
-    """Structural checks: bit reset levels, arity, net ranges, the port
-    checks of ``_port_findings``, single drivers, init consistency, and
-    acyclicity of the combinational subgraph (every feedback loop must pass
-    through a C2).  Gates are named by position."""
+def validate(netlist: Netlist) -> tuple[Finding, ...]:
+    """The findings, none if valid, of the structural checks: bit levels,
+    arity, net ranges, ``_port_findings``, single drivers, init consistency,
+    and acyclicity of the combinational subgraph (every feedback loop must
+    pass through a C2).  Gates are named by position."""
     net_init, gates = netlist.net_init, netlist.gates
     n = len(net_init)
     findings = [Finding("init-value", f"net {net} resets to {level}, not a bit")
@@ -258,7 +251,7 @@ def validate(netlist: Netlist) -> ValidationReport:
                 findings.append(Finding("net-range", f"gate {gid} references net {net} outside 0..{n - 1}"))
     findings += _port_findings(netlist.ports, net_init)
     if not bit_levels or any(f.code == "net-range" for f in findings):
-        return ValidationReport(findings)  # later checks need in-range ids and bit levels
+        return tuple(findings)  # later checks need in-range ids and bit levels
 
     # every net has one driver, a gate output or an input-port rail
     drivers: list[list[str]] = [[] for _ in range(n)]
@@ -284,8 +277,7 @@ def validate(netlist: Netlist) -> ValidationReport:
     for i, (kind, ins, out) in enumerate(gates):
         if len(ins) == kind.arity:
             init = net_init[out]
-            expect = NEXT_STATE[KIND_CODE[kind] << 3 | net_init[ins[0]] << 2
-                                | net_init[ins[-1]] << 1 | init]
+            expect = NEXT_STATE[_gate_code(kind, net_init[ins[0]], net_init[ins[-1]], init)]
             if init != expect:
                 findings.append(Finding(
                     "init-inconsistent",
@@ -311,7 +303,7 @@ def validate(netlist: Netlist) -> ValidationReport:
     stuck = [i for i, w in enumerate(waits) if w]
     if stuck:
         findings.append(Finding("comb-cycle", f"gates {stuck} lie on or behind a combinational cycle"))
-    return ValidationReport(findings)
+    return tuple(findings)
 
 
 def _inputs_getter(inputs: tuple[NetId, ...]) -> Callable[[Sequence[NetId]], tuple[NetId, ...]]:
@@ -386,7 +378,7 @@ class NetlistBuilder:
         b._gates = list(base.gates)
         b._ports = list(base.ports)
         b._net_init = list(base.net_init)
-        b._vouched = base.validation.ok
+        b._vouched = not base.validation
         return b
 
     @property
@@ -419,8 +411,7 @@ class NetlistBuilder:
             if init is None and not is_bit(net_init[net]):
                 raise NetlistError(f"net {net} resets to {net_init[net]!r}, not a bit")
         if init is None:
-            code = (KIND_CODE[kind] << 3 | net_init[inputs[0]] << 2
-                    | net_init[inputs[-1]] << 1)
+            code = _gate_code(kind, net_init[inputs[0]], net_init[inputs[-1]], 0)
             init = NEXT_STATE[code]
             if NEXT_STATE[code | 1] != init:  # the gate holds either value
                 raise NetlistError("C2 with disagreeing input resets needs an explicit init")
@@ -512,7 +503,7 @@ class NetlistBuilder:
         inputs = sum(p.direction == "input" for p in ports)
         if (self._vouched and n == 2 * inputs + len(self._gates)  # no stray new_net
                 and not _port_findings(ports, self._net_init)):
-            netlist.validation = ValidationReport()  # what validate would report
+            netlist.validation = ()  # what validate would report
             return netlist
         return netlist.validated()
 
@@ -651,7 +642,7 @@ def _entries(docs, what: str, load: Callable[[int, dict], tuple]) -> list[tuple]
 def from_json(text: str) -> Netlist:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
         raise FormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")

@@ -11,16 +11,16 @@ which makes the same ``getrandbits`` calls as ``randint`` without its call
 layers: the same delays, and the generator left in the same state.
 
 The kernel runs on the netlist's compiled form (``Netlist.compiled``: per-net
-fanout entries and drivers, and the reset state), built from the validated
-netlist the first time a state or a :class:`Stimulus` needs it and shared by
-every later state over it, so ``initialize``, ``SimState`` and ``Stimulus``
-raise ``ValidationError`` with ``validate``'s findings for an invalid one.
+fanout entries, drivers and reset codes), built from the validated netlist
+the first time a state or a :class:`Stimulus` needs it and shared by every
+later state over it, so ``initialize``, ``SimState`` and ``Stimulus`` raise
+``ValidationError`` with ``validate``'s findings for an invalid one.
 A state starts, with no protocol, at every net's ``net_init`` level, where
 validation rules out an excited gate and a design's input rails rest at its
-protocol's spacer (the harness refuses one that does not).  It copies that
-reset state, ``CompiledNetlist.values`` and ``code``, and appends one spare
-code, which ``driver`` names for every input rail, so that a stimulus
-commit has a code to flip.
+protocol's spacer (the harness refuses one that does not).  It copies
+``net_init`` and the compiled ``code`` of each gate at those levels, and
+appends one spare code, which ``driver`` names for every input rail, so
+that a stimulus commit has a code to flip.
 
 Each gate's ``NEXT_STATE`` index, its *code* ``kind | a << 2 | b << 1 |
 cur``, is kept by the state in ``_code``, copied from the compiled ``code``
@@ -307,10 +307,10 @@ class SimState:
         # every event is due one unit after its cause: settles run on the
         # per-step lists
         self._unit = delays.count(1) == len(delays)
-        # the reset state, copied from the compiled one: one code per gate,
-        # plus the spare slot that ``driver`` names for every input rail, so
-        # that input-rail commits have a code to flip
-        self.values = compiled.values[:]
+        # the reset state: every net's level and one code per gate, plus the
+        # spare slot that ``driver`` names for every input rail, so that
+        # input-rail commits have a code to flip
+        self.values = list(netlist.net_init)
         self._code = compiled.code + [0]
         self.now = 0
         self.transitions = 0

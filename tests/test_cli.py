@@ -172,6 +172,11 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
         {**p, "const_value": 0} if p["name"] == "Z" else p for p in and2_doc["ports"]]}))
     mult2_path = tmp_path / "m2.json"
     mult2_path.write_text(json.dumps(mult2))
+    deep = tmp_path / "deep.json"  # nested past any recursion limit: a usage error
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    deep_meta = tmp_path / "deep_meta.json"
+    deep_meta.write_text(json.dumps({**mult2, "meta": 0}).replace(
+        '"meta": 0', '"meta": ' + deep.read_text()))
     numeric_names = []  # a netlist or port name that is a number, not a string
     for i, doc in enumerate(({**mult2, "name": 5},
                              {**mult2, "ports": [{**mult2["ports"][0], "name": 7},
@@ -232,7 +237,10 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
                  # options that pick another circuit than the one given
                  ["verify", "--netlist", str(mult2_path), "--n", "3", "--fa", "dims_fa"],
                  ["classify", "--component", "strong_and2", "--n", "5", "--fa", "dims_fa"],
-                 ["verify", "--netlist", str(mult2_path), "--component", "weak_fa"]):
+                 ["verify", "--netlist", str(mult2_path), "--component", "weak_fa"],
+                 *(["verify", "--netlist", str(p)] for p in (deep, deep_meta)),
+                 ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(deep)],
+                 ["bench", "--n", "2", "--weights", str(deep)]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
@@ -242,6 +250,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     assert err.count("error: output port Z carries a constant\n") == 3
     assert err.count("error: meta must be an object, got ") == 2
     assert "error: width must be >= 1, got -1\n" in err  # a saved meta.n of -1
+    assert err.count("error: not valid JSON: maximum recursion depth exceeded") == 2
+    assert err.count(f"error: {deep}: not valid JSON: maximum recursion depth exceeded") == 2
 
 
 def _verify_report(tmp_path, *argv):
@@ -460,6 +470,14 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg.write_text("protocol = rto\nseed = 9  # trailing comment\n")
     values = load_config_file(str(cfg))
     assert values == {"protocol": "rto", "seed": 9}
+    # a '#' starts a comment only at the start of a line or after whitespace
+    hashed = tmp_path / "hashed.cfg"
+    out = tmp_path / "r#1.json"
+    hashed.write_text(f"# a comment\nn = 2\nout = {out}\n\t# another\n")
+    assert load_config_file(str(hashed)) == {"n": 2, "out": str(out)}
+    assert run_inproc("verify", "--config", str(hashed)) == 0
+    assert json.loads(out.read_text())["config"]["out"] == str(out)
+    assert not (tmp_path / "r").exists()
     out_a = tmp_path / "a.json"
     # classify reads the seed under random delays only
     assert run_inproc("classify", "--component", "weak_fa", "--delay", "random", "--config",

@@ -181,10 +181,10 @@ def check_fanout_and_driver(netlist):
     rails = {r for p in netlist.input_ports + netlist.const_ports for r in p.rails}
     assert {n for n, d in enumerate(drivers) if d == len(netlist.gates)} == rails
     assert compiled.driver == drivers
-    v = netlist.net_init
+    v = netlist.net_init  # the one record of the reset levels: the compiled form keeps none
     assert compiled.code == [KIND_CODE[kind] << 3 | v[ins[0]] << 2 | v[ins[-1]] << 1 | v[out]
                              for kind, ins, out in netlist.gates]
-    assert CompiledNetlist.__slots__ == ("fanout", "driver", "values", "code")
+    assert CompiledNetlist.__slots__ == ("fanout", "driver", "code")
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -214,7 +214,7 @@ def test_fanout_masks_of_a_gate_reading_one_net_twice():
 # validation findings
 
 def codes(netlist):
-    return sorted(f.code for f in validate(netlist).findings)
+    return sorted(f.code for f in validate(netlist))
 
 
 def test_multi_driver_detected():
@@ -237,7 +237,7 @@ def test_driver_findings_name_every_driver_in_net_order():
     dangling = b.new_net()
     z = b.add_gate(GateKind.AND2, (x.rail1, dangling))
     b.add_output_port("Z", out, z)
-    findings = [(f.code, f.message) for f in validate(b.build_unchecked()).findings]
+    findings = [(f.code, f.message) for f in validate(b.build_unchecked())]
     assert findings == [("multi-driver", "net 3 driven by gate 2, port Y"),
                         ("multi-driver", "net 4 driven by gate 0, gate 1"),
                         ("undriven", "net 5 has no driver")]
@@ -249,12 +249,12 @@ def test_a_built_netlist_caches_its_verdict(monkeypatch):
     b, x, y = small_builder()
     b.add_output_port("Z", b.add_gate(GateKind.AND2, (x.rail1, y.rail1)), x.rail0)
     netlist = b.build()  # the builder vouches for it
-    assert netlist.validated() is netlist and netlist.validation.ok and calls == []
+    assert netlist.validated() is netlist and not netlist.validation and calls == []
     loaded = from_json(to_json(netlist))
-    assert loaded.validated() is loaded and loaded.validation.ok and calls == [loaded]
+    assert loaded.validated() is loaded and not loaded.validation and calls == [loaded]
     b.wire_gate(GateKind.OR2, (x.rail0, y.rail0), b.new_net(), init=0)
     wired = b.build()  # wire_gate dropped the vouch
-    assert wired.validated() is wired and wired.validation.ok and calls == [loaded, wired]
+    assert wired.validated() is wired and not wired.validation and calls == [loaded, wired]
     odd = NetlistBuilder("odd")
     odd.add_input_port("A", 1.0)  # equals 1, but is no int bit
     with pytest.raises(ValidationError) as exc:
@@ -296,7 +296,7 @@ def test_combinational_cycle_lists_the_gates_behind_it():
     b.wire_gate(GateKind.OR2, (a, y.rail1), loop, init=0)
     behind = b.add_gate(GateKind.AND2, (loop, x.rail0))  # reads the loop's output
     b.add_output_port("Z", behind, a)
-    (finding,) = validate(b.build_unchecked()).findings
+    (finding,) = validate(b.build_unchecked())
     assert finding.code == "comb-cycle"
     assert finding.message == "gates [0, 1, 2] lie on or behind a combinational cycle"
 
@@ -329,7 +329,7 @@ def test_an_input_port_whose_rails_reset_apart_is_refused():
     x = b.add_input_port("X")
     b.add_output_port("Z", b.add_gate(GateKind.AND2, (x.rail1, x.rail1)), x.rail0)
     netlist = replace(b.build(), net_init=(0, 1, 0))
-    assert [(f.code, f.message) for f in validate(netlist).findings] == [
+    assert [(f.code, f.message) for f in validate(netlist)] == [
         ("init-value", "port X rails reset to 0 and 1")]
     # a saved gate on rail0 that resets to 1: the other fault is named too
     doc = json.loads(to_json(b.build()))
@@ -432,13 +432,13 @@ def test_build_raises_exactly_what_validate_finds(data):
     exactly when ``validate`` finds nothing in it, and otherwise raises
     :class:`ValidationError` with ``validate``'s findings, in order."""
     b = builder_program(data)
-    expected = validate(b.build_unchecked()).findings
+    expected = validate(b.build_unchecked())
     try:
         netlist = b.build()
     except ValidationError as e:
-        assert e.findings == expected != []
+        assert e.findings == expected != ()
     else:
-        assert expected == [] and netlist.validation.ok
+        assert expected == () and not netlist.validation
         assert structurally_equal(netlist, b.build_unchecked())
 
 
@@ -456,7 +456,7 @@ def test_a_saved_netlist_loads_as_itself(data):
                                          data.draw(st.sampled_from(ones))]))
         b.add_gate(GateKind.C2, ins, init=data.draw(st.integers(0, 1)))
     netlist = b.build_unchecked()
-    assume(netlist.validation.ok)
+    assume(not netlist.validation)
     loaded = from_json(to_json(netlist))
     assert (loaded.gates, loaded.ports, loaded.net_init) == (
         netlist.gates, netlist.ports, netlist.net_init)
@@ -584,6 +584,11 @@ def test_from_json_rejects_malformed():
         from_json("{not json")
     with pytest.raises(FormatError):
         from_json(json.dumps([1, 2, 3]))
+    deep = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
+    sample = json.dumps({**json.loads(to_json(build_sample())), "meta": 0})
+    for text in (deep, sample.replace('"meta": 0', '"meta": ' + deep)):
+        with pytest.raises(FormatError, match="^not valid JSON: maximum recursion depth"):
+            from_json(text)
     doc = json.loads(to_json(build_sample()))
     doc["gates"][0]["kind"] = "XOR9"
     with pytest.raises(FormatError):
@@ -612,7 +617,7 @@ def test_from_json_leaves_nets_out_of_range_to_validate():
                 replace(sample, gates=(*gates[:2], gates[2]._replace(output=-1))),
                 replace(sample, ports=moved("X", rail0=7)),
                 replace(sample, ports=moved("Z", rail1=7, rail0=12))):
-        findings = validate(bad).findings
+        findings = validate(bad)
         assert "net-range" in {f.code for f in findings}
         with pytest.raises(ValidationError) as exc:
             from_json(to_json(bad))
@@ -750,7 +755,7 @@ def test_an_output_port_carrying_a_constant_is_refused():
     netlist = build_sample()
     ports = list(netlist.ports)
     ports[2] = replace(ports[2], const_value=0)  # the output port Z
-    assert [(f.code, f.message) for f in validate(replace(netlist, ports=tuple(ports))).findings] \
+    assert [(f.code, f.message) for f in validate(replace(netlist, ports=tuple(ports)))] \
         == [("port-dir", "output port Z carries a constant")]
     doc = json.loads(to_json(netlist))
     doc["ports"][2]["const_value"] = 0
