@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, TypeVar, get_type_hints
 
 from .analysis import (BenchDesign, Indication, _check_exhaustible, bench_to_csv,
                        benchmark, classify_indication, exhaustive_verify,
@@ -212,7 +213,7 @@ def delay_model(config: CliConfig):
         return RandomUniformDelay(config.delay_low, config.delay_high, config.seed)
     if config.delay_table is None:
         raise ValueError(f"delay model {config.delay!r} needs --delay-table")
-    table = _load_table(config.delay_table)
+    table = _read_json(config.delay_table, _table)
     default = table.pop("*", 1)
     key = str if config.delay == "perkind" else _gate_id  # kind names or gate ids
     return TableDelay({key(k): v for k, v in table.items()}, default)
@@ -226,17 +227,31 @@ def _gate_id(key: str) -> int:
 
 
 def load_weights(config: CliConfig) -> dict[str, float] | None:
-    return check_weights(_load_table(config.weights)) if config.weights else None
+    return check_weights(_read_json(config.weights, _table)) if config.weights else None
 
 
-def _load_table(path: str) -> dict:
-    """The JSON object read from ``path``; the library judges its values."""
+T = TypeVar("T")
+
+
+def _read_json(path: str, parse: Callable[[str], T]) -> T:
+    """What ``parse`` makes of the JSON file at ``path``; a refusal of the
+    file, a text that is not UTF-8 included, names it."""
     try:
-        table = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as e:  # the latter: nested too deeply
+        return parse(Path(path).read_text())
+    except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not valid JSON: {e}") from None
+    except (NetlistError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _table(text: str) -> dict:
+    """The JSON object ``text`` holds; the library judges its values."""
+    try:
+        table = json.loads(text)
+    except (ValueError, RecursionError) as e:  # the latter: nested too deeply
+        raise ValueError(f"not valid JSON: {e}") from None
     if not isinstance(table, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     return table
 
 
@@ -244,7 +259,7 @@ def target_netlist(config: CliConfig) -> Netlist:
     """The circuit a command operates on: a saved file, a library block, or a
     freshly generated multiplier."""
     if config.netlist:
-        return from_json(Path(config.netlist).read_text())
+        return _read_json(config.netlist, from_json)
     protocol = Protocol(config.protocol)
     if config.component:
         return COMPONENTS[config.component](protocol)
@@ -259,7 +274,7 @@ def _oracle_for(netlist: Netlist):
     component = netlist.metadata.get("component", "")
     if not isinstance(component, str):
         raise ValueError(f"netlist {netlist.name!r} metadata needs a string component, "
-                         f"got {component!r}")
+                         f"got {reprlib.repr(component)}")
     oracle = product_oracle(n) if n is not None else COMPONENT_ORACLES.get(component)
     if oracle is None:
         raise ValueError(f"no reference oracle for netlist {netlist.name!r}; "

@@ -122,11 +122,12 @@ class HandshakeHarness:
         self.inputs = self.netlist.input_ports
         self.consts = self.netlist.const_ports
         self.outputs = self.netlist.output_ports
-        # the watched table: the output ports on each net; () is a false entry
-        self._ports_of: list[tuple[DualRailPort, ...]] = [()] * self.netlist.net_count
+        # the watched table every state shares: the output ports on each net; () is false
+        ports_of: list[tuple[DualRailPort, ...]] = [()] * self.netlist.net_count
         for p in self.outputs:
             for rail in p.rails:
-                self._ports_of[rail] += (p,)
+                ports_of[rail] += (p,)
+        self._ports_of = tuple(ports_of)
         # the output rails' values, flat: (rail1, rail0) of each output port
         self._snapshot = itemgetter(*(r for p in self.outputs for r in p.rails))
         # built once and checked once: each input's data stimuli keyed by
@@ -148,7 +149,10 @@ class HandshakeHarness:
         self._targets = {"data": set(words[:2]), "return": {words[2]}}
 
     def initialize(self, delay_model: DelayModel = UnitDelay()) -> SimState:
-        return initialize(self.netlist, delay_model)
+        """A reset state carrying the monitor's table, which marks it as this harness's."""
+        state = initialize(self.netlist, delay_model)
+        state.watched, state.datapath_nets = self._ports_of, self.datapath_nets
+        return state
 
     def decode_outputs(self, state: SimState) -> dict[str, int]:
         self._refuse_foreign(state)
@@ -163,8 +167,8 @@ class HandshakeHarness:
         return out
 
     def _refuse_foreign(self, state: SimState) -> None:
-        """Refuse a state :meth:`initialize` did not build, even a structural twin's."""
-        if state.netlist is not self.netlist:
+        """Refuse a state :meth:`initialize` did not build, even one over this netlist."""
+        if state.watched is not self._ports_of:
             raise TransactionError("state was not initialized by this harness "
                                    f"(it simulates {state.netlist.name!r})")
 
@@ -252,7 +256,6 @@ class HandshakeHarness:
         ports_of = self._ports_of
         spacer = self._spacer_level
         values_arr = state.values
-        datapath = state.datapath_nets = self.datapath_nets
 
         # outside an illegal codeword every output-rail event moves its ports
         # into or out of the target, so outputs that all end at the target
@@ -274,20 +277,16 @@ class HandshakeHarness:
         h0 = len(state.hazards)
         tr0 = state.transitions
         early: list[EarlyRecord] = []
-        prev = state.watch, state.watched
-        state.watch, state.watched = watch, ports_of
+        state.watch = watch  # a later phase's replaces it; left behind, it feeds only dead locals
         settle = state.apply_and_settle
-        try:
-            for gi, group in enumerate(groups):
-                settle(group)
-                if gi < final and last_move is not None:
-                    rails = snapshot(values_arr)
-                    if rails != start:
-                        moved = tuple(p.name for i, p in enumerate(self.outputs)
-                                      if rails[2 * i:2 * i + 2] != start[2 * i:2 * i + 2])
-                        early.append(EarlyRecord(gi, moved, targets.issuperset(_pairs(rails))))
-        finally:
-            state.watch, state.watched = prev
+        for gi, group in enumerate(groups):
+            settle(group)
+            if gi < final and last_move is not None:
+                rails = snapshot(values_arr)
+                if rails != start:
+                    moved = tuple(p.name for i, p in enumerate(self.outputs)
+                                  if rails[2 * i:2 * i + 2] != start[2 * i:2 * i + 2])
+                    early.append(EarlyRecord(gi, moved, targets.issuperset(_pairs(rails))))
         last_datapath = max(t0, state.last_datapath_commit)
 
         hazards = state.hazards[h0:]
@@ -295,7 +294,7 @@ class HandshakeHarness:
             t, name = illegal[0]
             raise TransactionError(f"output {name} hit an illegal codeword at t={t}")
         for h in hazards:
-            if h.net < datapath:
+            if h.net < self.datapath_nets:
                 raise TransactionError(f"datapath hazard: {h.description}")
         rails = snapshot(values_arr)
         if last_move is None or not targets.issuperset(_pairs(rails)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -514,9 +515,10 @@ class NetlistBuilder:
 
 def check_int(value: int, what: str, least: int = 0) -> int:
     """``value``, if it is an int (no bool) of at least ``least``; else
-    ``ValueError``: the one rule for every width, seed, count and delay."""
+    ``ValueError``: the one rule for every width, seed, count and delay.
+    A refused value is shown by ``reprlib.repr``, bounded however deep it nests."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an int, got {value!r}")
+        raise ValueError(f"{what} must be an int, got {reprlib.repr(value)}")
     if value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
@@ -595,23 +597,23 @@ def _level(value):
 def _int(value) -> int:
     """A JSON integer field: a float, string or boolean is not one."""
     if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise TypeError(f"expected an integer, got {reprlib.repr(value)}")
     return value
 
 
 def _str(value) -> str:
     """A JSON string field: a number, boolean or null is not one."""
     if type(value) is not str:
-        raise TypeError(f"expected a string, got {value!r}")
+        raise TypeError(f"expected a string, got {reprlib.repr(value)}")
     return value
 
 
 def _gate_from_doc(i: int, g: dict) -> tuple[Gate, int]:
     if not isinstance(g["inputs"], list):
-        raise TypeError(f"inputs must be a list, got {g['inputs']!r}")
+        raise TypeError(f"inputs must be a list, got {reprlib.repr(g['inputs'])}")
     if "id" in g and _int(g["id"]) != i:
         raise ValueError(f"id {g['id']} is not its position {i}")
-    return (Gate(GateKind(g["kind"]), tuple(map(_int, g["inputs"])), _int(g["output"])),
+    return (Gate(GateKind(_str(g["kind"])), tuple(map(_int, g["inputs"])), _int(g["output"])),
             _int(g["init"]))
 
 
@@ -657,7 +659,7 @@ def from_json(text: str) -> Netlist:
     except (TypeError, ValueError) as e:
         raise FormatError(f"bad top-level value: {e}") from e
     if not isinstance(meta, dict):
-        raise FormatError(f"meta must be an object, got {meta!r}")
+        raise FormatError(f"meta must be an object, got {reprlib.repr(meta)}")
     gates = _entries(gate_docs, "gate", _gate_from_doc)
     ports = _entries(port_docs, "port", _port_from_doc)
     # every net has exactly one driver: a gate output or an input-port rail

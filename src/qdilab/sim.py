@@ -81,12 +81,12 @@ The tables a settle only reads or mutates in place (the compiled fanout and
 drivers, the codes, the schedule, the pending keys and the heap) are bound
 once per state and fetched in one load.
 
-Observers: ``trace(t, net, value)`` sees every committed event.  ``watch``
-is called the same way, but only for nets whose ``watched`` entry is true
-(the handshake monitor's entry for a net is the output ports on it).
-``last_datapath_commit`` is the time of the latest commit below
-``datapath_nets`` (0 before any), so a monitor can ask when a group of nets
-last moved without seeing their events; the harness sets that bound.
+Observers: ``trace(t, net, value)`` sees every committed event, ``watch``
+the same for nets whose ``watched`` entry is true (the harness's entry for a
+net is the output ports on it).  ``last_datapath_commit`` is the time of
+the latest commit below ``datapath_nets`` (0 before any), so a monitor can
+ask when a group of nets last moved without seeing their events; the
+harness sets that bound when its ``initialize`` builds the state.
 """
 
 from __future__ import annotations

@@ -161,9 +161,12 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     mult2 = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
     bad_meta = []  # oracle metadata of the wrong JSON type or width, or metadata no object
     pairs = [list(item) for item in mult2["meta"].items()]  # dict() would read it as the meta
-    for i, (base, meta) in enumerate([*((mult2, {"n": n}) for n in ([2], {"a": 1}, "2", 2.0, True, -1)),
-                                      (mult2, pairs), (mult2, None),
-                                      (json.loads(and2.read_text()), {"component": [1]})]):
+    nested = json.loads("[" * 400 + "]" * 400)  # loadable, and echoed only in part
+    for i, (base, meta) in enumerate([*((mult2, {"n": n})
+                                        for n in ([2], {"a": 1}, "2", 2.0, True, -1, nested)),
+                                      (mult2, pairs), (mult2, None), (mult2, nested),
+                                      *((json.loads(and2.read_text()), {"component": c})
+                                        for c in ([1], nested))]):
         bad_meta.append(tmp_path / f"meta{i}.json")
         bad_meta[-1].write_text(json.dumps({**base, "meta": meta}))
     const_out = tmp_path / "const_out.json"  # a constant on the output port Z
@@ -174,6 +177,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     mult2_path.write_text(json.dumps(mult2))
     deep = tmp_path / "deep.json"  # nested past any recursion limit: a usage error
     deep.write_text("[" * 100_000 + "]" * 100_000)
+    latin = tmp_path / "latin.json"  # JSON text is UTF-8
+    latin.write_bytes(b'{"\xff": 1}')
     deep_meta = tmp_path / "deep_meta.json"
     deep_meta.write_text(json.dumps({**mult2, "meta": 0}).replace(
         '"meta": 0', '"meta": ' + deep.read_text()))
@@ -207,8 +212,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
                  *([cmd, "--netlist", str(const_out)] for cmd in ("verify", "classify", "fuzz")),
                  ["bench", "--n", "2", "--weights", str(bad_kind)],
                  ["classify", "--n", "9"],
-                 *(["verify", "--netlist", str(p)] for p in bad_meta[:-1]),
-                 ["fuzz", "--netlist", str(bad_meta[-1]), "--trials", "3"],
+                 *(["verify", "--netlist", str(p)] for p in bad_meta[:-2]),
+                 *(["fuzz", "--netlist", str(p), "--trials", "3"] for p in bad_meta[-2:]),
                  # options the command does not read
                  *([cmd, "--n", "2", "--trace", str(tmp_path / "t.csv")]
                    for cmd in ("classify", "fuzz", "scale", "bench")),
@@ -240,18 +245,24 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
                  ["verify", "--netlist", str(mult2_path), "--component", "weak_fa"],
                  *(["verify", "--netlist", str(p)] for p in (deep, deep_meta)),
                  ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(deep)],
-                 ["bench", "--n", "2", "--weights", str(deep)]):
+                 ["bench", "--n", "2", "--weights", str(deep)],
+                 ["verify", "--netlist", str(latin)],
+                 ["verify", "--n", "2", "--delay", "perkind", "--delay-table", str(latin)]):
         with pytest.raises(SystemExit) as exc:
             run_inproc(*argv)
         assert exc.value.code == 2
     assert not (tmp_path / "t.csv").exists() and not (tmp_path / "m.dot").exists()
     err = capsys.readouterr().err
     assert "pergate delay table key 'AND2' is not a gate id" in err
-    assert err.count("error: output port Z carries a constant\n") == 3
-    assert err.count("error: meta must be an object, got ") == 2
+    assert err.count(f"error: {const_out}: output port Z carries a constant\n") == 3
+    assert sum(f"error: {p}: meta must be an object, got " in err for p in bad_meta) == 3
     assert "error: width must be >= 1, got -1\n" in err  # a saved meta.n of -1
-    assert err.count("error: not valid JSON: maximum recursion depth exceeded") == 2
-    assert err.count(f"error: {deep}: not valid JSON: maximum recursion depth exceeded") == 2
+    assert err.count(f"error: {deep_meta}: not valid JSON: maximum recursion depth exceeded") == 1
+    assert err.count(f"error: {deep}: not valid JSON: maximum recursion depth exceeded") == 3
+    assert err.count(f"error: {latin}: not valid JSON: 'utf-8' codec can't decode") == 2
+    # meta.n, meta and meta.component nested 400 deep each end in one short line
+    shown = [line for line in err.splitlines() if line.endswith("got [[[[[[[...]]]]]]]")]
+    assert len(shown) == 3 and all(len(line) < 200 for line in shown)
 
 
 def _verify_report(tmp_path, *argv):

@@ -258,7 +258,8 @@ def test_transaction_requires_spacer_start():
 
 
 def test_a_harness_refuses_a_state_it_did_not_build():
-    """A state over the bare design, or over a second harness's netlist
+    """A state over the bare design, over this harness's own netlist but
+    built by ``sim.initialize``, or over a second harness's netlist
     (structurally equal to this one's), is refused before any settle or
     output read, naming the netlist it simulates: a harness runs only the
     states its own ``initialize`` built."""
@@ -269,6 +270,7 @@ def test_a_harness_refuses_a_state_it_did_not_build():
     assert structurally_equal(twin.netlist, harness.netlist)
     message = r"^state was not initialized by this harness \(it simulates '{}'\)$"
     for make, name in ((lambda: initialize(base), "mult2x2_weak_fa_rtz"),
+                       (lambda: initialize(harness.netlist), r"mult2x2_weak_fa_rtz\+cd"),
                        (twin.initialize, r"mult2x2_weak_fa_rtz\+cd")):
         for run in (lambda s: harness.run_transaction(s, input_vector(2, 3, 2)),
                     lambda s: harness.run_phase(s, "data", input_vector(2, 3, 2)),

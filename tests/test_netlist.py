@@ -593,13 +593,18 @@ def test_from_json_rejects_malformed():
     doc["gates"][0]["kind"] = "XOR9"
     with pytest.raises(FormatError):
         from_json(json.dumps(doc))
+    nested = json.loads("[" * 400 + "]" * 400)  # loadable, and echoed only in part
+    doc["gates"][0]["kind"] = nested
+    with pytest.raises(FormatError, match=r"^gate entry 0: expected a string, got \[{7}\.\.\.\]{7}$"):
+        from_json(json.dumps(doc))
     doc = json.loads(to_json(build_sample()))
     doc["gates"][0]["inputs"] = [99]
     with pytest.raises(ValidationError):  # a net out of range is validate's finding
         from_json(json.dumps(doc))
     # dict() would read a list of pairs as an object
     doc = json.loads(to_json(build_sample()))
-    for meta, shown in (([["n", 2]], "[['n', 2]]"), (None, "None"), ("n", "'n'")):
+    for meta, shown in (([["n", 2]], "[['n', 2]]"), (None, "None"), ("n", "'n'"),
+                        (nested, "[[[[[[[...]]]]]]]")):
         doc["meta"] = meta
         with pytest.raises(FormatError, match=f"^meta must be an object, got {re.escape(shown)}$"):
             from_json(json.dumps(doc))

@@ -124,6 +124,8 @@ def test_states_share_no_list_with_each_other_or_the_reset_image():
     assert {"values", "_code", "_pending"} <= set(lists)
     for name in lists:
         assert getattr(a, name) is not getattr(b, name), name
+    # the monitor's table is the harness's, shared by its states and read only
+    assert a.watched is b.watched and isinstance(a.watched, tuple)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
