@@ -266,26 +266,31 @@ def target_netlist(config: CliConfig) -> Netlist:
     return array_multiplier(MultiplierSpec(config.n, protocol, config.fa))
 
 
-def _oracle_for(netlist: Netlist):
+def _oracle_for(netlist: Netlist, path: str | None = None):
     """The reference oracle named by the netlist's metadata, checked once
     against its port names: it must read only the netlist's inputs and give
-    exactly its outputs."""
+    exactly its outputs.  A refusal names the file ``path`` the netlist was
+    loaded from, if any, and the metadata key it judged."""
+    where = f"{path}: " if path else ""
     n = netlist.metadata.get("n")
     component = netlist.metadata.get("component", "")
     if not isinstance(component, str):
-        raise ValueError(f"netlist {netlist.name!r} metadata needs a string component, "
-                         f"got {reprlib.repr(component)}")
-    oracle = product_oracle(n) if n is not None else COMPONENT_ORACLES.get(component)
+        raise ValueError(f"{where}meta.component: netlist {netlist.name!r} needs a string "
+                         f"component, got {reprlib.repr(component)}")
+    try:
+        oracle = product_oracle(n) if n is not None else COMPONENT_ORACLES.get(component)
+    except ValueError as e:
+        raise ValueError(f"{where}meta.n: {e}") from None
     if oracle is None:
-        raise ValueError(f"no reference oracle for netlist {netlist.name!r}; "
+        raise ValueError(f"{where}no reference oracle for netlist {netlist.name!r}; "
                          "verify/fuzz need one to judge outputs")
     try:
         expected = oracle({p.name: 0 for p in netlist.input_ports})
     except KeyError as e:
-        raise ValueError(f"netlist {netlist.name!r} has no input {e} for its oracle") from None
+        raise ValueError(f"{where}netlist {netlist.name!r} has no input {e} for its oracle") from None
     outputs = sorted(p.name for p in netlist.output_ports)
     if sorted(expected) != outputs:
-        raise ValueError(f"netlist {netlist.name!r} has outputs {outputs}, its oracle "
+        raise ValueError(f"{where}netlist {netlist.name!r} has outputs {outputs}, its oracle "
                          f"gives {sorted(expected)}")
     return oracle
 
@@ -359,7 +364,7 @@ def cmd_verify(config: CliConfig) -> int:
         _check_exhaustible(2 * config.n, "exhaustive verification")
     netlist = target_netlist(config)
     protocol = Protocol(config.protocol)
-    oracle = _oracle_for(netlist)
+    oracle = _oracle_for(netlist, config.netlist)
     tracer = _Tracer(config.trace) if config.trace else None
     mark = (lambda v: tracer.mark(f"vector {sorted(v.items())}")) if tracer else None
     try:
@@ -456,7 +461,7 @@ def cmd_classify(config: CliConfig) -> int:
 def cmd_fuzz(config: CliConfig) -> int:
     netlist = target_netlist(config)
     protocol = Protocol(config.protocol)
-    oracle = _oracle_for(netlist)
+    oracle = _oracle_for(netlist, config.netlist)
     report = orphan_scan(netlist, protocol, oracle,
                          trials=config.trials, seed=config.seed,
                          transactions=config.transactions,

@@ -237,10 +237,12 @@ class HandshakeHarness:
 
         ``order`` splits the stimulus into sequentially settled groups (used
         by the indication classifier); by default everything lands at once.
-        After each group but the last, the output ports whose rails differ
-        from their phase-start values are recorded in ``early``; the scan is
-        skipped while no output rail has committed an event in the phase,
-        since every output then still holds its phase-start value.
+        Either way the phase is one grouped ``apply_and_settle`` call.
+        After each group but the last, its ``between`` callback records in
+        ``early`` the output ports whose rails differ from their phase-start
+        values; the kernel skips the callback while no output rail has
+        committed an event in the phase, since every output then still
+        holds its phase-start value.
         Raises :class:`TransactionError` on a state this harness did not
         initialize, values the phase does not read or missing inputs, an
         arrival order that repeats, misses or names an unknown input,
@@ -271,25 +273,22 @@ class HandshakeHarness:
                     illegal.append((t, p.name))
 
         groups = self._groups(phase, values, order)
-        final = len(groups) - 1
         snapshot = self._snapshot
-        start = snapshot(values_arr) if final else ()
-        h0 = len(state.hazards)
-        tr0 = state.transitions
+        start = snapshot(values_arr) if len(groups) > 1 else ()
         early: list[EarlyRecord] = []
+
+        def between(gi: int) -> None:
+            rails = snapshot(values_arr)
+            if rails != start:
+                moved = tuple(p.name for i, p in enumerate(self.outputs)
+                              if rails[2 * i:2 * i + 2] != start[2 * i:2 * i + 2])
+                early.append(EarlyRecord(gi, moved, targets.issuperset(_pairs(rails))))
+
         state.watch = watch  # a later phase's replaces it; left behind, it feeds only dead locals
-        settle = state.apply_and_settle
-        for gi, group in enumerate(groups):
-            settle(group)
-            if gi < final and last_move is not None:
-                rails = snapshot(values_arr)
-                if rails != start:
-                    moved = tuple(p.name for i, p in enumerate(self.outputs)
-                                  if rails[2 * i:2 * i + 2] != start[2 * i:2 * i + 2])
-                    early.append(EarlyRecord(gi, moved, targets.issuperset(_pairs(rails))))
+        report = state.apply_and_settle(groups, between=between)
         last_datapath = max(t0, state.last_datapath_commit)
 
-        hazards = state.hazards[h0:]
+        hazards = report.hazards
         if illegal:
             t, name = illegal[0]
             raise TransactionError(f"output {name} hit an illegal codeword at t={t}")
@@ -300,7 +299,7 @@ class HandshakeHarness:
         if last_move is None or not targets.issuperset(_pairs(rails)):
             off = [p.name for p, pair in zip(self.outputs, _pairs(rails)) if pair not in targets]
             raise TransactionError(f"{phase} phase left outputs incomplete: {off}")
-        return PhaseReport(phase, last_move - t0, state.transitions - tr0,
+        return PhaseReport(phase, last_move - t0, report.transitions,
                            last_move, last_datapath, early, hazards)
 
     # -- transactions ---------------------------------------------------------

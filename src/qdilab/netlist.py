@@ -221,15 +221,18 @@ def _port_findings(ports: Sequence[DualRailPort], net_init: Sequence[int]) -> li
         elif p.direction == "output" and p.const_value is not None:
             findings.append(Finding("port-dir", f"output port {p.name} carries a constant"))
         if p.const_value is not None and not is_bit(p.const_value):
-            findings.append(Finding("init-value", f"port {p.name} constant {p.const_value} is not a bit"))
+            findings.append(Finding("init-value", f"port {p.name} constant "
+                                    f"{reprlib.repr(p.const_value)} is not a bit"))
         outside = [rail for rail in p.rails if not 0 <= rail < n]
         for rail in outside:
-            findings.append(Finding("net-range", f"port {p.name} references net {rail} outside 0..{n - 1}"))
+            findings.append(Finding("net-range", f"port {p.name} references net {reprlib.repr(rail)} "
+                                    f"outside 0..{n - 1}"))
         if p.rail1 == p.rail0:
             findings.append(Finding("port-rails", f"port {p.name} uses one net for both rails"))
         elif p.direction == "input" and not outside and net_init[p.rail1] != net_init[p.rail0]:
             findings.append(Finding("init-value", f"port {p.name} rails reset to "
-                                    f"{net_init[p.rail1]} and {net_init[p.rail0]}"))
+                                    f"{reprlib.repr(net_init[p.rail1])} and "
+                                    f"{reprlib.repr(net_init[p.rail0])}"))
     return findings
 
 
@@ -240,7 +243,7 @@ def validate(netlist: Netlist) -> tuple[Finding, ...]:
     pass through a C2).  Gates are named by position."""
     net_init, gates = netlist.net_init, netlist.gates
     n = len(net_init)
-    findings = [Finding("init-value", f"net {net} resets to {level}, not a bit")
+    findings = [Finding("init-value", f"net {net} resets to {reprlib.repr(level)}, not a bit")
                 for net, level in enumerate(net_init) if not is_bit(level)]
     bit_levels = not findings
 
@@ -249,7 +252,8 @@ def validate(netlist: Netlist) -> tuple[Finding, ...]:
             findings.append(Finding("arity", f"gate {gid} ({kind.value}) has {len(ins)} inputs"))
         for net in (*ins, out):
             if not 0 <= net < n:
-                findings.append(Finding("net-range", f"gate {gid} references net {net} outside 0..{n - 1}"))
+                findings.append(Finding("net-range", f"gate {gid} references net {reprlib.repr(net)} "
+                                        f"outside 0..{n - 1}"))
     findings += _port_findings(netlist.ports, net_init)
     if not bit_levels or any(f.code == "net-range" for f in findings):
         return tuple(findings)  # later checks need in-range ids and bit levels
@@ -612,7 +616,7 @@ def _gate_from_doc(i: int, g: dict) -> tuple[Gate, int]:
     if not isinstance(g["inputs"], list):
         raise TypeError(f"inputs must be a list, got {reprlib.repr(g['inputs'])}")
     if "id" in g and _int(g["id"]) != i:
-        raise ValueError(f"id {g['id']} is not its position {i}")
+        raise ValueError(f"id {reprlib.repr(g['id'])} is not its position {i}")
     return (Gate(GateKind(_str(g["kind"])), tuple(map(_int, g["inputs"])), _int(g["output"])),
             _int(g["init"]))
 
@@ -646,6 +650,9 @@ def from_json(text: str) -> Netlist:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
         raise FormatError(f"not valid JSON: {e}") from e
+    except ValueError as e:  # json's one other refusal: an integer past int's digit limit
+        raise FormatError("not valid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from e
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
     try:
@@ -665,7 +672,7 @@ def from_json(text: str) -> Netlist:
     # every net has exactly one driver: a gate output or an input-port rail
     drivers = len(gates) + 2 * sum(p.direction == "input" for p, _ in ports)
     if not 0 <= net_count <= drivers:
-        raise FormatError(f"net_count {net_count} outside 0..{drivers}, the "
+        raise FormatError(f"net_count {reprlib.repr(net_count)} outside 0..{drivers}, the "
                           "number of gate outputs and input rails")
 
     # each driver's level; validate judges the nets out of range

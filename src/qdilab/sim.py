@@ -52,9 +52,10 @@ delay into ``out << 1``, the net part of the key of its output ``out``.
 - Per-step lists serve a state whose resolved delays are all 1, while its
   heap is empty.  An event committed at t can then only schedule t + 1, so
   the settle walks one sorted list of the keys due at t and appends what it
-  schedules to the next step's list, which it sorts once and makes the
-  current one.  When the limit trips, both lists are poured into the heap
-  as they are, and the resumed settle finishes there.
+  schedules to the next step's list, which it sorts once (unless it holds
+  one key or none) and makes the current one; the two lists swap roles
+  from step to step.  When the limit trips, both lists are poured into the
+  heap as they are, and the resumed settle finishes there.
 
 One clock rule holds for both: each commit sets the clock to its own time,
 which the heap reads from the key and the lists keep as the step they walk,
@@ -77,9 +78,13 @@ stimulus of its own netlist as it is, checks any mapping (or a stimulus of
 another netlist) into one first, queues the codes of the nets it changes
 at the current time, ahead of every gate event, commits events until the
 queue is empty, and builds the :class:`SettleReport` from its own counts.
-The tables a settle only reads or mutates in place (the compiled fanout and
-drivers, the codes, the schedule, the pending keys and the heap) are bound
-once per state and fetched in one load.
+A list of groups settles in one call, each group queued once the one
+before has gone quiet and ``limit`` counted per group, as one call per
+group would, with one report; ``between(i)`` runs after each group but the
+last once a watched net has committed in the call, since until then none
+has moved.  The tables a settle only reads or mutates in place (the
+compiled fanout and drivers, the codes, the schedule, the pending keys and
+the heap) are bound once per state and fetched in one load per call.
 
 Observers: ``trace(t, net, value)`` sees every committed event, ``watch``
 the same for nets whose ``watched`` entry is true (the harness's entry for a
@@ -331,8 +336,9 @@ class SimState:
 
     # -- public surface -----------------------------------------------------
 
-    def apply_and_settle(self, assignments: Stimulus | Mapping[int, int],
-                         limit: int | None = None) -> SettleReport:
+    def apply_and_settle(self, assignments: Stimulus | Mapping[int, int] | list[Stimulus],
+                         limit: int | None = None,
+                         between: Callable[[int], None] | None = None) -> SettleReport:
         """Drive environment nets at the current time, then commit queued
         events in (time, net id) order, stimuli first, until the queue is
         empty.  Past ``limit`` gate events (stimuli do not count) it raises
@@ -340,40 +346,61 @@ class SimState:
 
         ``assignments`` is a :class:`Stimulus` built for this state's netlist,
         taken as it is, or any mapping of net to value (or a stimulus built
-        for another netlist), checked into a :class:`Stimulus` first."""
-        if type(assignments) is Stimulus and assignments.netlist is self.netlist:
-            stimulus = assignments
+        for another netlist), checked into a :class:`Stimulus` first.  A list
+        of such groups, all checked before any is applied, settles one group
+        at a time, each driven once the one before has gone quiet, as one call
+        per group would: ``limit`` counts each group's gate events on its own,
+        and a group that trips it raises with the later groups never applied.
+        ``between(i)``, if given, is called with the state up to date after
+        each group ``i`` but the last, once a net whose ``watched`` entry is
+        true has committed in the call (before that, every watched net holds
+        its level from the call's start); it must not settle the state.  The
+        one report covers the whole call: the time from its start to its last
+        commit, every commit, every hazard and the gate events."""
+        netlist = self.netlist
+        if type(assignments) is list:
+            groups = [g if type(g) is Stimulus and g.netlist is netlist else Stimulus(netlist, g)
+                      for g in assignments]
+        elif type(assignments) is Stimulus and assignments.netlist is netlist:
+            groups = (assignments,)
         else:
-            stimulus = Stimulus(self.netlist, assignments)
+            groups = (Stimulus(netlist, assignments),)
         fanout, driver, code, sched, pending, heap, shift, net_mask, pop, push = self._tables
         values = self.values
         t = t0 = self.now
-        # a settle resumed after a tripped limit finishes on the heap
-        unit = self._unit and not heap
-        base = t0 << shift
-        # stimuli commit now, in net order, ahead of every gate event (whose
-        # delay is at least one)
-        stimuli = []
-        for c in stimulus.codes:
-            if values[c >> 1] != c & 1:
-                pending[c >> 1] = key = base | c
-                stimuli.append(key)
-        if not unit:
-            for key in stimuli:
-                push(heap, key)
+        tr0 = self.transitions
         datapath, last_datapath = self.datapath_nets, self.last_datapath_commit
         hazards = self.hazards
         h0 = len(hazards)
         watched, watch, trace = self.watched, self.watch, self.trace
         limit = self.default_limit if limit is None else limit
-        cap = limit + len(stimuli)
-        commits = 0
+        unit, step = self._unit, 1 << shift
+        last = len(groups) - 1
+        commits = env = 0
+        seen = False  # a watched net has committed in this call
+        cur, nxt = [], []  # the per-step lists, empty between groups
         try:
-            if unit:
-                # one sorted list of the keys due at step ts; what a commit
-                # there schedules is due at ts + 1 and goes on the next list
-                cur, nxt = stimuli, []
-                ts = t0
+            for gi, group in enumerate(groups):
+                base = t << shift
+                # stimuli commit now, in net order, ahead of every gate event
+                # (whose delay is at least one)
+                for c in group.codes:
+                    if values[c >> 1] != c & 1:
+                        pending[c >> 1] = key = base | c
+                        cur.append(key)
+                queued = len(cur)
+                env += queued
+                cap = commits + limit + queued
+                if heap or not unit:
+                    # the heap serves other delays, and finishes a call
+                    # resumed after a tripped limit
+                    for key in cur:
+                        push(heap, key)
+                    cur.clear()
+                # the per-step lists: one sorted list of the keys due at step
+                # ts; what a commit there schedules is due at ts + 1 and goes
+                # on the next list
+                ts = t
                 while cur:
                     for key in cur:
                         net = key >> 1 & net_mask
@@ -394,8 +421,10 @@ class SimState:
                         code[driver[net]] ^= 33  # flip cur, clear pending
                         if net < datapath:
                             last_datapath = t
-                        if watched[net] and watch is not None:
-                            watch(t, net, val)
+                        if watched[net]:
+                            seen = True
+                            if watch is not None:
+                                watch(t, net, val)
                         if trace is not None:
                             trace(t, net, val)
                         for g, mask, o in fanout[net]:
@@ -410,48 +439,56 @@ class SimState:
                                     nxt.append(p)
                                 k ^= 32
                             code[g] = k
-                    nxt.sort()
-                    cur, nxt = nxt, []
+                    if len(nxt) > 1:
+                        nxt.sort()
+                    cur, nxt = nxt, cur
+                    nxt.clear()
                     ts += 1
-                    base += 1 << shift
-            while heap:
-                key = pop(heap)
-                net = key >> 1 & net_mask
-                if pending[net] != key:
-                    continue  # superseded entry
-                if commits >= cap:
-                    push(heap, key)  # still pending: a later settle resumes here
-                    raise NonQuiescenceError(f"no quiescence within {limit} events")
-                commits += 1
-                pending[net] = -1
-                t = key >> shift
-                val = key & 1
-                values[net] = val  # a commit always flips its net
-                code[driver[net]] ^= 33  # flip cur, clear pending
-                if net < datapath:
-                    last_datapath = t
-                if watched[net] and watch is not None:
-                    watch(t, net, val)
-                if trace is not None:
-                    trace(t, net, val)
-                base = t << shift
-                for g, mask, o in fanout[net]:
-                    k = code[g] ^ mask
-                    if FIRE[k]:
-                        if k & 32:  # the pending event is disabled
-                            hazards.append(HazardRecord(t, g, o, k & 1 ^ 1, k & 1))
-                            pending[o] = -1
-                        else:
-                            p = base + sched[g] + (k & 1 ^ 1)
-                            pending[o] = p
-                            push(heap, p)
-                        k ^= 32
-                    code[g] = k
+                    base += step
+                while heap:
+                    key = pop(heap)
+                    net = key >> 1 & net_mask
+                    if pending[net] != key:
+                        continue  # superseded entry
+                    if commits >= cap:
+                        push(heap, key)  # still pending: a later settle resumes here
+                        raise NonQuiescenceError(f"no quiescence within {limit} events")
+                    commits += 1
+                    pending[net] = -1
+                    t = key >> shift
+                    val = key & 1
+                    values[net] = val  # a commit always flips its net
+                    code[driver[net]] ^= 33  # flip cur, clear pending
+                    if net < datapath:
+                        last_datapath = t
+                    if watched[net]:
+                        seen = True
+                        if watch is not None:
+                            watch(t, net, val)
+                    if trace is not None:
+                        trace(t, net, val)
+                    base = t << shift
+                    for g, mask, o in fanout[net]:
+                        k = code[g] ^ mask
+                        if FIRE[k]:
+                            if k & 32:  # the pending event is disabled
+                                hazards.append(HazardRecord(t, g, o, k & 1 ^ 1, k & 1))
+                                pending[o] = -1
+                            else:
+                                p = base + sched[g] + (k & 1 ^ 1)
+                                pending[o] = p
+                                push(heap, p)
+                            k ^= 32
+                        code[g] = k
+                if seen and gi < last and between is not None:
+                    self.now, self.transitions = t, tr0 + commits
+                    self.last_datapath_commit = last_datapath
+                    between(gi)
         finally:
             self.now = t
-            self.transitions += commits
+            self.transitions = tr0 + commits
             self.last_datapath_commit = last_datapath
-        return SettleReport(t - t0, commits, hazards[h0:], commits - len(stimuli))
+        return SettleReport(t - t0, commits, hazards[h0:], commits - env)
 
     def is_quiescent(self) -> bool:
         """True when no event is pending and no gate is excited."""

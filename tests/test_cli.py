@@ -24,7 +24,7 @@ from qdilab.multiplier import MultiplierSpec, array_multiplier, product_oracle
 from qdilab.netlist import GateKind, NetlistBuilder, from_json, to_json
 from qdilab.sim import RandomUniformDelay, TableDelay
 
-from test_netlist import _mutate
+from test_netlist import _mutate, long_integer_documents
 
 
 def run_inproc(*argv):
@@ -119,7 +119,7 @@ def test_classify_non_indicating_netlist_exits_one(tmp_path):
     assert run_inproc("classify", "--netlist", str(path)) == 1
 
 
-def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
+def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys, monkeypatch):
     doc = json.loads(to_json(array_multiplier(MultiplierSpec(2, Protocol.RTZ))))
     del doc["gates"][0]["inputs"]
     bad_netlist = tmp_path / "bad.json"
@@ -182,6 +182,13 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     deep_meta = tmp_path / "deep_meta.json"
     deep_meta.write_text(json.dumps({**mult2, "meta": 0}).replace(
         '"meta": 0', '"meta": ' + deep.read_text()))
+    # an integer json cannot read, then long ones echoed in short, named
+    # from the working directory so that each refusal line is its own length
+    monkeypatch.chdir(tmp_path)
+    long_ints = []
+    for i, text in enumerate(long_integer_documents()):
+        long_ints.append(f"long{i}.json")
+        (tmp_path / long_ints[-1]).write_text(text)
     numeric_names = []  # a netlist or port name that is a number, not a string
     for i, doc in enumerate(({**mult2, "name": 5},
                              {**mult2, "ports": [{**mult2["ports"][0], "name": 7},
@@ -214,6 +221,8 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
                  ["classify", "--n", "9"],
                  *(["verify", "--netlist", str(p)] for p in bad_meta[:-2]),
                  *(["fuzz", "--netlist", str(p), "--trials", "3"] for p in bad_meta[-2:]),
+                 ["fuzz", "--netlist", str(bad_meta[5]), "--trials", "3"],  # meta.n of -1
+                 *(["verify", "--netlist", name] for name in long_ints),
                  # options the command does not read
                  *([cmd, "--n", "2", "--trace", str(tmp_path / "t.csv")]
                    for cmd in ("classify", "fuzz", "scale", "bench")),
@@ -256,7 +265,13 @@ def test_malformed_netlist_and_delay_table_exit_2(tmp_path, capsys):
     assert "pergate delay table key 'AND2' is not a gate id" in err
     assert err.count(f"error: {const_out}: output port Z carries a constant\n") == 3
     assert sum(f"error: {p}: meta must be an object, got " in err for p in bad_meta) == 3
-    assert "error: width must be >= 1, got -1\n" in err  # a saved meta.n of -1
+    # a saved meta.n of -1, under verify and fuzz
+    assert err.count(f"error: {bad_meta[5]}: meta.n: width must be >= 1, got -1\n") == 2
+    assert err.count(f"error: {long_ints[0]}: not valid JSON: an integer has more than "
+                     "4300 digits\n") == 1
+    long_lines = [line for line in err.splitlines()
+                  if any(f"error: {name}: " in line for name in long_ints)]
+    assert len(long_lines) == len(long_ints) and all(len(line) < 200 for line in long_lines)
     assert err.count(f"error: {deep_meta}: not valid JSON: maximum recursion depth exceeded") == 1
     assert err.count(f"error: {deep}: not valid JSON: maximum recursion depth exceeded") == 3
     assert err.count(f"error: {latin}: not valid JSON: 'utf-8' codec can't decode") == 2

@@ -579,11 +579,41 @@ def test_json_is_deterministic_and_sorted():
     assert set(doc) >= {"name", "net_count", "gates", "ports"}
 
 
+def long_integer_documents() -> list[str]:
+    """The sample netlist with a document integer of thousands of digits:
+    one past ``json``'s digit limit, then one of 4,000 digits in each place
+    that a refusal echoes (``net_count``, a gate id, a constant, a gate
+    input, a port rail and a gate's reset level)."""
+    sample = json.loads(to_json(build_sample()))
+    big = 10**3999
+    docs = []
+    for edit in (lambda d: d.update(net_count=big),
+                 lambda d: d["gates"][0].update(id=big),
+                 lambda d: d["ports"][1].update(const_value=big),
+                 lambda d: d["gates"][0].update(inputs=[big, 0]),
+                 lambda d: d["ports"][0].update(rail1=big),
+                 lambda d: d["gates"][0].update(init=big)):
+        doc = json.loads(json.dumps(sample))
+        edit(doc)
+        docs.append(json.dumps(doc))
+    past_limit = json.dumps({**sample, "net_count": 0}).replace(
+        '"net_count": 0', '"net_count": 1' + "0" * 4999)
+    return [past_limit, *docs]
+
+
 def test_from_json_rejects_malformed():
     with pytest.raises(FormatError):
         from_json("{not json")
     with pytest.raises(FormatError):
         from_json(json.dumps([1, 2, 3]))
+    # an integer json cannot read, then long ones echoed in short
+    past_limit, *long_ones = long_integer_documents()
+    with pytest.raises(FormatError, match="^not valid JSON: an integer has more than 4300 digits$"):
+        from_json(past_limit)
+    for text in long_ones:
+        with pytest.raises(NetlistError) as exc:
+            from_json(text)
+        assert "0000...0000" in str(exc.value) and len(str(exc.value)) < 200, str(exc.value)[:300]
     deep = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
     sample = json.dumps({**json.loads(to_json(build_sample())), "meta": 0})
     for text in (deep, sample.replace('"meta": 0', '"meta": ' + deep)):

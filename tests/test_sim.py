@@ -243,12 +243,14 @@ def two_port_fixture():
 
 def test_a_rejected_stimulus_batch_queues_nothing():
     """Every stimulus is checked before any is queued: a bad one after a good
-    one leaves the state as it was, quiescent.  A :class:`Stimulus` built for
-    another netlist is checked again, against this one."""
+    one, in one batch or in a later group, leaves the state as it was,
+    quiescent.  A :class:`Stimulus` built for another netlist is checked
+    again, against this one."""
     netlist, x = wire_fixture()
     other, y = two_port_fixture()
     assert y.rail1 == netlist.gates[0].output  # the wire fixture's gate output
-    for batch in ({x.rail1: 1, 9999: 0}, Stimulus(other, {x.rail1: 1, y.rail1: 0})):
+    for batch in ({x.rail1: 1, 9999: 0}, Stimulus(other, {x.rail1: 1, y.rail1: 0}),
+                  [{x.rail1: 1}, {9999: 0}]):
         state = initialize(netlist)
         values = state.values[:]
         with pytest.raises(StimulusError, match="is not environment-driven"):
@@ -707,6 +709,69 @@ def test_a_mapping_and_its_stimulus_settle_identically(case, data):
                 except NonQuiescenceError:
                     outcomes.append("no quiescence")
             runs.append((outcomes, trace, state.hazards, state.values, state.now))
+        assert runs[0] == runs[1]
+
+
+def _settle_in_calls(netlist, delays, calls, watched, grouped):
+    """Run ``calls``, each a list of groups and a limit, as one grouped
+    settle each or as one settle per group, stopping a call at its first
+    trip, and return what each leaves: per call its report (the per-group
+    reports summed) or the trip, and the state seen after each group for
+    which the call saw a watched commit (a grouped call reports the groups
+    ``between`` names); then the trace, watched events, hazards, values,
+    time and transitions."""
+    state = initialize(netlist, delays)
+    state.watched = watched
+    trace, seen = [], []
+    state.trace = lambda t, net, val: trace.append((t, net, val))
+    state.watch = lambda t, net, val: seen.append((t, net, val))
+    outcomes = []
+    for groups, limit in calls:
+        after = []
+
+        def between(i):
+            after.append((i, state.now, state.transitions, state.values[:]))
+
+        try:
+            if grouped:
+                report = asdict(state.apply_and_settle(groups, limit, between))
+            else:
+                report = {"elapsed": 0, "transitions": 0, "hazards": [], "steps": 0}
+                seen0 = len(seen)
+                for i, group in enumerate(groups):
+                    for key, value in asdict(state.apply_and_settle(group, limit)).items():
+                        report[key] += value
+                    if i < len(groups) - 1 and len(seen) > seen0:
+                        after.append((i, state.now, state.transitions, state.values[:]))
+        except NonQuiescenceError:
+            report = "no quiescence"
+        outcomes.append((report, after))
+    return outcomes, trace, seen, state.hazards, state.values, state.now, state.transitions
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases(), st.data())
+def test_a_grouped_settle_equals_one_settle_per_group(case, data):
+    """A list of groups settles in one call as one call per group would:
+    the same trace, hazards, values, time and transitions, one report that
+    sums the per-group ones, ``between`` called after exactly the groups
+    (the last excepted) by which a watched net had committed, and ``limit``
+    counting each group's gate events, a trip leaving the later groups
+    unapplied and the next call resuming where it stopped."""
+    netlist, settles = case
+    table = {gid: data.draw(st.integers(1, 3)) for gid in range(len(netlist.gates))}
+    watched = bytearray(data.draw(st.lists(st.integers(0, 1), min_size=netlist.net_count,
+                                           max_size=netlist.net_count)))
+    # consecutive settles make up one call, under the first one's limit;
+    # each group is a mapping or its stimulus
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(settles) - 1))) if len(settles) > 1
+                  else ())
+    calls = [([a if data.draw(st.booleans()) else Stimulus(netlist, a)
+               for a, _ in settles[i:j]], settles[i][1])
+             for i, j in zip([0, *cuts], [*cuts, len(settles)])]
+    for delays in (UnitDelay(), TableDelay(table)):
+        runs = [_settle_in_calls(netlist, delays, calls, watched, grouped)
+                for grouped in (False, True)]
         assert runs[0] == runs[1]
 
 
